@@ -26,8 +26,8 @@ fn main() {
         for s in 0..SEEDS {
             let out = broadcast_single(&g, NodeId::new(0), 1, &params, s);
             e2e.push(out.completion_round);
-            setup.push(Some(out.phases.setup()));
-            cap = out.plan.total_rounds();
+            setup.push(Some(out.phases.wave + out.phases.construct));
+            cap = out.cap;
         }
         let decay: Vec<_> = (0..SEEDS).map(|s| run_decay(&g, &params, s)).collect();
         let cr: Vec<_> = (0..SEEDS).map(|s| run_cr(&g, &params, s)).collect();

@@ -1,34 +1,50 @@
-//! Shared machinery of the adaptive (quiescence-driven) pipeline drivers.
+//! The one adaptive (quiescence-driven) driver of the Theorem 1.1 and 1.3
+//! pipelines.
 //!
-//! PR 2 introduced phase-completion detection for the Theorem 1.1 pipeline:
-//! open-ended phases interleave dedicated *status rounds* in which exactly
-//! the nodes with pending work transmit a content-free beep, and the driver
-//! advances the shared phase cursor once the channel stays silent (see
-//! `single_message` for the full in-model justification). The most intricate
-//! part — skipping quiescent rank blocks, epochs and recruiting tails of the
-//! distributed GST construction — is identical for the Theorem 1.1 and
-//! Theorem 1.3 pipelines, so it lives here: [`ConsProbe`] enumerates the
-//! construction status probes, [`answer_cons_probe`] evaluates one against a
-//! node's construction state, and [`drive_construction`] is the
-//! rank-block/epoch/recruiting skip loop, generic over the [`ConsDriver`]
-//! hooks each pipeline driver provides.
+//! Both theorems are proved with one skeleton: collision-wave layering, ring
+//! decomposition, parallel per-ring GST construction, then ring-by-ring
+//! dissemination with inter-ring handoffs. Both pipelines also *run* it the
+//! same way. Open-ended phases interleave dedicated *status rounds* in which
+//! exactly the nodes with pending work transmit a content-free beep, and the
+//! driver advances the shared phase cursor once the channel stays silent
+//! (see `single_message` for the in-model justification). Every phase stays
+//! hard-capped by its paper-sized window, so the plan's `total_rounds()`
+//! bounds any run.
+//!
+//! The driver (`Driver`, crate-private) owns everything the two pipelines
+//! share:
+//!
+//! * the simulator and the shared [`StepCell`] cursor;
+//! * the status budgets and majority voting ([`vote_quiet`]);
+//! * the beep/quiescence window loop, optionally probing before any work (a
+//!   window with nothing pending collapses to one status round);
+//! * the construction skip loop, over [`ConsProbe`]s answered by
+//!   [`answer_cons_probe`];
+//! * the handoff retry → rung 1 → rung 2 → rung-3 fallback sequence of the
+//!   recovery [`Ladder`];
+//! * state sampling at phase boundaries, and the [`Outcome`] it returns,
+//!   counted into [`Phases`].
+//!
+//! A pipeline plugs in through the crate-private `Pipeline` trait, which its
+//! node type implements. It supplies its phase-position and probe enums; its
+//! completion predicate, resident bytes and audit counters; which probes a
+//! majority vote may re-read and which status budget a re-vote draws from;
+//! its phase sequence; and the bodies of rungs 1 and 2.
 //!
 //! ## Segment pacing
 //!
-//! PR 4 changed how the drivers pump the simulator. Instead of setting the
-//! shared cursor cell and calling `Simulator::step` once per round, a driver
-//! now *publishes* a whole [`Segment`] — the simulator round it starts at,
-//! its length, and the phase position of its first round — and executes it
-//! with `Simulator::run_segment`, which runs on the engine's wake-list fast
-//! path (acts cost `O(awake)`; fully-idle stretches fast-forward in `O(1)`).
+//! The driver pumps the simulator in *segments*. Instead of setting the
+//! shared cursor cell and calling `Simulator::step` once per round, it
+//! publishes a whole [`Segment`] — the simulator round it starts at, its
+//! length, and the phase position of its first round — and executes it with
+//! `Simulator::run_segment`, which runs on the engine's wake-list fast path
+//! (acts cost `O(awake)`; fully-idle stretches fast-forward in `O(1)`).
 //! Nodes derive their per-round phase position from the published segment
-//! (`pos.advanced(round - start)`), and their `next_wake` hints are *clamped
-//! to the segment end*: every node is polled again on the first round after
-//! the segment, which is exactly when the driver publishes the next segment
-//! or runs a status round. That clamp is the invariant that makes arbitrary
-//! driver decisions (probe outcomes, block skips, early phase closure) safe
-//! under wake hints — a sleeping node can never miss a cursor change,
-//! because every cursor change happens at a round where everyone is awake.
+//! (`pos.advanced(round - start)`), and their `next_wake` hints only have to
+//! hold while the segment stands: every publish force-wakes all nodes
+//! (`Simulator::wake_all`), so a sleeping node can never miss a cursor
+//! change, and arbitrary driver decisions (probe outcomes, block skips,
+//! early phase closure) stay safe under wake hints.
 //!
 //! Mid-segment completion detection stays exact: `run_segment` stops after
 //! any round that delivered a packet (the only rounds in which a
@@ -38,7 +54,13 @@
 //! for the equivalence suites.
 
 use crate::construction::{ConstructionSchedule, GstConstructionNode};
+use crate::params::Params;
+use crate::run::{Detail, Outcome, Phases};
+use crate::schedule::SchedAudit;
 use radio_sim::trace::RoundStats;
+use radio_sim::{NodeId, Observation, Protocol, Simulator, Topology};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// How an adaptive pipeline driver pumps the simulator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -90,6 +112,44 @@ impl<P: Advance> Segment<P> {
     }
 }
 
+/// The shared per-round directive of an adaptive pipeline: what kind of
+/// round the pipeline is in, with phase positions `P` and status probes `Q`.
+///
+/// All nodes observe the same status-round transcript (via the idealized
+/// echo, see the `single_message` module docs), so they all hold the same
+/// cursor; the [`StepCell`] materializes that shared knowledge without
+/// touching the `Protocol` trait. Work rounds are published as whole
+/// [`Segment`]s, so nodes resolve a round's position from the segment and
+/// may sleep through the rounds of it in which they are provably inert.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step<P, Q> {
+    /// Before the first round.
+    Idle,
+    /// A published segment of work rounds of the current phase.
+    Work(Segment<P>),
+    /// A status round probing for pending work.
+    Status(Q),
+}
+
+/// Shared handle to a pipeline's current [`Step`]: one cell per run, cloned
+/// into every node and the driver.
+pub type StepCell<P, Q> = Rc<Cell<Step<P, Q>>>;
+
+/// Narrows a pipeline observation to one sub-protocol: a message `pick`
+/// recognizes becomes that sub-protocol's packet, any other message reads as
+/// silence, and collisions and self-transmits pass through.
+pub(crate) fn narrow<M, N>(
+    obs: &Observation<M>,
+    pick: impl FnOnce(&M) -> Option<N>,
+) -> Observation<N> {
+    match obs {
+        Observation::Message(p) => pick(p).map_or(Observation::Silence, Observation::packet),
+        Observation::Collision => Observation::Collision,
+        Observation::SelfTransmit => Observation::SelfTransmit,
+        Observation::Silence => Observation::Silence,
+    }
+}
+
 /// How an adaptive open-ended window closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WindowEnd {
@@ -106,7 +166,7 @@ pub enum WindowEnd {
 /// `VOTE_WINDOW - 1` confirmation rounds.
 pub const VOTE_WINDOW: u32 = 3;
 
-/// Failed-handoff re-publications (with doubled budgets) before a driver
+/// Failed-handoff re-publications (with doubled budgets) before the driver
 /// gives up on re-running the window verbatim and climbs the recovery
 /// [`Ladder`]. One retry: with a staged ladder behind it, a second verbatim
 /// re-run at 4–8× budget is strictly worse than a rung-1 ring-local repair —
@@ -116,8 +176,8 @@ pub const HANDOFF_RETRIES: u32 = 1;
 
 /// Shared bookkeeping of the staged recovery ladder.
 ///
-/// When a handoff window exhausts its [`HANDOFF_RETRIES`], the drivers no
-/// longer jump straight to the no-knowledge Decay flood; they shed structure
+/// When a handoff window exhausts its [`HANDOFF_RETRIES`], the driver no
+/// longer jumps straight to the no-knowledge Decay flood; it sheds structure
 /// *incrementally* (the Czumaj–Davies regime of graceful operation with
 /// progressively less knowledge):
 ///
@@ -130,7 +190,7 @@ pub const HANDOFF_RETRIES: u32 = 1;
 /// * **rung 3 — the global no-knowledge flood**, reached only after rungs
 ///   1–2 fail, with its entry round recorded.
 ///
-/// The ladder enforces the rung order: the drivers gate each rung on the
+/// The ladder enforces the rung order: the driver gates each rung on the
 /// previous one having been attempted at least once in the run, so the
 /// recovery counters (`ring_repairs`, `regional_repairs`, `fallback_rounds`
 /// in `RunStats`) are monotone — a nonzero rung-3 count implies nonzero
@@ -414,129 +474,569 @@ pub fn answer_cons_probe(c: &mut GstConstructionNode, probe: ConsProbe) -> bool 
     }
 }
 
-/// The driver-side hooks [`drive_construction`] needs.
-pub trait ConsDriver {
-    /// Runs one construction status round for `probe`, charged against the
-    /// driver's construction status budget. `Some(true)` iff the channel
-    /// stayed silent; `None` once the budget is exhausted (the loop bails
-    /// out and the fixed-schedule cap takes over).
-    fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool>;
-
-    /// Runs `len` slotted construction work rounds starting at (unslotted)
-    /// schedule round `start`: two simulator rounds per schedule round, one
-    /// per ring parity.
-    fn cons_run(&mut self, start: u64, len: u64);
-
-    /// Whether the enclosing pipeline already completed (early exit).
-    fn finished(&self) -> bool;
-}
-
-/// The construction phase driver: parallel per-ring GST construction with
-/// quiescence skipping. Rank blocks with no open blues are skipped outright;
-/// Identify ends when activations stop; epochs end when every blue is
-/// assigned or no red is active; recruiting parts end when no red
-/// participates or every blue's run resolved; Stage Ib/III run only when
-/// they have announcers (and, for Stage III, adopters).
-///
-/// The caller is responsible for running the per-node construction epilogue
-/// (`GstConstructionNode::finalize`) afterwards — the adaptive loop may have
-/// skipped the later blocks through which the fixed schedule reaches that
-/// state lazily.
-pub fn drive_construction(d: &mut impl ConsDriver, cons: ConstructionSchedule) {
-    let iteration = cons.recruit_iteration_rounds();
-    let iterations = cons.recruit_rounds() / iteration;
-    let phase_len = u64::from(cons.phase_len());
-    let ident_phases = cons.decay_step() / phase_len.max(1);
-    for boundary in (1..=cons.d_bound).rev() {
-        for rank in (1..=cons.max_rank()).rev() {
-            if d.finished() {
-                return;
-            }
-            match d.cons_quiet(ConsProbe::OpenBlue { boundary, rank }) {
-                Some(true) => continue, // no open blues anywhere: skip block
-                Some(false) => {}
-                None => return,
-            }
-            // Identify prologue, phase by phase until activations stop.
-            let block = cons.rank_block_start(boundary, rank);
-            for ph in 0..ident_phases {
-                d.cons_run(block + ph * phase_len, phase_len);
-                match d.cons_quiet(ConsProbe::NewActivation) {
-                    Some(true) => break,
-                    Some(false) => {}
-                    None => return,
-                }
-            }
-            for epoch in 0..cons.epochs() {
-                match d.cons_quiet(ConsProbe::OpenBlue { boundary, rank }) {
-                    Some(true) => break, // every blue assigned
-                    Some(false) => {}
-                    None => return,
-                }
-                match d.cons_quiet(ConsProbe::ActiveRed { boundary }) {
-                    Some(true) => break, // no red left to assign them
-                    Some(false) => {}
-                    None => return,
-                }
-                let e0 = cons.epoch_start(boundary, rank, epoch);
-                d.cons_run(e0, 1); // Stage Ia beacons
-                match d.cons_quiet(ConsProbe::LonerBlue { boundary }) {
-                    Some(true) => {} // no loners: skip Stage Ib
-                    Some(false) => d.cons_run(e0 + 1, cons.decay_step()),
-                    None => return,
-                }
-                for part in 1..=3u8 {
-                    match d.cons_quiet(ConsProbe::PartRed { boundary, part }) {
-                        Some(true) => continue, // no reds for this part
-                        Some(false) => {}
-                        None => return,
-                    }
-                    let p0 =
-                        e0 + 1 + cons.decay_step() + u64::from(part - 1) * cons.recruit_rounds();
-                    for i in 0..iterations {
-                        d.cons_run(p0 + i * iteration, iteration);
-                        let probe = if i == 0 {
-                            ConsProbe::PartParticipant
-                        } else {
-                            ConsProbe::UnresolvedBlue
-                        };
-                        match d.cons_quiet(probe) {
-                            Some(true) => break,
-                            Some(false) => {}
-                            None => return,
-                        }
-                    }
-                }
-                // Stage III runs only with announcers *and* adopters.
-                match d.cons_quiet(ConsProbe::NewlyRanked { boundary }) {
-                    Some(true) => continue,
-                    Some(false) => {}
-                    None => return,
-                }
-                match d.cons_quiet(ConsProbe::OpenBlueBelow { boundary, rank }) {
-                    Some(true) => continue,
-                    Some(false) => {}
-                    None => return,
-                }
-                d.cons_run(
-                    e0 + 1 + cons.decay_step() + 3 * cons.recruit_rounds(),
-                    cons.decay_step(),
-                );
-            }
-        }
-    }
-}
-
-/// Status rounds the construction driver can spend, per the formula PR 2
-/// established: per rank block one rank-skip probe, one per Identify phase,
-/// and per epoch the open-blue / active-red / loner probes, per-part gates
-/// plus one probe per recruiting iteration, and the two Stage III gates.
-pub fn cons_status_budget(params: &crate::params::Params, cons: &ConstructionSchedule) -> u64 {
+/// Status rounds the construction skip loop can spend: per rank block one
+/// rank-skip probe, one per Identify phase, and per epoch the open-blue /
+/// active-red / loner probes, per-part gates plus one probe per recruiting
+/// iteration, and the two Stage III gates.
+pub fn cons_status_budget(params: &Params, cons: &ConstructionSchedule) -> u64 {
     let iterations = u64::from(params.recruit_iterations.max(1));
     let per_epoch_status = 5 + 3 * (1 + iterations);
     let per_rank_status =
         1 + u64::from(params.decay_phases) + u64::from(cons.epochs()) * per_epoch_status;
     u64::from(cons.d_bound) * u64::from(params.max_rank()) * per_rank_status
+}
+
+/// The status-round budgets a [`Driver`] keeps. A skip loop whose budget
+/// runs dry bails out, and the plan's worst-case cap takes over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Budget {
+    /// The main construction phase. Its work runs two slots per schedule
+    /// round, one per ring parity, counted as construction.
+    Construct,
+    /// The Theorem 1.3 labeling phase.
+    Label,
+    /// One rung-1 ring-local repair construction, refreshed per repair. Its
+    /// work replays the one failed ring's schedule unslotted, counted as
+    /// repair.
+    Repair,
+}
+
+/// What a pipeline supplies to the shared [`Driver`], implemented by its node
+/// type. Everything else — the cursor, status budgets and voting, windows,
+/// the construction skip loop, the handoff retry and the recovery ladder,
+/// state sampling and the outcome — is the driver's.
+pub(crate) trait Pipeline: Protocol + Sized {
+    /// Phase positions of published work segments.
+    type Pos: Advance;
+    /// Status-round probes.
+    type Probe: Copy;
+    /// Driver-side run state: the plan, plus whatever the phase sequence
+    /// needs across phases.
+    type Plan;
+    /// Position of the first rung-3 fallback round.
+    const FALLBACK: Self::Pos;
+
+    /// The completion predicate. It may flip only in a round that delivered
+    /// a packet: the driver scans it after delivery rounds only.
+    fn is_complete(&self) -> bool;
+
+    /// Resident bytes of the node's protocol state, at struct granularity
+    /// (see the README's memory-model section).
+    fn resident_bytes(&self) -> usize;
+
+    /// The node's schedule audit counters.
+    fn audit(&self) -> SchedAudit;
+
+    /// Whether a fault-touched read of `probe` may be re-probed by a
+    /// majority vote (`false` for consuming, take-style probes; see
+    /// [`vote_quiet`]).
+    fn votable(probe: Self::Probe) -> bool;
+
+    /// The status budget a vote re-read of `probe` is charged against, so a
+    /// skip loop's round accounting cannot outgrow its cap because votes
+    /// fired.
+    fn vote_budget(probe: Self::Probe) -> Option<Budget>;
+
+    /// Runs the pipeline's phase sequence, returning the sequence index
+    /// (ring or window) the recovery epilogue anchors at.
+    fn phases<T: Topology>(d: &mut Driver<Self, T>) -> u32;
+
+    /// The body of rung 1 (ring-local repair) for sequence index `at`;
+    /// `true` iff the run completed or the repaired handoff quiesced.
+    fn ring_repair<T: Topology>(d: &mut Driver<Self, T>, at: u32) -> bool;
+
+    /// The body of rung 2 (regional re-dissemination) for sequence index
+    /// `at`; `true` iff the run completed or the region quiesced.
+    fn regional_repair<T: Topology>(d: &mut Driver<Self, T>, at: u32) -> bool;
+
+    /// The algorithm-specific extension of the outcome.
+    fn detail(plan: &Self::Plan, nodes: &[Self], fallback_entry: Option<u64>) -> Detail;
+}
+
+/// The adaptive pipeline driver: owns the simulator and the shared phase
+/// cursor, advances phases on status-round quiescence, and hard-caps the run
+/// at the plan's worst-case round count.
+///
+/// The recovery paths — status voting, the handoff retry and the staged
+/// ladder — are armed exactly when the simulator carries a fault plan, so
+/// `FaultPlan::none()` runs stay bit-identical by construction.
+pub(crate) struct Driver<N: Pipeline, T: Topology> {
+    /// The simulator the pipeline runs on.
+    pub(crate) sim: Simulator<N, T>,
+    step: StepCell<N::Pos, N::Probe>,
+    /// The pipeline's plan and run state.
+    pub(crate) plan: N::Plan,
+    /// Rounds executed so far, by phase.
+    pub(crate) phases: Phases,
+    cap: u64,
+    beep: u64,
+    quiescence_slack: u32,
+    /// Status rounds left per [`Budget`].
+    status_left: [u64; 3],
+    completion: Option<u64>,
+    ladder: Ladder,
+    /// Peak of the phase-boundary node-state samples (see `sample_state`).
+    peak_nodes: usize,
+}
+
+impl<N: Pipeline, T: Topology> Driver<N, T> {
+    /// A driver over `sim`, whose nodes all share `step`; `cap` is the
+    /// plan's worst-case round count. Every status budget starts empty.
+    pub(crate) fn new(
+        sim: Simulator<N, T>,
+        step: StepCell<N::Pos, N::Probe>,
+        plan: N::Plan,
+        cap: u64,
+        params: &Params,
+    ) -> Self {
+        Driver {
+            sim,
+            step,
+            plan,
+            phases: Phases::default(),
+            cap,
+            beep: u64::from(params.beep_interval.max(1)),
+            quiescence_slack: params.quiescence_slack,
+            status_left: [0; 3],
+            completion: None,
+            ladder: Ladder::new(),
+            peak_nodes: 0,
+        }
+    }
+
+    /// Sets the status rounds `budget` may still spend.
+    pub(crate) fn set_status(&mut self, budget: Budget, rounds: u64) {
+        self.status_left[budget as usize] = rounds;
+    }
+
+    /// Runs the pipeline to completion (or its cap) and returns the outcome.
+    pub(crate) fn run(mut self) -> Outcome {
+        self.drive();
+        let mut audit = SchedAudit::default();
+        for n in self.sim.nodes() {
+            audit.absorb(n.audit());
+        }
+        Outcome {
+            completion_round: self.completion,
+            cap: self.cap,
+            phases: self.phases,
+            stats: self.sim.stats().clone(),
+            audit,
+            peak_state_bytes: self.sim.graph().resident_bytes() + self.peak_nodes,
+            detail: N::detail(&self.plan, self.sim.nodes(), self.ladder.fallback_entry()),
+        }
+    }
+
+    /// Runs the phase sequence, then the recovery epilogue, and samples the
+    /// final state.
+    pub(crate) fn drive(&mut self) {
+        if self.all_complete() {
+            self.completion = Some(0);
+        }
+        let frontier = N::phases(self);
+        self.recover(frontier);
+        self.sample_state();
+    }
+
+    /// Whether every node completed.
+    pub(crate) fn done(&self) -> bool {
+        self.completion.is_some()
+    }
+
+    fn all_complete(&self) -> bool {
+        self.sim.nodes().iter().all(N::is_complete)
+    }
+
+    /// Rounds left under the worst-case cap — the pool the recovery paths
+    /// (handoff retries, the ladder, the fallback flood) may draw from
+    /// without breaking the `completion <= cap` guarantee.
+    pub(crate) fn budget_left(&self) -> u64 {
+        self.cap.saturating_sub(self.sim.round())
+    }
+
+    /// Moves the shared cursor: every cell change force-wakes all nodes
+    /// (their hints were computed against the outgoing cell).
+    fn publish(&mut self, step: Step<N::Pos, N::Probe>) {
+        self.sim.wake_all();
+        self.step.set(step);
+    }
+
+    /// Applies a driver echo to every node (a state transition all nodes
+    /// learn from the status-round transcript, like the cursor itself).
+    pub(crate) fn echo(&mut self, mut f: impl FnMut(&mut N)) {
+        for i in 0..self.sim.nodes().len() {
+            f(self.sim.node_mut(NodeId::new(i)));
+        }
+    }
+
+    /// Samples the resident protocol state (an `O(n)` sweep, run only at
+    /// phase boundaries) and folds it into the peak. The phase structure
+    /// makes boundary sampling exact enough: sub-states are created and
+    /// retired only at the boundaries the driver itself publishes.
+    pub(crate) fn sample_state(&mut self) {
+        let nodes: usize = self.sim.nodes().iter().map(N::resident_bytes).sum();
+        self.peak_nodes = self.peak_nodes.max(nodes);
+    }
+
+    /// Publishes `len` consecutive work rounds starting at phase position
+    /// `pos` as one [`Segment`] and runs them through the engine's wake fast
+    /// path. Stops after any round that delivered a packet to re-evaluate
+    /// completion (exactly the per-step driver's delivery-gated scan), then
+    /// resumes the remainder; aborts once complete. Returns the number of
+    /// rounds actually executed.
+    pub(crate) fn exec_segment(&mut self, pos: N::Pos, len: u64) -> u64 {
+        let start = self.sim.round();
+        self.publish(Step::Work(Segment { start, len, pos }));
+        let mut run = 0u64;
+        while run < len && !self.done() {
+            let seg = self.sim.run_segment(len - run, true);
+            run += seg.rounds;
+            if seg.stopped_on_delivery && self.all_complete() {
+                self.completion = Some(self.sim.round());
+            }
+        }
+        run
+    }
+
+    /// Runs one status round for `probe`.
+    fn status_round(&mut self, probe: N::Probe) -> RoundStats {
+        self.publish(Step::Status(probe));
+        let stats = self.sim.step();
+        // The completion predicate flips only when a packet arrives, so the
+        // O(n) all-nodes scan is needed only after delivery rounds.
+        if !self.done() && stats.deliveries > 0 && self.all_complete() {
+            self.completion = Some(self.sim.round());
+        }
+        stats
+    }
+
+    /// Runs one status round; `true` iff the probe quiesced.
+    ///
+    /// On a fault-free run the verdict is the single-round channel census
+    /// ("did anybody transmit?"). With faults armed, a fault-touched read is
+    /// demoted to the channel's listener-side rendering and majority-voted
+    /// over a small window of re-probes (see [`vote_quiet`]); consuming
+    /// probes are never re-probed.
+    fn quiet(&mut self, probe: N::Probe) -> bool {
+        self.phases.status += 1;
+        let first = self.status_round(probe);
+        if !self.sim.has_faults() {
+            return first.transmitters == 0;
+        }
+        let v = vote_quiet(first, N::votable(probe), || {
+            self.phases.status += 1;
+            if let Some(budget) = N::vote_budget(probe) {
+                let left = &mut self.status_left[budget as usize];
+                *left = left.saturating_sub(1);
+            }
+            self.status_round(probe)
+        });
+        if v.overturned {
+            self.sim.stats_mut().votes_overturned += 1;
+        }
+        v.quiet
+    }
+
+    /// One status round charged against `budget`: `Some(true)` iff the
+    /// probe quiesced, `None` once the budget is spent.
+    pub(crate) fn budgeted_quiet(&mut self, budget: Budget, probe: N::Probe) -> Option<bool> {
+        let left = &mut self.status_left[budget as usize];
+        if *left == 0 {
+            return None;
+        }
+        *left -= 1;
+        Some(self.quiet(probe))
+    }
+
+    /// One adaptive open-ended window: a `beep_interval`-round work segment
+    /// at `pos_at(offset)`, one status round, until the probe has stayed
+    /// quiet for `quiescence_slack` consecutive status rounds or `budget`
+    /// (work + status rounds, including any vote re-probes) is exhausted.
+    /// With `probe_first`, the probe runs before any work — a window with
+    /// nothing pending collapses to a single status round. Work rounds are
+    /// counted into the phase `count` selects.
+    pub(crate) fn window(
+        &mut self,
+        budget: u64,
+        probe: N::Probe,
+        probe_first: bool,
+        pos_at: impl Fn(u64) -> N::Pos,
+        count: fn(&mut Phases) -> &mut u64,
+    ) -> WindowEnd {
+        let slack = self.quiescence_slack.max(1);
+        let start = self.sim.round();
+        let spent = |sim: &Simulator<N, T>| sim.round() - start;
+        let mut offset = 0u64;
+        let mut quiet_streak = 0u32;
+        if probe_first && !self.done() && self.quiet(probe) {
+            return WindowEnd::Quiesced;
+        }
+        while spent(&self.sim) < budget && !self.done() {
+            let run = self.exec_segment(pos_at(offset), self.beep.min(budget - spent(&self.sim)));
+            *count(&mut self.phases) += run;
+            offset += run;
+            if spent(&self.sim) >= budget || self.done() {
+                break;
+            }
+            if self.quiet(probe) {
+                quiet_streak += 1;
+                if quiet_streak >= slack {
+                    return WindowEnd::Quiesced;
+                }
+            } else {
+                quiet_streak = 0;
+            }
+        }
+        if self.done() {
+            WindowEnd::Quiesced
+        } else {
+            WindowEnd::Exhausted
+        }
+    }
+
+    /// Runs the construction skip loop on `cons`. Status rounds ask
+    /// `probe(p)` and draw from `budget`; the work of schedule round `start`
+    /// publishes at `pos(start)`, 2-slotted for [`Budget::Construct`] (see
+    /// [`Budget`]). Both stop at the worst-case cap.
+    pub(crate) fn construct(
+        &mut self,
+        cons: ConstructionSchedule,
+        budget: Budget,
+        probe: impl Fn(ConsProbe) -> N::Probe,
+        pos: impl Fn(u64) -> N::Pos,
+    ) {
+        ConsRun { d: self, budget, probe, pos }.drive(cons);
+    }
+
+    /// A handoff window with retry-and-backoff. A window that exhausts its
+    /// budget while the probe still beeps is a *failed* handoff: on a
+    /// faulted run it is re-published with a doubled budget (drawn from the
+    /// worst-case pool) instead of advancing the cursor into a dead phase.
+    /// Once retries run out the driver climbs rungs 1–2 of the recovery
+    /// [`Ladder`] for sequence index `at`. Once the ladder has fired, the
+    /// channel has proven persistently degraded, so later failed handoffs
+    /// skip the retry and climb at once.
+    ///
+    /// Returns `false` iff both rungs failed: the caller abandons its
+    /// sequence toward the rung-3 fallback, preserving the remaining budget.
+    pub(crate) fn handoff(
+        &mut self,
+        mut budget: u64,
+        probe: N::Probe,
+        probe_first: bool,
+        pos_at: impl Fn(u64) -> N::Pos,
+        at: u32,
+    ) -> bool {
+        let max_retries = if self.ladder.ring_attempted() { 0 } else { HANDOFF_RETRIES };
+        let mut attempt = 0u32;
+        loop {
+            let end = self.window(budget, probe, probe_first, &pos_at, |p| &mut p.handoff);
+            if end == WindowEnd::Quiesced || !self.sim.has_faults() {
+                return true;
+            }
+            if attempt < max_retries {
+                attempt += 1;
+                budget = (budget * 2).min(self.budget_left());
+                if budget > 0 {
+                    self.sim.stats_mut().retries += 1;
+                    continue;
+                }
+            }
+            return self.rung1(at) || self.done() || self.rung2(at) || self.done();
+        }
+    }
+
+    /// Rung 1 of the [`Ladder`]: the pipeline's ring-local repair for `at`.
+    fn rung1(&mut self, at: u32) -> bool {
+        if self.budget_left() == 0 {
+            return false;
+        }
+        self.ladder.ring();
+        self.sim.stats_mut().ring_repairs += 1;
+        N::ring_repair(self, at)
+    }
+
+    /// Rung 2 of the [`Ladder`]: the pipeline's regional re-dissemination
+    /// for `at`.
+    fn rung2(&mut self, at: u32) -> bool {
+        if self.budget_left() == 0 {
+            return false;
+        }
+        self.ladder.regional();
+        self.sim.stats_mut().regional_repairs += 1;
+        N::regional_repair(self, at)
+    }
+
+    /// Staged-ladder epilogue: a faulted run that ends incomplete climbs any
+    /// rung it has not yet attempted — anchored at `frontier` — before the
+    /// last resort. Rung 3, the no-knowledge Decay fallback (the
+    /// Czumaj–Davies regime), is reached only after rungs 1–2 both fired and
+    /// failed: every holder floods on the Decay schedule and every node
+    /// adopts ring-agnostically, bounded by what remains of the worst-case
+    /// cap. True to the no-knowledge regime, there are no status beeps in
+    /// rung 3: a vote the faults corrupt must not silence the last-resort
+    /// phase, so only the delivery-gated completion scan (or the cap) ends
+    /// it.
+    fn recover(&mut self, frontier: u32) {
+        if !self.sim.has_faults() || self.done() {
+            return;
+        }
+        if !self.ladder.ring_attempted() {
+            let _ = self.rung1(frontier);
+        }
+        if !self.done() && !self.ladder.regional_attempted() {
+            let _ = self.rung2(frontier);
+        }
+        if !self.done() && self.ladder.may_fall_back() {
+            let left = self.budget_left();
+            if left > 0 {
+                self.ladder.arm_fallback(self.sim.round());
+                let run = self.exec_segment(N::FALLBACK, left);
+                self.phases.fallback += run;
+                self.sim.stats_mut().fallback_rounds += run;
+            }
+        }
+    }
+}
+
+/// One construction skip loop running through a [`Driver`] (see
+/// [`Driver::construct`]).
+struct ConsRun<'a, N: Pipeline, T: Topology, Q, S> {
+    d: &'a mut Driver<N, T>,
+    budget: Budget,
+    probe: Q,
+    pos: S,
+}
+
+impl<N, T, Q, S> ConsRun<'_, N, T, Q, S>
+where
+    N: Pipeline,
+    T: Topology,
+    Q: Fn(ConsProbe) -> N::Probe,
+    S: Fn(u64) -> N::Pos,
+{
+    /// One construction status round; `None` once the status budget or the
+    /// worst-case pool is spent (the loop bails out and the cap takes over).
+    fn quiet(&mut self, probe: ConsProbe) -> Option<bool> {
+        if self.d.budget_left() == 0 {
+            return None;
+        }
+        self.d.budgeted_quiet(self.budget, (self.probe)(probe))
+    }
+
+    /// The construction work of schedule rounds `start..start + len`, as one
+    /// published segment: the loop only ever requests runs within a single
+    /// construction-schedule segment, which is what keeps the nodes'
+    /// `may_act_in` hints valid across the batch.
+    fn run(&mut self, start: u64, len: u64) {
+        let (slots, count): (u64, fn(&mut Phases) -> &mut u64) = match self.budget {
+            Budget::Repair => (1, |p| &mut p.repair),
+            _ => (2, |p| &mut p.construct),
+        };
+        let len = (slots * len).min(self.d.budget_left());
+        if len > 0 {
+            let run = self.d.exec_segment((self.pos)(slots * start), len);
+            *count(&mut self.d.phases) += run;
+        }
+    }
+
+    /// The skip loop: parallel per-ring GST construction with quiescence
+    /// skipping. Rank blocks with no open blues are skipped outright;
+    /// Identify ends when activations stop; epochs end when every blue is
+    /// assigned or no red is active; recruiting parts end when no red
+    /// participates or every blue's run resolved; Stage Ib/III run only when
+    /// they have announcers (and, for Stage III, adopters).
+    ///
+    /// The caller runs the per-node construction epilogue
+    /// (`GstConstructionNode::finalize`) afterwards — the loop may have
+    /// skipped the later blocks through which the fixed schedule reaches
+    /// that state lazily.
+    fn drive(&mut self, cons: ConstructionSchedule) {
+        let iteration = cons.recruit_iteration_rounds();
+        let iterations = cons.recruit_rounds() / iteration;
+        let phase_len = u64::from(cons.phase_len());
+        let ident_phases = cons.decay_step() / phase_len.max(1);
+        for boundary in (1..=cons.d_bound).rev() {
+            for rank in (1..=cons.max_rank()).rev() {
+                if self.d.done() {
+                    return;
+                }
+                match self.quiet(ConsProbe::OpenBlue { boundary, rank }) {
+                    Some(true) => continue, // no open blues anywhere: skip block
+                    Some(false) => {}
+                    None => return,
+                }
+                // Identify prologue, phase by phase until activations stop.
+                let block = cons.rank_block_start(boundary, rank);
+                for ph in 0..ident_phases {
+                    self.run(block + ph * phase_len, phase_len);
+                    match self.quiet(ConsProbe::NewActivation) {
+                        Some(true) => break,
+                        Some(false) => {}
+                        None => return,
+                    }
+                }
+                for epoch in 0..cons.epochs() {
+                    match self.quiet(ConsProbe::OpenBlue { boundary, rank }) {
+                        Some(true) => break, // every blue assigned
+                        Some(false) => {}
+                        None => return,
+                    }
+                    match self.quiet(ConsProbe::ActiveRed { boundary }) {
+                        Some(true) => break, // no red left to assign them
+                        Some(false) => {}
+                        None => return,
+                    }
+                    let e0 = cons.epoch_start(boundary, rank, epoch);
+                    self.run(e0, 1); // Stage Ia beacons
+                    match self.quiet(ConsProbe::LonerBlue { boundary }) {
+                        Some(true) => {} // no loners: skip Stage Ib
+                        Some(false) => self.run(e0 + 1, cons.decay_step()),
+                        None => return,
+                    }
+                    for part in 1..=3u8 {
+                        match self.quiet(ConsProbe::PartRed { boundary, part }) {
+                            Some(true) => continue, // no reds for this part
+                            Some(false) => {}
+                            None => return,
+                        }
+                        let p0 = e0
+                            + 1
+                            + cons.decay_step()
+                            + u64::from(part - 1) * cons.recruit_rounds();
+                        for i in 0..iterations {
+                            self.run(p0 + i * iteration, iteration);
+                            let probe = if i == 0 {
+                                ConsProbe::PartParticipant
+                            } else {
+                                ConsProbe::UnresolvedBlue
+                            };
+                            match self.quiet(probe) {
+                                Some(true) => break,
+                                Some(false) => {}
+                                None => return,
+                            }
+                        }
+                    }
+                    // Stage III runs only with announcers *and* adopters.
+                    match self.quiet(ConsProbe::NewlyRanked { boundary }) {
+                        Some(true) => continue,
+                        Some(false) => {}
+                        None => return,
+                    }
+                    match self.quiet(ConsProbe::OpenBlueBelow { boundary, rank }) {
+                        Some(true) => continue,
+                        Some(false) => {}
+                        None => return,
+                    }
+                    self.run(
+                        e0 + 1 + cons.decay_step() + 3 * cons.recruit_rounds(),
+                        cons.decay_step(),
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

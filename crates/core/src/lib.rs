@@ -19,7 +19,8 @@
 //! Start from [`run`]: declare a [`TopologySpec`] and a [`Workload`], let
 //! [`Scenario`] wire the graph, parameters and driver, and read one unified
 //! [`Outcome`]. The per-theorem free functions stay available for callers
-//! that need the algorithm-specific outcome types.
+//! that bring a pre-built graph or explicit knobs; they return the same
+//! [`Outcome`].
 //!
 //! Every protocol is a per-node state machine implementing
 //! [`radio_sim::Protocol`]; nodes act only on local knowledge (their id, their

@@ -21,43 +21,43 @@
 //!
 //! ## Adaptive phase termination
 //!
-//! [`broadcast_unknown`] runs the pipeline **adaptively**, porting the
-//! quiescence-driven driver PR 2 built for Theorem 1.1 (see the
+//! [`broadcast_unknown`] runs the pipeline **adaptively**, on the driver it
+//! shares with Theorem 1.1 (see [`crate::adaptive`], and the
 //! `single_message` module docs for the in-model justification of status
 //! rounds and the shared cursor): the wave closes when the frontier stops,
-//! construction runs the rank-block skip loop shared through
-//! `crate::adaptive`, labeling processes `d` frontiers only while they are
-//! alive, dissemination windows close once every ring with an open batch
-//! can decode it, and handoff slots collapse to a single probe when the
-//! receiving roots already hold the batch. Every phase stays hard-capped by
-//! its paper-sized window and [`GhkMultiPlan::total_rounds`] bounds any run.
+//! construction runs the shared rank-block skip loop, labeling processes
+//! `d` frontiers only while they are alive, dissemination windows close once
+//! every ring with an open batch can decode it, and handoff slots collapse
+//! to a single probe when the receiving roots already hold the batch. Every
+//! phase stays hard-capped by its paper-sized window and
+//! [`GhkMultiPlan::total_rounds`] bounds any run.
 //!
 //! Two structural notes. Batch windows *pipeline* across rings — in window
 //! `w`, ring `j` disseminates batch `w − j` while ring `j + 1` receives its
 //! handoff — so with adaptive (narrow) rings the whole message stream is in
-//! flight across the network at once. And adaptive dissemination windows
-//! are 2-slotted by ring parity: adjacent rings work different batches in
-//! the same window, and narrow rings put a boundary node's only in-ring
-//! neighbor directly next to the following ring's roots, whose slow-slot
-//! timing is identical — without the slotting those transmissions collide
+//! flight across the network at once. And dissemination windows are
+//! 2-slotted by ring parity: adjacent rings work different batches in the
+//! same window, and narrow rings put a boundary node's only in-ring neighbor
+//! directly next to the following ring's roots, whose slow-slot timing is
+//! identical — without the slotting those transmissions collide
 //! persistently (the same interference argument that slots the parallel
 //! ring constructions).
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, drive_construction, vote_quiet, Advance, ConsDriver,
-    ConsProbe, Ladder, LossEstimator, Pacing, Segment, WindowEnd, HANDOFF_RETRIES,
+    answer_cons_probe, cons_status_budget, narrow, Advance, Budget, ConsProbe, Driver,
+    LossEstimator, Pacing, Pipeline, Segment, Step, StepCell, WindowEnd,
 };
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
 use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
+use crate::run::{Detail, Outcome, Phases};
 use crate::schedule::{
     EmptyBehavior, MmvScheduleNode, SchedAudit, SchedLabels, SchedMsg, ScheduleConfig, SlowKey,
 };
 use crate::virtual_labels::{VirtualLabelNode, VlMsg, VlSchedule};
 use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
-use radio_sim::trace::{RoundStats, RunStats};
 use radio_sim::{
     Action, CollisionMode, DoneCheck, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator,
     Topology, Wake,
@@ -67,72 +67,6 @@ use rlnc::gf2::BitVec;
 use rlnc::{CodedPacket, Decoder};
 use std::cell::Cell;
 use std::rc::Rc;
-
-/// Round accounting of one adaptive Theorem 1.3 run, by phase. Work counters
-/// tally rounds actually spent inside each phase; `status` tallies every
-/// dedicated beep round. Runs without the adaptive driver still account for
-/// every executed round — [`broadcast_known`] has no setup phases, so it
-/// reports all its rounds as `disseminate` work — keeping
-/// `phases.total() == stats.rounds` an invariant of every entry point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MultiPhaseRounds {
-    /// Collision-wave work rounds.
-    pub wave: u64,
-    /// Construction work rounds (2-slotted).
-    pub construct: u64,
-    /// Virtual-labeling work rounds (2-slotted).
-    pub label: u64,
-    /// Dissemination-window work rounds, summed over windows.
-    pub disseminate: u64,
-    /// Handoff work rounds, summed over handoffs.
-    pub handoff: u64,
-    /// Recovery-ladder work rounds (rung-1 window replays and rung-2
-    /// regional FEC floods); 0 unless a handoff failed on a faulted run.
-    pub repair: u64,
-    /// No-knowledge Decay fallback rounds (faulted runs whose pipeline failed).
-    pub fallback: u64,
-    /// Status-beep rounds, all phases.
-    pub status: u64,
-}
-
-impl MultiPhaseRounds {
-    /// Total rounds executed.
-    pub fn total(&self) -> u64 {
-        self.wave
-            + self.construct
-            + self.label
-            + self.disseminate
-            + self.handoff
-            + self.repair
-            + self.fallback
-            + self.status
-    }
-}
-
-/// Outcome of a multi-message run.
-#[derive(Clone, Debug)]
-pub struct MultiOutcome {
-    /// Round at which every node decoded everything, `None` on timeout.
-    pub completion_round: Option<u64>,
-    /// Rounds budgeted/executed.
-    pub rounds_budget: u64,
-    /// Aggregated schedule audit counters.
-    pub audit: SchedAudit,
-    /// Rounds actually spent by phase (adaptive runs only).
-    pub phases: MultiPhaseRounds,
-    /// Channel statistics of the run.
-    pub stats: RunStats,
-    /// Round at which the driver armed the rung-3 no-knowledge Decay flood,
-    /// `None` if the run never fell back that far.
-    pub fallback_entry: Option<u64>,
-    /// Peak resident state over the run, in bytes: the topology's
-    /// [`Topology::resident_bytes`] plus the per-node struct-level state
-    /// ([`GhkMultiNode::resident_bytes`]), sampled at phase boundaries.
-    /// Engine buffers and sub-state-internal heap are excluded on both
-    /// sides, so the figure isolates what the lazy per-ring state machine
-    /// keeps alive.
-    pub peak_state_bytes: usize,
-}
 
 /// Knobs of [`broadcast_known`] beyond the graph/source/messages/params/seed
 /// core. The defaults mirror the historical call sites: the paper's
@@ -147,7 +81,7 @@ pub struct KnownRunOpts {
     /// [`EmptyBehavior::Noise`]).
     pub empty: EmptyBehavior,
     /// Hard round cap of the run (reported as
-    /// [`MultiOutcome::rounds_budget`]).
+    /// [`Outcome::cap`](crate::run::Outcome::cap)).
     pub max_rounds: u64,
     /// Collision mode of the channel.
     pub mode: CollisionMode,
@@ -215,7 +149,7 @@ pub fn broadcast_known(
     params: &Params,
     seed: u64,
     opts: KnownRunOpts,
-) -> MultiOutcome {
+) -> Outcome {
     broadcast_known_faulted(graph, source, messages, params, seed, opts, &FaultPlan::none())
 }
 
@@ -239,7 +173,7 @@ pub fn broadcast_known_faulted(
     seed: u64,
     opts: KnownRunOpts,
     faults: &FaultPlan,
-) -> MultiOutcome {
+) -> Outcome {
     assert!(!messages.is_empty(), "need at least one message");
     assert!(graph.node_count() > 0, "graph must be non-empty");
     let k = messages.len();
@@ -277,44 +211,20 @@ pub fn broadcast_known_faulted(
     // Theorem 1.2 has no setup phases: every executed round is schedule-driven
     // dissemination work, so the unified per-phase accounting stays exact
     // (`phases.total() == stats.rounds`) across all three theorems.
-    let phases = MultiPhaseRounds { disseminate: stats.rounds, ..MultiPhaseRounds::default() };
+    let phases = Phases { disseminate: stats.rounds, ..Phases::default() };
     // Theorem 1.2 nodes carry their full schedule state for the whole run
     // (there are no phases to retire through), so the peak is the steady
     // state: the materialized graph plus one schedule shell per node.
     let peak_state_bytes = sim.graph().resident_bytes() + std::mem::size_of_val(sim.nodes());
-    MultiOutcome {
+    Outcome {
         completion_round,
-        rounds_budget: opts.max_rounds,
-        audit,
+        cap: opts.max_rounds,
         phases,
         stats,
-        fallback_entry: None,
+        audit,
         peak_state_bytes,
+        detail: Detail::MultiKnown { slow_key: opts.slow_key, empty: opts.empty },
     }
-}
-
-/// The pre-facade eight-positional-argument signature of [`broadcast_known`],
-/// kept verbatim so downstream code can migrate on its own schedule.
-#[deprecated(note = "use `broadcast_known` with `KnownRunOpts`, or the `run::Scenario` facade")]
-#[expect(clippy::too_many_arguments, reason = "legacy signature kept only for compatibility")]
-pub fn broadcast_known_legacy(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    slow_key: SlowKey,
-    empty: EmptyBehavior,
-    max_rounds: u64,
-) -> MultiOutcome {
-    broadcast_known(
-        graph,
-        source,
-        messages,
-        params,
-        seed,
-        KnownRunOpts { slow_key, empty, max_rounds, ..KnownRunOpts::default() },
-    )
 }
 
 /// How messages are grouped for coding.
@@ -375,7 +285,8 @@ impl PacketBits for GhkMMsg {
     }
 }
 
-/// The static phase plan of the Theorem 1.3 pipeline.
+/// The phase plan of the Theorem 1.3 pipeline: ring/batch geometry and the
+/// worst-case phase budgets the adaptive run is capped by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GhkMultiPlan {
     /// Diameter bound (wave rounds).
@@ -398,7 +309,7 @@ pub struct GhkMultiPlan {
     pub vl: VlSchedule,
     /// Rounds of the 2-slotted labeling phase.
     pub vl_rounds: u64,
-    /// Rounds of one in-ring dissemination window.
+    /// Schedule rounds of one in-ring dissemination window.
     pub window: u64,
     /// Rounds of one (2-slotted) handoff window.
     pub handoff: u64,
@@ -417,7 +328,8 @@ pub struct GhkMultiPlan {
     pub handoff_budget: u64,
 }
 
-/// Phases of the Theorem 1.3 pipeline.
+/// Phase positions of the Theorem 1.3 pipeline. Offsets are *virtual*: they
+/// count the phase's own work rounds, excluding interleaved status rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GhkMultiPhase {
     /// Collision-wave layering.
@@ -467,8 +379,6 @@ pub enum GhkMultiPhase {
         /// Round within the fallback.
         offset: u64,
     },
-    /// Pipeline finished.
-    Done,
 }
 
 impl Advance for GhkMultiPhase {
@@ -491,30 +401,18 @@ impl Advance for GhkMultiPhase {
             GhkMultiPhase::Fallback { offset } => {
                 GhkMultiPhase::Fallback { offset: offset + delta }
             }
-            GhkMultiPhase::Done => GhkMultiPhase::Done,
         }
     }
 }
 
 impl GhkMultiPlan {
-    /// Builds the plan for `k` messages under `params`, with the fixed
-    /// pipeline's ring width ([`Params::ring_width_for`]).
+    /// Builds the plan for `k` messages under `params`. The adaptive
+    /// pipeline prefers narrow rings ([`Params::adaptive_ring_width`]): with
+    /// pay-as-you-go windows and handoffs, parallel narrow-ring construction
+    /// wins exactly as it does for the Theorem 1.1 pipeline.
     pub fn new(params: &Params, d_bound: u32, k: usize, mode: BatchMode) -> Self {
         let d_bound = d_bound.max(1);
-        Self::build(params, d_bound, k, mode, params.ring_width_for(d_bound))
-    }
-
-    /// Builds the plan for the *adaptive* driver, which prefers narrow rings
-    /// ([`Params::adaptive_ring_width`]): with pay-as-you-go windows and
-    /// handoffs, parallel narrow-ring construction wins exactly as it does
-    /// for the adaptive Theorem 1.1 pipeline.
-    pub fn new_adaptive(params: &Params, d_bound: u32, k: usize, mode: BatchMode) -> Self {
-        let d_bound = d_bound.max(1);
-        Self::build(params, d_bound, k, mode, params.adaptive_ring_width(d_bound))
-    }
-
-    fn build(params: &Params, d_bound: u32, k: usize, mode: BatchMode, width: u32) -> Self {
-        let ring_width = width.min(d_bound + 1).max(2);
+        let ring_width = params.adaptive_ring_width(d_bound).min(d_bound + 1).max(2);
         let ring_count = (d_bound + 1).div_ceil(ring_width);
         let batch_size = mode.batch_size(k);
         let batch_count = k.div_ceil(batch_size);
@@ -542,10 +440,10 @@ impl GhkMultiPlan {
             wave_budget: d + d / beep + beep + u64::from(params.quiescence_slack) + 4,
             cons_status: cons_status_budget(params, &cons),
             label_status: 2 * u64::from(vl.d_values()) + 4,
-            // Adaptive dissemination is 2-slotted by ring parity (adjacent
-            // rings work different batches in the same window; the slotting
-            // keeps their schedules from colliding at ring boundaries, the
-            // same interference fix the construction phase uses).
+            // Dissemination is 2-slotted by ring parity (adjacent rings work
+            // different batches in the same window; the slotting keeps their
+            // schedules from colliding at ring boundaries, the same
+            // interference fix the construction phase uses).
             window_budget: 2 * window + 2 * window / beep + 2,
             handoff_budget: handoff + handoff / beep + 3,
         }
@@ -569,9 +467,8 @@ impl GhkMultiPlan {
         start..end
     }
 
-    /// Total rounds of the fixed (worst-case) phase layout, which doubles as
-    /// the adaptive driver's hard cap: the sum of every phase's work budget
-    /// plus the status-round overhead the adaptive run may add. Still
+    /// The adaptive run's hard cap: the sum of every phase's worst-case
+    /// budget, status-round overhead included. Still
     /// `O(D + k log n + polylog)`.
     pub fn total_rounds(&self) -> u64 {
         self.wave_budget
@@ -580,55 +477,6 @@ impl GhkMultiPlan {
             + self.vl_rounds
             + self.label_status
             + u64::from(self.window_count()) * (self.window_budget + self.handoff_budget)
-    }
-
-    /// Total rounds of the fixed phase layout alone (what
-    /// [`GhkMultiPlan::phase`] resolves over, excluding adaptive status
-    /// overhead).
-    pub fn fixed_rounds(&self) -> u64 {
-        u64::from(self.d_bound)
-            + self.cons_rounds
-            + self.vl_rounds
-            + u64::from(self.window_count()) * (self.window + self.handoff)
-    }
-
-    /// Global round at which the labeling phase ends (fixed layout).
-    fn label_end(&self) -> u64 {
-        u64::from(self.d_bound) + self.cons_rounds + self.vl_rounds
-    }
-
-    /// Global round at which window `w`'s dissemination starts (fixed
-    /// layout).
-    fn cycle_start(&self, w: u32) -> u64 {
-        self.label_end() + u64::from(w) * (self.window + self.handoff)
-    }
-
-    /// Resolves round `t` to its phase.
-    pub fn phase(&self, t: u64) -> GhkMultiPhase {
-        let mut t = t;
-        if t < u64::from(self.d_bound) {
-            return GhkMultiPhase::Wave { offset: t };
-        }
-        t -= u64::from(self.d_bound);
-        if t < self.cons_rounds {
-            return GhkMultiPhase::Construct { offset: t };
-        }
-        t -= self.cons_rounds;
-        if t < self.vl_rounds {
-            return GhkMultiPhase::Label { offset: t };
-        }
-        t -= self.vl_rounds;
-        let cycle = self.window + self.handoff;
-        let w = u32::try_from(t / cycle).expect("fits");
-        if w >= self.window_count() {
-            return GhkMultiPhase::Done;
-        }
-        let in_cycle = t % cycle;
-        if in_cycle < self.window {
-            GhkMultiPhase::Disseminate { window: w, offset: in_cycle }
-        } else {
-            GhkMultiPhase::Handoff { window: w, offset: in_cycle - self.window }
-        }
     }
 }
 
@@ -639,7 +487,7 @@ impl GhkMultiPlan {
 pub enum MultiProbe {
     /// Wave phase: "did the frontier reach you since the last status round?"
     WaveProgress,
-    /// A construction status probe (shared with the Theorem 1.1 driver).
+    /// A construction status probe (shared with the Theorem 1.1 pipeline).
     Cons(ConsProbe),
     /// Labeling: "are you still missing your virtual distance?"
     Unlabelled,
@@ -667,29 +515,6 @@ pub enum MultiProbe {
     Undecoded,
 }
 
-/// The shared per-round directive of the adaptive Theorem 1.3 driver: a
-/// published [`Segment`] of work rounds (reusing [`GhkMultiPhase`] with
-/// *virtual* offsets that exclude status rounds), or a status round.
-///
-/// All nodes observe the same status-round transcript via the idealized
-/// echo (see the `single_message` module docs), so they all hold the same
-/// cursor; the cell materializes that shared knowledge without touching the
-/// `Protocol` trait. Work segments are set once per batch; cursor-mode wake
-/// hints sleep nodes through their provably-inert rounds but never past the
-/// segment end (see `crate::adaptive`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MultiStep {
-    /// Before the first round.
-    Idle,
-    /// A published segment of work rounds.
-    Work(Segment<GhkMultiPhase>),
-    /// A status round probing for pending work.
-    Status(MultiProbe),
-}
-
-/// Shared handle to the adaptive pipeline's current [`MultiStep`].
-pub type MultiStepCell = Rc<Cell<MultiStep>>;
-
 /// The schedule instance of the window a node is currently in.
 #[derive(Clone, Debug)]
 struct ActiveWindow {
@@ -706,19 +531,15 @@ struct BatchState {
     fec: Option<Decoder>,
 }
 
-/// One node of the Theorem 1.3 pipeline.
-///
-/// Runs in one of two modes: **fixed** (the default) derives its phase from
-/// the round number via [`GhkMultiPlan::phase`]; **adaptive**
-/// ([`GhkMultiNode::with_cursor`]) reads the shared [`MultiStepCell`] the
-/// quiescence-driven driver advances.
+/// One node of the Theorem 1.3 pipeline. It follows the shared
+/// [`StepCell`] cursor the adaptive driver advances.
 #[derive(Clone, Debug)]
 pub struct GhkMultiNode {
     id: u32,
     params: Params,
     plan: GhkMultiPlan,
     payload_bits: usize,
-    step: Option<MultiStepCell>,
+    step: StepCell<GhkMultiPhase, MultiProbe>,
     wave: CollisionWaveLayering,
     /// Frontier reached this node since the last wave status round.
     wave_dirty: bool,
@@ -742,14 +563,14 @@ pub struct GhkMultiNode {
     /// `(window, batch)` of FEC reception in progress, harvested at the
     /// first act after that handoff window closes.
     fec_pending: Option<(u32, u32)>,
-    /// Audit counters of harvested windows (see [`GhkMultiNode::audit`]).
+    /// Audit counters of harvested windows.
     audit_acc: SchedAudit,
     batches: Vec<BatchState>,
     /// Window-drop counter (batch incomplete at window end).
     drops: u64,
     decay: DecaySchedule,
-    /// Whether cursor mode emits real segment wake hints
-    /// ([`Pacing::Segment`]) or `Wake::Now` every round ([`Pacing::PerStep`]).
+    /// Whether the node emits real segment wake hints ([`Pacing::Segment`])
+    /// or `Wake::Now` every round ([`Pacing::PerStep`]).
     seg_hints: bool,
     /// Handoff FEC repair aggressiveness (see [`MultiRunOpts::fec_repair`]);
     /// `0` keeps the paper's full decay-cycle gate.
@@ -757,10 +578,12 @@ pub struct GhkMultiNode {
 }
 
 impl GhkMultiNode {
-    /// A pipeline node; the source holds all `messages`.
+    /// A pipeline node; the source holds all `messages`. All nodes of one
+    /// run share the `step` cell (the materialized phase cursor).
     pub fn new(
         params: &Params,
         plan: GhkMultiPlan,
+        step: StepCell<GhkMultiPhase, MultiProbe>,
         id: u32,
         payload_bits: usize,
         messages: Option<Vec<BitVec>>,
@@ -778,7 +601,7 @@ impl GhkMultiNode {
             params: params.clone(),
             plan,
             payload_bits,
-            step: None,
+            step,
             wave: CollisionWaveLayering::new(is_source),
             wave_dirty: false,
             ring: None,
@@ -798,16 +621,8 @@ impl GhkMultiNode {
         }
     }
 
-    /// Switches the node to adaptive mode: it follows the shared step cell
-    /// instead of the round-derived fixed phase layout.
-    pub fn with_cursor(mut self, step: MultiStepCell) -> Self {
-        self.step = Some(step);
-        self
-    }
-
-    /// Selects how cursor mode answers [`Protocol::next_wake`] (segment
-    /// hints vs. the per-step `Wake::Now` regime of the equivalence suites).
-    /// Fixed-plan mode is unaffected.
+    /// Selects how the node answers [`Protocol::next_wake`] (segment hints
+    /// vs. the per-step `Wake::Now` regime of the equivalence suites).
     pub fn with_pacing(mut self, pacing: Pacing) -> Self {
         self.seg_hints = pacing == Pacing::Segment;
         self
@@ -821,21 +636,9 @@ impl GhkMultiNode {
         self
     }
 
-    /// Whether this node can decode every batch — from an already-harvested
-    /// slot, a full-rank FEC receiver, or a full-rank window schedule. The
-    /// pending decoders are harvested into the slots at the node's next
-    /// phase transition (or by the driver's final echo).
-    pub fn is_complete(&self) -> bool {
-        self.batches.iter().enumerate().all(|(b, s)| {
-            s.decoded.is_some()
-                || s.fec.as_ref().is_some_and(Decoder::can_decode)
-                || self.sched.as_ref().is_some_and(|a| a.batch == b as u32 && a.node.is_complete())
-        })
-    }
-
-    /// All decoded messages in order, once complete. Batches whose harvest
-    /// transition has not run yet are decoded from their pending FEC/window
-    /// decoder, matching [`GhkMultiNode::is_complete`].
+    /// All decoded messages in order, once every batch can be decoded — from
+    /// an already-harvested slot, a full-rank FEC receiver, or a full-rank
+    /// window schedule, the same sources the completion predicate counts.
     pub fn messages(&self) -> Option<Vec<BitVec>> {
         let mut out = Vec::with_capacity(self.plan.k as usize);
         for (b, slot) in self.batches.iter().enumerate() {
@@ -853,16 +656,6 @@ impl GhkMultiNode {
     /// Batches dropped at window boundaries (restart events).
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Schedule audit counters, accumulated over every window this node ran
-    /// (harvested windows plus the live one).
-    pub fn audit(&self) -> SchedAudit {
-        let mut a = self.audit_acc;
-        if let Some(s) = &self.sched {
-            a.absorb(s.node.audit());
-        }
-        a
     }
 
     fn ensure_ring(&mut self) {
@@ -971,8 +764,8 @@ impl GhkMultiNode {
 
     /// Harvests a pending FEC reception once its handoff window is over
     /// (i.e. the current phase is anything but that window's handoff slot).
-    /// Runs at the top of every `act`, so the first round of the following
-    /// phase finalizes the handoff on both the fixed and adaptive paths.
+    /// Runs at the top of every work-round `act`, so the first round of the
+    /// following phase finalizes the handoff.
     fn flush_fec(&mut self, phase: GhkMultiPhase) {
         if let Some((window, batch)) = self.fec_pending {
             let still_open =
@@ -982,16 +775,6 @@ impl GhkMultiNode {
                 self.fec_pending = None;
             }
         }
-    }
-
-    /// End-of-run echo: harvests every pending decoder into its batch slot
-    /// (the phase transitions that normally do this may not come once the
-    /// driver stops early).
-    fn finalize_run(&mut self) {
-        if let Some((_, batch)) = self.fec_pending.take() {
-            self.harvest_fec(batch);
-        }
-        self.harvest_window();
     }
 
     /// Applies the construction epilogue once the phase is announced over
@@ -1014,20 +797,6 @@ impl GhkMultiNode {
         }
         self.cons = None;
         self.vl = None;
-    }
-
-    /// Struct-level resident state of this node, in bytes: the shell plus
-    /// the boxed phase sub-states currently alive and the per-batch slot
-    /// table. Sub-state-internal heap (decoder matrices, payload buffers)
-    /// is excluded — see the README's "Streaming topologies and memory
-    /// model" section for the accounting contract.
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + self.cons.is_some() as usize * size_of::<GstConstructionNode>()
-            + self.vl.is_some() as usize * size_of::<VirtualLabelNode>()
-            + self.sched.is_some() as usize * size_of::<ActiveWindow>()
-            + self.batches.capacity() * size_of::<BatchState>()
     }
 
     /// Answers a status-round probe: `true` = transmit a beep.
@@ -1096,11 +865,9 @@ impl GhkMultiNode {
 }
 
 impl GhkMultiNode {
-    /// The cursor-mode wake hint within a published work segment: the
-    /// earliest round `>= round` at which this node's `act` might transmit,
-    /// draw from its RNG, or make an observable state change — clamped to
-    /// the segment end, so the node is re-polled whenever the driver moves
-    /// the cursor (see `crate::adaptive`).
+    /// The wake hint within a published work segment: the earliest round
+    /// `>= round` at which this node's `act` might transmit, draw from its
+    /// RNG, or make an observable state change (see `crate::adaptive`).
     fn segment_wake(&self, seg: &Segment<GhkMultiPhase>, round: u64) -> Wake {
         let Some(pos) = seg.pos_at(round) else {
             // Past the segment: the driver is about to publish its next step.
@@ -1196,37 +963,17 @@ impl GhkMultiNode {
                 let own = self.plan.batch_in_window(window, ring);
                 let inbound =
                     ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r));
-                if own.is_none() && inbound.is_none() {
-                    return sleep;
-                }
-                if self.sched.is_some()
-                    || self.fec_pending.is_some()
-                    || self.batches.iter().any(|s| {
-                        s.decoded.is_some() || s.fec.as_ref().is_some_and(Decoder::can_decode)
-                    })
-                {
+                if (own.is_some() || inbound.is_some()) && self.holds_any() {
                     Wake::Now
                 } else {
                     sleep
                 }
             }
-            GhkMultiPhase::Fallback { .. } => {
-                // Holders (and nodes with pending decoders to finalize) act
-                // every round; everyone else sleeps until a delivery's
-                // observation re-wakes them.
-                if self.sched.is_some()
-                    || self.fec_pending.is_some()
-                    || self.batches.iter().any(|s| {
-                        s.decoded.is_some() || s.fec.as_ref().is_some_and(Decoder::can_decode)
-                    })
-                {
-                    Wake::Now
-                } else {
-                    sleep
-                }
-            }
-            // The adaptive driver never publishes `Done` segments.
-            GhkMultiPhase::Done => Wake::Now,
+            // Holders (and nodes with pending decoders to finalize) act every
+            // round; everyone else sleeps until a delivery's observation
+            // re-wakes them.
+            GhkMultiPhase::Fallback { .. } if self.holds_any() => Wake::Now,
+            GhkMultiPhase::Fallback { .. } => sleep,
         }
     }
 }
@@ -1239,108 +986,24 @@ impl Protocol for GhkMultiNode {
     const SILENCE_IS_NOOP: bool = true;
     const WAKE_HINTS: bool = true;
 
-    /// Wake hints for both modes.
-    ///
-    /// **Fixed mode** (`round`-derived phases): unlayered nodes idle until
-    /// the wave reaches them; parity-slotted phases wake on the node's
-    /// parity only; dissemination sleeps between the node's MMV schedule
-    /// slots; handoffs wake only the boundary senders (plus one entry round
-    /// each for the harvest transitions); `Done` idles once everything is
-    /// harvested.
-    ///
-    /// **Adaptive (cursor) mode**: hints derive from the published
-    /// [`Segment`] — same phase logic with virtual offsets, clamped to the
-    /// segment end so every cursor change finds the node awake (the old
-    /// blanket `Wake::Now` fallback is gone; `tests/determinism.rs` pins the
-    /// batched trace against per-step pacing).
+    /// Segment-derived wake hints (see [`crate::adaptive`]): status and idle
+    /// rounds poll everyone; work segments sleep the node through rounds in
+    /// which its phase provably keeps it inert (`tests/determinism.rs` pins
+    /// the batched trace against per-step pacing).
     fn next_wake(&self, round: u64) -> Wake {
-        if let Some(cell) = &self.step {
-            if !self.seg_hints {
-                return Wake::Now;
-            }
-            return match cell.get() {
-                MultiStep::Idle | MultiStep::Status(_) => Wake::Now,
-                MultiStep::Work(seg) => self.segment_wake(&seg, round),
-            };
+        if !self.seg_hints {
+            return Wake::Now;
         }
-        let layered = self.wave.level().is_some();
-        match self.plan.phase(round) {
-            GhkMultiPhase::Wave { .. } => match self.wave.level() {
-                Some(l) if u64::from(l) <= round => Wake::Now,
-                Some(l) => Wake::At(u64::from(l)),
-                None => Wake::Idle,
-            },
-            GhkMultiPhase::Construct { offset } | GhkMultiPhase::Label { offset } => {
-                match self.ring {
-                    None if !layered => Wake::Idle,
-                    // Layered but ring not derived yet: next act derives it.
-                    None => Wake::Now,
-                    Some((ring, _)) => {
-                        if offset % 2 == u64::from(ring % 2) {
-                            Wake::Now
-                        } else {
-                            Wake::At(round + 1)
-                        }
-                    }
-                }
-            }
-            GhkMultiPhase::Disseminate { window, offset } => {
-                if self.ring.is_none() {
-                    return if layered { Wake::Now } else { Wake::Idle };
-                }
-                if self.window_seen != Some(window) || self.fec_pending.is_some() {
-                    return Wake::Now; // entry round: setup + pending harvests
-                }
-                let handoff_start = self.plan.cycle_start(window) + self.plan.window;
-                match &self.sched {
-                    Some(a) => {
-                        let next = round + (a.node.next_act_round(offset) - offset);
-                        Wake::At(next.min(handoff_start))
-                    }
-                    None => Wake::At(handoff_start),
-                }
-            }
-            GhkMultiPhase::Handoff { window, offset } => {
-                if self.ring.is_none() {
-                    return if layered { Wake::Now } else { Wake::Idle };
-                }
-                if self.handoff_seen != Some(window) {
-                    return Wake::Now; // entry round: window harvest
-                }
-                let (ring, ring_level) = self.ring.expect("checked above");
-                let sender = ring_level == self.plan.ring_width - 1
-                    && ring + 1 < self.plan.ring_count
-                    && self
-                        .plan
-                        .batch_in_window(window, ring)
-                        .is_some_and(|b| self.batches[b as usize].decoded.is_some());
-                if sender {
-                    if offset % 2 == u64::from(ring % 2) {
-                        Wake::Now
-                    } else {
-                        Wake::At(round + 1)
-                    }
-                } else {
-                    Wake::At(self.plan.cycle_start(window + 1))
-                }
-            }
-            // The fixed plan never derives `Regional`/`Fallback` (they exist
-            // only for the adaptive driver's recovery segments).
-            GhkMultiPhase::Regional { .. } | GhkMultiPhase::Fallback { .. } => Wake::Now,
-            GhkMultiPhase::Done => {
-                if self.sched.is_none() && self.fec_pending.is_none() {
-                    Wake::Idle
-                } else {
-                    Wake::Now
-                }
-            }
+        match self.step.get() {
+            Step::Idle | Step::Status(_) => Wake::Now,
+            Step::Work(seg) => self.segment_wake(&seg, round),
         }
     }
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        // Contract check for the wake hints (both modes): a node whose hint
-        // postponed past this round must not transmit if polled anyway
-        // (dense/per-step A/B paths poll everyone).
+        // Contract check for the wake hints: a node whose hint postponed past
+        // this round must not transmit if polled anyway (dense/per-step A/B
+        // paths poll everyone).
         let hinted_idle = cfg!(debug_assertions)
             && match self.next_wake(round) {
                 Wake::Now => false,
@@ -1357,25 +1020,131 @@ impl Protocol for GhkMultiNode {
     }
 
     fn observe(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {
-        self.observe_inner(round, obs, rng);
+        let phase = match self.step.get() {
+            Step::Idle | Step::Status(_) => return,
+            Step::Work(seg) => seg.pos_at(round).expect("observation within the published segment"),
+        };
+        match phase {
+            GhkMultiPhase::Wave { offset } => {
+                let mapped = narrow(&obs, |m| match m {
+                    GhkMMsg::Wave(b) => Some(*b),
+                    _ => None,
+                });
+                let was_layered = self.wave.level().is_some();
+                self.wave.observe(offset, mapped, rng);
+                if !was_layered && self.wave.level().is_some() {
+                    self.wave_dirty = true;
+                }
+            }
+            GhkMultiPhase::Construct { offset } => {
+                let Some((ring, _)) = self.ring else { return };
+                if offset % 2 != u64::from(ring % 2) {
+                    return;
+                }
+                let mapped = narrow(&obs, |m| match m {
+                    GhkMMsg::Gst(g) => Some(*g),
+                    _ => None,
+                });
+                if let Some(c) = self.cons.as_mut() {
+                    c.observe(offset / 2, mapped, rng);
+                }
+            }
+            GhkMultiPhase::Label { offset } => {
+                let Some((ring, _)) = self.ring else { return };
+                if offset % 2 != u64::from(ring % 2) {
+                    return;
+                }
+                let mapped = narrow(&obs, |m| match m {
+                    GhkMMsg::Vl(v) => Some(*v),
+                    _ => None,
+                });
+                if let Some(v) = self.vl.as_mut() {
+                    v.observe(offset / 2, mapped, rng);
+                }
+            }
+            GhkMultiPhase::Disseminate { offset, .. } => {
+                // Mirror the act-side parity slotting of the windows.
+                let Some((ring, _)) = self.ring else { return };
+                if offset % 2 != u64::from(ring % 2) {
+                    return;
+                }
+                let Some(active) = self.sched.as_mut() else { return };
+                // Other batches' packets are noise for this node — dropped
+                // here without ever copying the payload.
+                let mapped = narrow(&obs, |m| match m {
+                    GhkMMsg::Sched { batch, msg } if *batch == active.batch => Some(msg.clone()),
+                    _ => None,
+                });
+                active.node.observe(offset / 2, mapped, rng);
+            }
+            GhkMultiPhase::Handoff { window, offset: _ } => {
+                let Some((ring, ring_level)) = self.ring else { return };
+                // Ring roots (level 0) of ring j+1 listen for batch w-(j+1)+1:
+                // the batch their predecessor ring just finished = w - (j+1) + 1
+                // = w - j ... ring j hands batch (w - j) to ring j+1, whose
+                // window for it is w+1. Roots of ring r listen for batch
+                // (window - (r - 1)) from ring r-1.
+                if ring_level != 0 || ring == 0 {
+                    return;
+                }
+                let Some(batch) = self.plan.batch_in_window(window, ring - 1) else { return };
+                if self.batches[batch as usize].decoded.is_some() {
+                    return;
+                }
+                if let Observation::Message(p) = &obs {
+                    if let GhkMMsg::Fec { batch: b, packet } = &**p {
+                        if *b != batch {
+                            return;
+                        }
+                        let klen = self.plan.batch_range(batch).len();
+                        let slot = &mut self.batches[batch as usize];
+                        let fec =
+                            slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
+                        fec.insert(packet.clone());
+                        // Harvested at the first act after this handoff
+                        // closes (see `flush_fec`).
+                        self.fec_pending = Some((window, batch));
+                    }
+                }
+            }
+            GhkMultiPhase::Regional { window, .. } => {
+                // Region-gated adoption (ring-less strays count as in-region
+                // — churn/mobility may have orphaned them mid-pipeline): a
+                // member still missing a batch collects its fountain
+                // packets, decoding at its next act (`decode_ready`).
+                let in_region = match self.ring {
+                    Some((r, _)) => {
+                        self.plan.batch_in_window(window, r).is_some()
+                            || r.checked_sub(1)
+                                .and_then(|p| self.plan.batch_in_window(window, p))
+                                .is_some()
+                    }
+                    None => true,
+                };
+                if in_region {
+                    self.collect_fec(&obs);
+                }
+            }
+            // Ring-agnostic adoption: any node still missing a batch collects
+            // fountain packets for it, decoding at its next act
+            // (`decode_ready`) so coverage spreads hop by hop.
+            GhkMultiPhase::Fallback { .. } => self.collect_fec(&obs),
+        }
     }
 }
 
 impl GhkMultiNode {
     fn act_inner(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        let phase = match self.step.as_ref().map(|c| c.get()) {
-            Some(MultiStep::Idle) => return Action::Listen,
-            Some(MultiStep::Status(p)) => {
+        let phase = match self.step.get() {
+            Step::Idle => return Action::Listen,
+            Step::Status(p) => {
                 return if self.answer(p) {
                     Action::Transmit(GhkMMsg::Status)
                 } else {
                     Action::Listen
                 };
             }
-            Some(MultiStep::Work(seg)) => {
-                seg.pos_at(round).expect("act within the published segment")
-            }
-            None => self.plan.phase(round),
+            Step::Work(seg) => seg.pos_at(round).expect("act within the published segment"),
         };
         self.flush_fec(phase);
         match phase {
@@ -1407,24 +1176,19 @@ impl GhkMultiNode {
             }
             GhkMultiPhase::Disseminate { window, offset } => {
                 self.ensure_window(window);
-                // Adaptive windows are 2-slotted by ring parity: adjacent
-                // rings work different batches in the same window, and the
-                // slotting keeps their schedules from colliding at ring
-                // boundaries (narrow rings put e.g. a corner node's only
-                // in-ring neighbor right next to the following ring's
-                // roots, which share its slow-slot timing).
-                let offset = if self.step.is_some() {
-                    let Some((ring, _)) = self.ring else { return Action::Listen };
-                    if offset % 2 != u64::from(ring % 2) {
-                        return Action::Listen;
-                    }
-                    offset / 2
-                } else {
-                    offset
-                };
+                // Windows are 2-slotted by ring parity: adjacent rings work
+                // different batches in the same window, and the slotting
+                // keeps their schedules from colliding at ring boundaries
+                // (narrow rings put e.g. a corner node's only in-ring
+                // neighbor right next to the following ring's roots, which
+                // share its slow-slot timing).
+                let Some((ring, _)) = self.ring else { return Action::Listen };
+                if offset % 2 != u64::from(ring % 2) {
+                    return Action::Listen;
+                }
                 let Some(active) = self.sched.as_mut() else { return Action::Listen };
                 let batch = active.batch;
-                match active.node.act(offset, rng) {
+                match active.node.act(offset / 2, rng) {
                     Action::Transmit(msg) => Action::Transmit(GhkMMsg::Sched { batch, msg }),
                     Action::Listen => Action::Listen,
                 }
@@ -1474,25 +1238,11 @@ impl GhkMultiNode {
                 self.harvest_window();
                 self.decode_ready();
                 let Some((ring, _)) = self.ring else { return Action::Listen };
-                let held: Vec<u32> = [
+                let region = [
                     self.plan.batch_in_window(window, ring),
                     ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r)),
-                ]
-                .into_iter()
-                .flatten()
-                .filter(|&b| self.batches[b as usize].decoded.is_some())
-                .collect();
-                let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
-                    return Action::Listen;
-                };
-                if self.decay.fires(offset, rng) {
-                    let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
-                    let src = Decoder::with_messages(decoded);
-                    if let Some(packet) = src.random_combination(rng) {
-                        return Action::Transmit(GhkMMsg::Fec { batch, packet });
-                    }
-                }
-                Action::Listen
+                ];
+                self.flood(region.into_iter().flatten(), offset, rng)
             }
             GhkMultiPhase::Fallback { offset } => {
                 // No-knowledge recovery: finalize whatever the pipeline left
@@ -1500,551 +1250,175 @@ impl GhkMultiNode {
                 // fountain packets — no ring, window, or label bookkeeping.
                 self.harvest_window();
                 self.decode_ready();
-                let held: Vec<u32> = (0..self.plan.batch_count)
-                    .filter(|&b| self.batches[b as usize].decoded.is_some())
-                    .collect();
-                let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
-                    return Action::Listen;
-                };
-                if self.decay.fires(offset, rng) {
-                    let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
-                    let src = Decoder::with_messages(decoded);
-                    if let Some(packet) = src.random_combination(rng) {
-                        return Action::Transmit(GhkMMsg::Fec { batch, packet });
-                    }
-                }
-                Action::Listen
-            }
-            GhkMultiPhase::Done => {
-                self.harvest_window();
-                Action::Listen
+                self.flood(0..self.plan.batch_count, offset, rng)
             }
         }
     }
 
-    fn observe_inner(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {
-        let phase = match self.step.as_ref().map(|c| c.get()) {
-            Some(MultiStep::Idle) | Some(MultiStep::Status(_)) => return,
-            Some(MultiStep::Work(seg)) => {
-                seg.pos_at(round).expect("observation within the published segment")
-            }
-            None => self.plan.phase(round),
-        };
-        match phase {
-            GhkMultiPhase::Wave { offset } => {
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Wave(b) => Observation::packet(*b),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
-                let was_layered = self.wave.level().is_some();
-                self.wave.observe(offset, mapped, rng);
-                if !was_layered && self.wave.level().is_some() {
-                    self.wave_dirty = true;
-                }
-            }
-            GhkMultiPhase::Construct { offset } => {
-                let Some((ring, _)) = self.ring else { return };
-                if offset % 2 != u64::from(ring % 2) {
-                    return;
-                }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Gst(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
-                if let Some(c) = self.cons.as_mut() {
-                    c.observe(offset / 2, mapped, rng);
-                }
-            }
-            GhkMultiPhase::Label { offset } => {
-                let Some((ring, _)) = self.ring else { return };
-                if offset % 2 != u64::from(ring % 2) {
-                    return;
-                }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Vl(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
-                if let Some(v) = self.vl.as_mut() {
-                    v.observe(offset / 2, mapped, rng);
-                }
-            }
-            GhkMultiPhase::Disseminate { offset, .. } => {
-                // Mirror the act-side parity slotting of adaptive windows.
-                let offset = if self.step.is_some() {
-                    let Some((ring, _)) = self.ring else { return };
-                    if offset % 2 != u64::from(ring % 2) {
-                        return;
-                    }
-                    offset / 2
-                } else {
-                    offset
-                };
-                let Some(active) = self.sched.as_mut() else { return };
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Sched { batch, msg } if *batch == active.batch => {
-                            Observation::packet(msg.clone())
-                        }
-                        // Other batches' packets are noise for this node —
-                        // dropped here without ever copying the payload.
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
-                active.node.observe(offset, mapped, rng);
-            }
-            GhkMultiPhase::Handoff { window, offset: _ } => {
-                let Some((ring, ring_level)) = self.ring else { return };
-                // Ring roots (level 0) of ring j+1 listen for batch w-(j+1)+1:
-                // the batch their predecessor ring just finished = w - (j+1) + 1
-                // = w - j ... ring j hands batch (w - j) to ring j+1, whose
-                // window for it is w+1. Roots of ring r listen for batch
-                // (window - (r - 1)) from ring r-1.
-                if ring_level != 0 || ring == 0 {
-                    return;
-                }
-                let Some(batch) = self.plan.batch_in_window(window, ring - 1) else { return };
-                if self.batches[batch as usize].decoded.is_some() {
-                    return;
-                }
-                if let Observation::Message(p) = &obs {
-                    if let GhkMMsg::Fec { batch: b, packet } = &**p {
-                        if *b != batch {
-                            return;
-                        }
-                        let klen = self.plan.batch_range(batch).len();
-                        let slot = &mut self.batches[batch as usize];
-                        let fec =
-                            slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
-                        fec.insert(packet.clone());
-                        // Harvested at the first act after this handoff
-                        // closes (see `flush_fec`).
-                        self.fec_pending = Some((window, batch));
-                    }
-                }
-            }
-            GhkMultiPhase::Regional { window, .. } => {
-                // Region-gated adoption (ring-less strays count as in-region
-                // — churn/mobility may have orphaned them mid-pipeline): a
-                // member still missing a batch collects its fountain
-                // packets, decoding at its next act (`decode_ready`).
-                let in_region = match self.ring {
-                    Some((r, _)) => {
-                        self.plan.batch_in_window(window, r).is_some()
-                            || r.checked_sub(1)
-                                .and_then(|p| self.plan.batch_in_window(window, p))
-                                .is_some()
-                    }
-                    None => true,
-                };
-                if !in_region {
-                    return;
-                }
-                if let Observation::Message(p) = &obs {
-                    if let GhkMMsg::Fec { batch, packet } = &**p {
-                        let klen = self.plan.batch_range(*batch).len();
-                        let slot = &mut self.batches[*batch as usize];
-                        if slot.decoded.is_none()
-                            && !slot.fec.as_ref().is_some_and(Decoder::can_decode)
-                        {
-                            let fec = slot
-                                .fec
-                                .get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
-                            fec.insert(packet.clone());
-                        }
-                    }
-                }
-            }
-            GhkMultiPhase::Fallback { .. } => {
-                // Ring-agnostic adoption: any node still missing a batch
-                // collects fountain packets for it, decoding at its next act
-                // (`decode_ready`) so coverage spreads hop by hop.
-                if let Observation::Message(p) = &obs {
-                    if let GhkMMsg::Fec { batch, packet } = &**p {
-                        let klen = self.plan.batch_range(*batch).len();
-                        let slot = &mut self.batches[*batch as usize];
-                        if slot.decoded.is_none()
-                            && !slot.fec.as_ref().is_some_and(Decoder::can_decode)
-                        {
-                            let fec = slot
-                                .fec
-                                .get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
-                            fec.insert(packet.clone());
-                        }
-                    }
-                }
-            }
-            GhkMultiPhase::Done => {}
-        }
-    }
-}
-
-/// The adaptive Theorem 1.3 driver: owns the simulator and the shared phase
-/// cursor, advances phases on status-round quiescence, and hard-caps every
-/// phase at its [`GhkMultiPlan`] budget so [`GhkMultiPlan::total_rounds`]
-/// bounds any run.
-struct MultiDriver<T: Topology> {
-    sim: Simulator<GhkMultiNode, T>,
-    step: MultiStepCell,
-    plan: GhkMultiPlan,
-    beep: u64,
-    quiescence_slack: u32,
-    cons_status_left: u64,
-    label_status_left: u64,
-    phases: MultiPhaseRounds,
-    completion: Option<u64>,
-    /// True exactly when the simulator carries a fault plan — gates voting,
-    /// handoff retries, the fec-repair adaptation, and the recovery ladder,
-    /// so `FaultPlan::none()` runs stay bit-identical by construction.
-    recovery: bool,
-    /// Sliding-window estimator driving the handoff FEC repair rate (see
-    /// [`LossEstimator`]); sampled once per dissemination window, so repair
-    /// relaxes after bursty loss instead of ratcheting up forever.
-    loss: LossEstimator,
-    /// The repair rate last echoed to the nodes (initially the knob, which
-    /// the constructor baked in); echoes only on change.
-    fec_echoed: u32,
-    /// Rung bookkeeping for the staged recovery ladder.
-    ladder: Ladder,
-    /// Running peak of the summed per-node resident state (see
-    /// [`MultiDriver::sample_state`]).
-    peak_nodes: usize,
-}
-
-impl<T: Topology> MultiDriver<T> {
-    /// Moves the shared cursor: every cell change force-wakes all nodes
-    /// (their hints were computed against the outgoing cell).
-    fn publish(&mut self, step: MultiStep) {
-        self.sim.wake_all();
-        self.step.set(step);
-    }
-
-    /// Folds the current per-node resident state into the running peak.
-    /// Called at phase boundaries (the retirement sweeps and window ends),
-    /// where the state high-water marks sit.
-    fn sample_state(&mut self) {
-        let now: usize = self.sim.nodes().iter().map(GhkMultiNode::resident_bytes).sum();
-        self.peak_nodes = self.peak_nodes.max(now);
-    }
-
-    fn exec(&mut self, step: MultiStep) -> RoundStats {
-        self.publish(step);
-        let stats = self.sim.step();
-        // Completion is reception-driven (`is_complete`'s pending-decoder
-        // arms flip only when a packet is inserted), so the O(n · batches)
-        // all-nodes scan is needed only after delivery rounds.
-        if self.completion.is_none()
-            && stats.deliveries > 0
-            && self.sim.nodes().iter().all(GhkMultiNode::is_complete)
-        {
-            self.completion = Some(self.sim.round());
-        }
-        stats
-    }
-
-    /// Publishes `len` consecutive work rounds starting at phase position
-    /// `pos` as one [`Segment`] and runs them through the engine's wake fast
-    /// path, stopping after delivery rounds to re-evaluate completion
-    /// (exactly the per-step driver's delivery-gated scan). Returns the
-    /// number of rounds actually executed.
-    fn exec_segment(&mut self, pos: GhkMultiPhase, len: u64) -> u64 {
-        let start = self.sim.round();
-        self.publish(MultiStep::Work(Segment { start, len, pos }));
-        let mut run = 0u64;
-        while run < len && !self.done() {
-            let seg = self.sim.run_segment(len - run, true);
-            run += seg.rounds;
-            if seg.stopped_on_delivery
-                && self.completion.is_none()
-                && self.sim.nodes().iter().all(GhkMultiNode::is_complete)
-            {
-                self.completion = Some(self.sim.round());
-            }
-        }
-        run
-    }
-
-    fn done(&self) -> bool {
-        self.completion.is_some()
-    }
-
-    /// Runs one status round; `true` iff the driver concludes the probe is
-    /// quiet. On fault-free runs this is the omniscient census
-    /// (`transmitters == 0`), untouched. On faulted runs a fault-touched
-    /// status round is confirmed by majority vote over a small window (see
-    /// [`vote_quiet`]); take-style probes that consume dirty flags are never
-    /// re-probed.
-    fn quiet(&mut self, probe: MultiProbe) -> bool {
-        self.phases.status += 1;
-        let first = self.exec(MultiStep::Status(probe));
-        if !self.recovery {
-            return first.transmitters == 0;
-        }
-        let votable =
-            !matches!(probe, MultiProbe::WaveProgress | MultiProbe::Cons(ConsProbe::NewActivation));
-        let v = vote_quiet(first, votable, || {
-            self.phases.status += 1;
-            match probe {
-                MultiProbe::Cons(_) => {
-                    self.cons_status_left = self.cons_status_left.saturating_sub(1);
-                }
-                MultiProbe::Unlabelled | MultiProbe::LabelFrontier { .. } => {
-                    self.label_status_left = self.label_status_left.saturating_sub(1);
-                }
-                _ => {}
-            }
-            self.exec(MultiStep::Status(probe))
-        });
-        if v.overturned {
-            self.sim.stats_mut().votes_overturned += 1;
-        }
-        v.quiet
-    }
-
-    /// Worst-case rounds still available under [`GhkMultiPlan::total_rounds`]
-    /// — the shared pool retries and the fallback draw from.
-    fn budget_left(&self) -> u64 {
-        self.plan.total_rounds().saturating_sub(self.sim.round())
-    }
-
-    /// A labeling status round, charged against the labeling status budget.
-    fn label_quiet(&mut self, probe: MultiProbe) -> Option<bool> {
-        if self.label_status_left == 0 {
-            return None;
-        }
-        self.label_status_left -= 1;
-        Some(self.quiet(probe))
-    }
-
-    /// One adaptive open-ended window: `beep_interval` work rounds, one
-    /// status round, until the probe has stayed quiet for
-    /// `quiescence_slack` consecutive status rounds or `budget` (work +
-    /// status rounds) is exhausted. With `probe_first`, the probe runs
-    /// before any work — a window with nothing pending collapses to a
-    /// single status round (the handoff-skip case).
-    ///
-    /// Spend is measured as the simulator-round delta, so the extra status
-    /// rounds a majority vote injects on faulted runs charge this window's
-    /// budget (fault-free runs execute exactly the rounds the old per-call
-    /// counter did). Returns whether the window ended on quiescence or by
-    /// exhausting its budget with the probe still busy — the failed-handoff
-    /// signal the retry logic keys on.
-    fn window(
+    /// Recovery flooding: of the `batches` this node holds, the one the
+    /// round's `offset` selects goes out as a fountain packet on the Decay
+    /// schedule.
+    fn flood(
         &mut self,
-        budget: u64,
-        probe: MultiProbe,
-        probe_first: bool,
-        work: impl Fn(u64) -> GhkMultiPhase,
-        count: fn(&mut MultiPhaseRounds) -> &mut u64,
-    ) -> WindowEnd {
-        let slack = self.quiescence_slack.max(1);
-        let mut offset = 0u64;
-        let start = self.sim.round();
-        let spent = |sim: &Simulator<GhkMultiNode, T>| sim.round() - start;
-        let mut quiet_streak = 0u32;
-        if probe_first && !self.done() && self.quiet(probe) {
-            return WindowEnd::Quiesced;
-        }
-        while spent(&self.sim) < budget && !self.done() {
-            let len = self.beep.min(budget - spent(&self.sim));
-            let run = self.exec_segment(work(offset), len);
-            *count(&mut self.phases) += run;
-            offset += run;
-            if spent(&self.sim) >= budget || self.done() {
-                break;
-            }
-            if self.quiet(probe) {
-                quiet_streak += 1;
-                if quiet_streak >= slack {
-                    return WindowEnd::Quiesced;
-                }
-            } else {
-                quiet_streak = 0;
+        batches: impl Iterator<Item = u32>,
+        offset: u64,
+        rng: &mut SmallRng,
+    ) -> Action<GhkMMsg> {
+        let held: Vec<u32> =
+            batches.filter(|&b| self.batches[b as usize].decoded.is_some()).collect();
+        let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
+            return Action::Listen;
+        };
+        if self.decay.fires(offset, rng) {
+            let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
+            if let Some(packet) = Decoder::with_messages(decoded).random_combination(rng) {
+                return Action::Transmit(GhkMMsg::Fec { batch, packet });
             }
         }
-        if self.done() {
-            WindowEnd::Quiesced
-        } else {
-            WindowEnd::Exhausted
-        }
+        Action::Listen
     }
 
-    /// Phase 3: adaptive virtual labeling. `d` frontiers are processed in
-    /// order; the phase ends early once every node is labelled or a frontier
-    /// comes up empty (labels only ever derive `d + 1` from `d`, so an empty
-    /// `S_d` means no later substage can label anyone — unlabelled nodes
-    /// fall back to the `2·log n` cap exactly as under the fixed schedule).
-    fn label(&mut self) {
-        let vl = self.plan.vl;
-        let per_d = vl.per_d_rounds();
-        for d in 0..vl.d_values() {
-            if self.done() {
-                return;
-            }
-            match self.label_quiet(MultiProbe::Unlabelled) {
-                Some(true) => return, // everyone labelled
-                Some(false) => {}
-                None => {
-                    // Status budget gone: run the rest fixed (cap-bounded).
-                    self.label_run(u64::from(d) * per_d, u64::from(vl.d_values() - d) * per_d);
-                    return;
+    /// Recovery adoption: a fountain packet for a batch this node can not
+    /// decode yet joins that batch's FEC receiver.
+    fn collect_fec(&mut self, obs: &Observation<GhkMMsg>) {
+        if let Observation::Message(p) = obs {
+            if let GhkMMsg::Fec { batch, packet } = &**p {
+                let klen = self.plan.batch_range(*batch).len();
+                let slot = &mut self.batches[*batch as usize];
+                if slot.decoded.is_none() && !slot.fec.as_ref().is_some_and(Decoder::can_decode) {
+                    let fec = slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
+                    fec.insert(packet.clone());
                 }
             }
-            match self.label_quiet(MultiProbe::LabelFrontier { d }) {
-                Some(true) => return, // dead frontier: no further progress
-                Some(false) => {}
-                None => {
-                    self.label_run(u64::from(d) * per_d, u64::from(vl.d_values() - d) * per_d);
-                    return;
-                }
-            }
-            self.label_run(u64::from(d) * per_d, per_d);
         }
     }
 
-    /// Runs `len` labeling schedule rounds from schedule round `start`,
-    /// 2-slotted by ring parity, as one published segment.
-    fn label_run(&mut self, start: u64, len: u64) {
-        let run = self.exec_segment(GhkMultiPhase::Label { offset: 2 * start }, 2 * len);
-        self.phases.label += run;
+    /// Whether this node holds anything a recovery flood could relay or a
+    /// pending decoder it must finalize.
+    fn holds_any(&self) -> bool {
+        self.sched.is_some()
+            || self.fec_pending.is_some()
+            || self
+                .batches
+                .iter()
+                .any(|s| s.decoded.is_some() || s.fec.as_ref().is_some_and(Decoder::can_decode))
+    }
+}
+
+/// Driver-side state of a Theorem 1.3 run: the plan, and the configured
+/// handoff repair knob the loss estimator starts from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MultiRun {
+    plan: GhkMultiPlan,
+    fec_repair: u32,
+}
+
+impl Pipeline for GhkMultiNode {
+    type Pos = GhkMultiPhase;
+    type Probe = MultiProbe;
+    type Plan = MultiRun;
+    const FALLBACK: GhkMultiPhase = GhkMultiPhase::Fallback { offset: 0 };
+
+    /// Whether this node can decode every batch — from an already-harvested
+    /// slot, a full-rank FEC receiver, or a full-rank window schedule. The
+    /// pending decoders are harvested into the slots at the node's next
+    /// phase transition.
+    fn is_complete(&self) -> bool {
+        self.batches.iter().enumerate().all(|(b, s)| {
+            s.decoded.is_some()
+                || s.fec.as_ref().is_some_and(Decoder::can_decode)
+                || self.sched.as_ref().is_some_and(|a| a.batch == b as u32 && a.node.is_complete())
+        })
     }
 
-    /// Rung 1 of the recovery [`Ladder`]: replay the *failed window's*
-    /// dissemination (re-seeding each ring's schedule from its decoded
-    /// batches — `ensure_window` rebuilds the dropped schedule nodes) and a
-    /// fresh handoff window, drawn from the remaining worst-case pool, while
-    /// every other window's state stays intact. Returns `true` iff the run
-    /// completed or the replayed handoff quiesced.
-    fn ring_repair(&mut self, window: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
-        }
-        self.ladder.ring();
-        self.sim.stats_mut().ring_repairs += 1;
-        let budget = self.plan.window_budget.min(self.budget_left());
-        let _ = self.window(
-            budget,
-            MultiProbe::WindowUninformed { window },
-            false,
-            |offset| GhkMultiPhase::Disseminate { window, offset },
-            |p| &mut p.repair,
-        );
-        if self.done() {
-            return true;
-        }
-        let budget = self.plan.handoff_budget.min(self.budget_left());
-        self.window(
-            budget,
-            MultiProbe::HandoffPending { window },
-            true,
-            |offset| GhkMultiPhase::Handoff { window, offset },
-            |p| &mut p.repair,
-        ) == WindowEnd::Quiesced
+    /// The shell plus the boxed phase sub-states currently alive and the
+    /// per-batch slot table. Sub-state-internal heap (decoder matrices,
+    /// payload buffers) is excluded.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.cons.is_some() as usize * size_of::<GstConstructionNode>()
+            + self.vl.is_some() as usize * size_of::<VirtualLabelNode>()
+            + self.sched.is_some() as usize * size_of::<ActiveWindow>()
+            + self.batches.capacity() * size_of::<BatchState>()
     }
 
-    /// Rung 2 of the recovery [`Ladder`]: regional FEC re-dissemination —
-    /// holders in the rings feeding the failed window (plus the ring right
-    /// behind them) flood the window's batches with fountain packets,
-    /// covering churn/mobility that moved the frontier across ring
-    /// boundaries. Budgeted at two handoff windows from the remaining pool.
-    fn regional_repair(&mut self, window: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
+    /// Accumulated over every window this node ran (harvested windows plus
+    /// the live one).
+    fn audit(&self) -> SchedAudit {
+        let mut a = self.audit_acc;
+        if let Some(s) = &self.sched {
+            a.absorb(s.node.audit());
         }
-        self.ladder.regional();
-        self.sim.stats_mut().regional_repairs += 1;
-        let budget = (2 * self.plan.handoff_budget).min(self.budget_left());
-        self.window(
-            budget,
-            MultiProbe::HandoffPending { window },
-            false,
-            |offset| GhkMultiPhase::Regional { window, offset },
-            |p| &mut p.repair,
-        ) == WindowEnd::Quiesced
+        a
     }
 
-    /// Climbs rungs 1–2 for the failed window; `true` iff a rung recovered
-    /// the handoff (or the run completed outright).
-    fn climb_ladder(&mut self, window: u32) -> bool {
-        if self.ring_repair(window) || self.done() {
-            return true;
-        }
-        self.regional_repair(window) || self.done()
+    fn votable(probe: MultiProbe) -> bool {
+        !matches!(probe, MultiProbe::WaveProgress | MultiProbe::Cons(ConsProbe::NewActivation))
     }
 
-    fn run(mut self) -> MultiOutcome {
-        if self.sim.nodes().iter().all(GhkMultiNode::is_complete) {
-            self.completion = Some(0);
+    fn vote_budget(probe: MultiProbe) -> Option<Budget> {
+        match probe {
+            MultiProbe::Cons(_) => Some(Budget::Construct),
+            MultiProbe::Unlabelled | MultiProbe::LabelFrontier { .. } => Some(Budget::Label),
+            _ => None,
         }
-        if !self.done() {
+    }
+
+    /// The collision wave, the parallel per-ring construction, adaptive
+    /// labeling, then the batch pipeline: ring `j` disseminates batch
+    /// `w - j` in window `w` while ring `j + 1` receives its handoff.
+    /// Anchors recovery at the last window.
+    fn phases<T: Topology>(d: &mut Driver<Self, T>) -> u32 {
+        let MultiRun { plan, fec_repair } = d.plan;
+        if !d.done() {
             // Phase 1: the collision wave.
-            let _ = self.window(
-                self.plan.wave_budget,
+            let _ = d.window(
+                plan.wave_budget,
                 MultiProbe::WaveProgress,
                 false,
                 |offset| GhkMultiPhase::Wave { offset },
                 |p| &mut p.wave,
             );
         }
-        if !self.done() {
-            // Phase 2: parallel per-ring GST construction (shared driver).
-            let cons = self.plan.cons;
-            drive_construction(&mut self, cons);
+        if !d.done() {
+            // Phase 2: parallel per-ring GST construction.
+            d.construct(plan.cons, Budget::Construct, MultiProbe::Cons, |offset| {
+                GhkMultiPhase::Construct { offset }
+            });
         }
         // Sample before the finalize echo: every layered node's construction
         // machine is still alive here.
-        self.sample_state();
-        // End-of-construction echo (see `single_message::Driver::run`).
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_construction();
-        }
-        if !self.done() {
+        d.sample_state();
+        // End-of-construction echo (the block epilogue the adaptive loop may
+        // have skipped the rounds for).
+        d.echo(GhkMultiNode::finalize_construction);
+        if !d.done() {
             // Phase 3: adaptive virtual labeling.
-            self.label();
+            label(d, plan.vl);
         }
         // The run's state peak: construction and labeling machines both
         // alive. The retirement sweep that follows caches the dissemination
         // labels and drops both, so the window phases run on lean shells.
-        // The sweep's `node_mut` re-wakes are trace-neutral: every cursor
-        // change starts with `wake_all`, so the next step polls all nodes
-        // regardless.
-        self.sample_state();
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).retire_construction();
-        }
-        // Phase 4: the batch pipeline. Ring j disseminates batch w - j in
-        // window w while ring j + 1 receives its handoff — windows close as
-        // soon as every active ring can decode, and handoff slots collapse
-        // to one probe when the receiving roots already hold the batch.
-        'windows: for w in 0..self.plan.window_count() {
-            if self.done() {
+        d.sample_state();
+        d.echo(GhkMultiNode::retire_construction);
+        // Phase 4: the batch pipeline. Windows close as soon as every active
+        // ring can decode, and handoff slots collapse to one probe when the
+        // receiving roots already hold the batch.
+        let mut loss = LossEstimator::new(fec_repair);
+        let mut fec_echoed = fec_repair;
+        for w in 0..plan.window_count() {
+            if d.done() {
                 break;
             }
-            let _ = self.window(
-                self.plan.window_budget,
+            let _ = d.window(
+                plan.window_budget,
                 MultiProbe::WindowUninformed { window: w },
                 false,
                 |offset| GhkMultiPhase::Disseminate { window: w, offset },
                 |p| &mut p.disseminate,
             );
-            if self.done() {
+            if d.done() {
                 break;
             }
             // Faulted runs drive the handoff repair rate from the *measured*
@@ -2054,139 +1428,108 @@ impl<T: Topology> MultiDriver<T> {
             // (never on clean channels, where the estimator is the
             // identity). The windowing lets repair relax once a bursty loss
             // interval ages out of the window.
-            if self.recovery {
-                let (erased, delivered) = {
-                    let s = self.sim.stats();
-                    (s.erased, s.deliveries)
-                };
-                let eff = self.loss.observe(erased, delivered);
-                if eff != self.fec_echoed {
-                    self.fec_echoed = eff;
-                    for i in 0..self.sim.nodes().len() {
-                        self.sim.node_mut(NodeId::new(i)).set_fec_repair(eff);
-                    }
+            if d.sim.has_faults() {
+                let s = d.sim.stats();
+                let eff = loss.observe(s.erased, s.deliveries);
+                if eff != fec_echoed {
+                    fec_echoed = eff;
+                    d.echo(|n| n.set_fec_repair(eff));
                 }
             }
-            // Handoff with retry-and-backoff: a handoff window that exhausts
-            // its budget while the receiving roots still beep is a *failed*
-            // handoff — re-publish it with a doubled budget (drawn from the
-            // worst-case pool) instead of advancing into a dead window.
-            // Retries exhausting climbs the recovery ladder for *this*
-            // window (rung-1 window replay, then rung-2 regional FEC flood);
-            // only both rungs failing abandons the pipeline toward the
-            // rung-3 fallback, conserving the remaining budget.
-            let mut budget = self.plan.handoff_budget;
-            let mut attempt = 0u32;
-            // Once the ladder has fired, the channel has already proven
-            // persistently degraded — later failed handoffs skip the
-            // doubling retry schedule and climb immediately, instead of
-            // burning the full backoff pool per window.
-            let max_retries = if self.ladder.ring_attempted() { 0 } else { HANDOFF_RETRIES };
-            loop {
-                let end = self.window(
-                    budget,
-                    MultiProbe::HandoffPending { window: w },
-                    true,
-                    |offset| GhkMultiPhase::Handoff { window: w, offset },
-                    |p| &mut p.handoff,
-                );
-                if end == WindowEnd::Quiesced || !self.recovery {
-                    break;
-                }
-                if attempt >= max_retries {
-                    if self.climb_ladder(w) {
-                        break;
-                    }
-                    break 'windows;
-                }
-                attempt += 1;
-                budget = (budget * 2).min(self.budget_left());
-                if budget == 0 {
-                    if self.climb_ladder(w) {
-                        break;
-                    }
-                    break 'windows;
-                }
-                self.sim.stats_mut().retries += 1;
+            if !d.handoff(
+                plan.handoff_budget,
+                MultiProbe::HandoffPending { window: w },
+                true,
+                |offset| GhkMultiPhase::Handoff { window: w, offset },
+                w,
+            ) {
+                break; // both rungs failed: on to the rung-3 fallback
             }
             // Window boundary: the live schedules are at their largest.
-            self.sample_state();
+            d.sample_state();
         }
-        // Staged-ladder epilogue: a faulted run that ends incomplete climbs
-        // any rung it has not yet attempted — anchored at the last window —
-        // before the last resort. Rung 3, the no-knowledge Decay fallback
-        // (the Czumaj–Davies regime), is reached only after rungs 1–2 both
-        // fired and failed: holders flood fountain packets ring-agnostically,
-        // bounded by the remaining worst-case budget; stranded nodes (no
-        // ring, no labels) finally participate. True to the no-knowledge
-        // regime, there are no status beeps in rung 3: a vote the faults
-        // corrupt must not silence the last-resort phase, so only the
-        // delivery-gated completion scan (or the cap) ends it.
-        if self.recovery && !self.done() {
-            let frontier = self.plan.window_count().saturating_sub(1);
-            if !self.ladder.ring_attempted() {
-                let _ = self.ring_repair(frontier);
-            }
-            if !self.done() && !self.ladder.regional_attempted() {
-                let _ = self.regional_repair(frontier);
-            }
-            if !self.done() && self.ladder.may_fall_back() {
-                let left = self.budget_left();
-                if left > 0 {
-                    self.ladder.arm_fallback(self.sim.round());
-                    let run = self.exec_segment(GhkMultiPhase::Fallback { offset: 0 }, left);
-                    self.phases.fallback += run;
-                    self.sim.stats_mut().fallback_rounds += run;
-                }
-            }
-        }
-        // End-of-run echo: harvest every pending decoder into its slot.
-        self.sample_state();
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_run();
-        }
-        if self.completion.is_none() && self.sim.nodes().iter().all(GhkMultiNode::is_complete) {
-            self.completion = Some(self.sim.round());
-        }
+        plan.window_count().saturating_sub(1)
+    }
 
-        // Per-node audits accumulate across window harvests (see
-        // `GhkMultiNode::audit`), so summing after the finalize echo sees
-        // every window's counters.
-        let mut audit = SchedAudit::default();
-        for n in self.sim.nodes() {
-            audit.absorb(n.audit());
+    /// Replays the *failed window's* dissemination (re-seeding each ring's
+    /// schedule from its decoded batches — `ensure_window` rebuilds the
+    /// dropped schedule nodes) and a fresh handoff window, drawn from the
+    /// remaining worst-case pool, while every other window's state stays
+    /// intact.
+    fn ring_repair<T: Topology>(d: &mut Driver<Self, T>, window: u32) -> bool {
+        let plan = d.plan.plan;
+        let budget = plan.window_budget.min(d.budget_left());
+        let _ = d.window(
+            budget,
+            MultiProbe::WindowUninformed { window },
+            false,
+            |offset| GhkMultiPhase::Disseminate { window, offset },
+            |p| &mut p.repair,
+        );
+        if d.done() {
+            return true;
         }
-        MultiOutcome {
-            completion_round: self.completion,
-            rounds_budget: self.plan.total_rounds(),
-            audit,
-            phases: self.phases,
-            stats: self.sim.stats().clone(),
-            fallback_entry: self.ladder.fallback_entry(),
-            peak_state_bytes: self.sim.graph().resident_bytes() + self.peak_nodes,
-        }
+        let budget = plan.handoff_budget.min(d.budget_left());
+        d.window(
+            budget,
+            MultiProbe::HandoffPending { window },
+            true,
+            |offset| GhkMultiPhase::Handoff { window, offset },
+            |p| &mut p.repair,
+        ) == WindowEnd::Quiesced
+    }
+
+    /// Regional FEC re-dissemination: holders in the rings feeding the
+    /// failed window (plus the ring right behind them) flood the window's
+    /// batches with fountain packets, covering churn/mobility that moved the
+    /// frontier across ring boundaries. Budgeted at two handoff windows from
+    /// the remaining pool.
+    fn regional_repair<T: Topology>(d: &mut Driver<Self, T>, window: u32) -> bool {
+        let budget = (2 * d.plan.plan.handoff_budget).min(d.budget_left());
+        d.window(
+            budget,
+            MultiProbe::HandoffPending { window },
+            false,
+            |offset| GhkMultiPhase::Regional { window, offset },
+            |p| &mut p.repair,
+        ) == WindowEnd::Quiesced
+    }
+
+    fn detail(run: &MultiRun, _nodes: &[Self], fallback_entry: Option<u64>) -> Detail {
+        Detail::MultiUnknown { plan: run.plan, fallback_entry }
     }
 }
 
-impl<T: Topology> ConsDriver for MultiDriver<T> {
-    fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool> {
-        if self.cons_status_left == 0 {
-            return None;
+/// Phase 3: adaptive virtual labeling. `d` frontiers are processed in order;
+/// the phase ends early once every node is labelled or a frontier comes up
+/// empty (labels only ever derive `d + 1` from `d`, so an empty `S_d` means
+/// no later substage can label anyone — unlabelled nodes fall back to the
+/// `2·log n` cap exactly as under the fixed schedule).
+fn label<T: Topology>(drv: &mut Driver<GhkMultiNode, T>, vl: VlSchedule) {
+    let per_d = vl.per_d_rounds();
+    let frontiers = vl.d_values();
+    // The labeling schedule rounds of frontiers `from..to`, 2-slotted by ring
+    // parity, as one published segment.
+    let run = |drv: &mut Driver<GhkMultiNode, T>, from: u32, to: u32| {
+        let offset = 2 * u64::from(from) * per_d;
+        let run =
+            drv.exec_segment(GhkMultiPhase::Label { offset }, 2 * u64::from(to - from) * per_d);
+        drv.phases.label += run;
+    };
+    for d in 0..frontiers {
+        if drv.done() {
+            return;
         }
-        self.cons_status_left -= 1;
-        Some(self.quiet(MultiProbe::Cons(probe)))
-    }
-
-    fn cons_run(&mut self, start: u64, len: u64) {
-        // One segment per 2-slotted sub-window; the shared skip loop only
-        // requests runs within a single construction-schedule segment, which
-        // keeps the `may_act_in` wake hints valid across the batch.
-        let run = self.exec_segment(GhkMultiPhase::Construct { offset: 2 * start }, 2 * len);
-        self.phases.construct += run;
-    }
-
-    fn finished(&self) -> bool {
-        self.done()
+        for probe in [MultiProbe::Unlabelled, MultiProbe::LabelFrontier { d }] {
+            match drv.budgeted_quiet(Budget::Label, probe) {
+                // Everyone labelled, or a dead frontier: no progress left.
+                Some(true) => return,
+                Some(false) => {}
+                // Status budget gone: run the rest fixed (cap-bounded).
+                None => return run(drv, d, frontiers),
+            }
+        }
+        run(drv, d, d + 1);
     }
 }
 
@@ -2196,9 +1539,7 @@ impl<T: Topology> ConsDriver for MultiDriver<T> {
 /// done — dissemination windows end on ring quiescence, handoff slots
 /// collapse when the batch already crossed, and construction runs the
 /// quiescence-skipping driver shared with Theorem 1.1. Narrow adaptive rings
-/// ([`GhkMultiPlan::new_adaptive`]) keep construction parallel and shallow.
-///
-/// Returns the outcome plus per-node drop count.
+/// ([`GhkMultiPlan::new`]) keep construction parallel and shallow.
 ///
 /// # Panics
 ///
@@ -2210,7 +1551,7 @@ pub fn broadcast_unknown(
     params: &Params,
     seed: u64,
     mode: BatchMode,
-) -> MultiOutcome {
+) -> Outcome {
     broadcast_unknown_with(graph, source, messages, params, seed, MultiRunOpts::new(mode))
 }
 
@@ -2281,7 +1622,7 @@ pub fn broadcast_unknown_with(
     params: &Params,
     seed: u64,
     opts: MultiRunOpts,
-) -> MultiOutcome {
+) -> Outcome {
     broadcast_unknown_faulted(graph, source, messages, params, seed, opts, &FaultPlan::none())
 }
 
@@ -2305,7 +1646,7 @@ pub fn broadcast_unknown_faulted(
     seed: u64,
     opts: MultiRunOpts,
     faults: &FaultPlan,
-) -> MultiOutcome {
+) -> Outcome {
     broadcast_unknown_on(graph.clone(), source, messages, params, seed, opts, faults)
 }
 
@@ -2316,7 +1657,7 @@ pub fn broadcast_unknown_faulted(
 /// bit-identical to the same topology materialized: neighborhoods are
 /// byte-equal, so every transmission resolves identically. What changes is
 /// residence — the adjacency is recomputed on demand instead of held in
-/// memory, and [`MultiOutcome::peak_state_bytes`] reports the difference.
+/// memory, and [`Outcome::peak_state_bytes`] reports the difference.
 ///
 /// # Panics
 ///
@@ -2332,43 +1673,43 @@ pub fn broadcast_unknown_on<T: Topology>(
     seed: u64,
     opts: MultiRunOpts,
     faults: &FaultPlan,
-) -> MultiOutcome {
+) -> Outcome {
+    driver(topology, source, messages, params, seed, opts, faults).run()
+}
+
+/// Builds the Theorem 1.3 driver [`broadcast_unknown_on`] runs.
+fn driver<T: Topology>(
+    topology: T,
+    source: NodeId,
+    messages: &[BitVec],
+    params: &Params,
+    seed: u64,
+    opts: MultiRunOpts,
+    faults: &FaultPlan,
+) -> Driver<GhkMultiNode, T> {
     assert!(!messages.is_empty(), "need at least one message");
     assert!(topology.node_count() > 0, "graph must be non-empty");
     let payload_bits = messages[0].len();
     let d = bfs_layering(&topology, &[source]).max_level();
-    let plan = GhkMultiPlan::new_adaptive(params, d.max(1), messages.len(), opts.batch);
-    let step: MultiStepCell = Rc::new(Cell::new(MultiStep::Idle));
+    let plan = GhkMultiPlan::new(params, d.max(1), messages.len(), opts.batch);
+    let step = Rc::new(Cell::new(Step::Idle));
     let sim = Simulator::new_with_faults(topology, opts.mode, seed, faults.clone(), |id| {
         GhkMultiNode::new(
             params,
             plan,
+            Rc::clone(&step),
             id.raw(),
             payload_bits,
             (id == source).then(|| messages.to_vec()),
         )
-        .with_cursor(Rc::clone(&step))
         .with_pacing(opts.pacing)
         .with_fec_repair(opts.fec_repair)
     });
-    let recovery = sim.has_faults();
-    MultiDriver {
-        sim,
-        step,
-        plan,
-        beep: u64::from(params.beep_interval.max(1)),
-        quiescence_slack: params.quiescence_slack,
-        cons_status_left: plan.cons_status,
-        label_status_left: plan.label_status,
-        phases: MultiPhaseRounds::default(),
-        completion: None,
-        recovery,
-        loss: LossEstimator::new(opts.fec_repair),
-        fec_echoed: opts.fec_repair,
-        ladder: Ladder::new(),
-        peak_nodes: 0,
-    }
-    .run()
+    let run = MultiRun { plan, fec_repair: opts.fec_repair };
+    let mut driver = Driver::new(sim, step, run, plan.total_rounds(), params);
+    driver.set_status(Budget::Construct, plan.cons_status);
+    driver.set_status(Budget::Label, plan.label_status);
+    driver
 }
 
 #[cfg(test)]
@@ -2430,7 +1771,7 @@ mod tests {
         let g = generators::cluster_chain(4, 5);
         let params = Params::scaled(20);
         let out = broadcast_unknown(&g, NodeId::new(0), &msgs(4), &params, 2, BatchMode::FullK);
-        assert!(out.completion_round.is_some(), "T1.3 failed within {} rounds", out.rounds_budget);
+        assert!(out.completion_round.is_some(), "T1.3 failed within {} rounds", out.cap);
     }
 
     #[test]
@@ -2450,11 +1791,38 @@ mod tests {
         params.ring_width = Some(4);
         let out =
             broadcast_unknown(&g, NodeId::new(0), &msgs(6), &params, 4, BatchMode::Generations(3));
-        assert!(
-            out.completion_round.is_some(),
-            "pipelined T1.3 failed within {} rounds",
-            out.rounds_budget
-        );
+        assert!(out.completion_round.is_some(), "pipelined T1.3 failed within {} rounds", out.cap);
+    }
+
+    #[test]
+    fn unknown_topology_decodes_exact_payloads() {
+        // Completion counts decodable batches; this checks the decoded
+        // values themselves, node by node, including the batches the run
+        // stopped before harvesting.
+        let g = generators::cluster_chain(4, 5);
+        let params = Params::scaled(20);
+        let messages: Vec<BitVec> = (0..4u64).map(|i| BitVec::from_u64(i * 11 + 3, 24)).collect();
+        for seed in [2u64, 5, 11] {
+            let opts = MultiRunOpts::new(BatchMode::FullK);
+            let mut d = driver(
+                g.clone(),
+                NodeId::new(0),
+                &messages,
+                &params,
+                seed,
+                opts,
+                &FaultPlan::none(),
+            );
+            d.drive();
+            assert!(d.done(), "seed {seed}: the run did not complete");
+            for (i, n) in d.sim.nodes().iter().enumerate() {
+                assert_eq!(
+                    n.messages().as_deref(),
+                    Some(&messages[..]),
+                    "seed {seed}: node {i} decoded wrong payloads"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2471,7 +1839,6 @@ mod tests {
             }
         }
         assert_eq!(plan.batch_in_window(0, 1), None);
-        assert_eq!(plan.phase(plan.total_rounds()), GhkMultiPhase::Done);
     }
 
     #[test]
@@ -2482,11 +1849,11 @@ mod tests {
         let params = Params::scaled(36);
         let out = broadcast_unknown(&g, NodeId::new(0), &msgs(8), &params, 11, BatchMode::FullK);
         let done = out.completion_round.expect("completes");
-        assert!(done <= out.rounds_budget, "cap violated: {done} > {}", out.rounds_budget);
+        assert!(done <= out.cap, "cap violated: {done} > {}", out.cap);
         assert!(
-            done * 10 <= out.rounds_budget,
+            done * 10 <= out.cap,
             "adaptive run ({done}) should be at least 10x below the cap ({})",
-            out.rounds_budget
+            out.cap
         );
         assert!(out.phases.status > 0, "no status rounds were spent");
         assert_eq!(out.phases.total(), out.stats.rounds, "phase accounting must match the run");
@@ -2495,44 +1862,6 @@ mod tests {
             SchedAudit::default(),
             "audit counters lost (window harvests must accumulate them)"
         );
-    }
-
-    #[test]
-    fn fixed_path_wake_hints_match_dense() {
-        // The fixed-plan node opts into the wake-list engine; its trace must
-        // be identical to the dense sweep.
-        use radio_sim::graph::Traversal;
-        use radio_sim::DenseWrap;
-        let g = generators::cluster_chain(4, 5);
-        let params = Params::scaled(20);
-        let messages = msgs(4);
-        let d = g.bfs(NodeId::new(0)).max_level();
-        let plan = GhkMultiPlan::new(&params, d, 4, BatchMode::FullK);
-        let make = |id: NodeId| {
-            GhkMultiNode::new(
-                &params,
-                plan,
-                id.raw(),
-                32,
-                (id.index() == 0).then(|| messages.clone()),
-            )
-        };
-        let mut wake = Simulator::new(g.clone(), CollisionMode::Detection, 5, make);
-        let mut dense =
-            Simulator::new(g.clone(), CollisionMode::Detection, 5, |id| DenseWrap(make(id)));
-        wake.run(plan.fixed_rounds() + 1);
-        dense.run(plan.fixed_rounds() + 1);
-        assert_eq!(
-            (wake.stats().transmissions, wake.stats().deliveries, wake.stats().collisions),
-            (dense.stats().transmissions, dense.stats().deliveries, dense.stats().collisions),
-            "channel trace diverged"
-        );
-        for (i, (w, d)) in wake.nodes().iter().zip(dense.nodes()).enumerate() {
-            assert_eq!(w.messages(), d.0.messages(), "node {i} decoded differently");
-            assert_eq!(w.messages().as_deref(), Some(&messages[..]), "node {i} wrong payloads");
-        }
-        assert!(wake.stats().act_skips > 0, "no act was ever skipped");
-        assert_eq!(dense.stats().act_skips, 0);
     }
 
     #[test]

@@ -146,51 +146,26 @@ impl Params {
         self.max_rank() * self.rank_rounds()
     }
 
-    /// The ring width for the decomposition of Theorem 1.1 / 1.3, honoring
-    /// the override.
-    ///
-    /// The paper uses `D' = D / log^4 n`, which at paper scale
-    /// (`D ≥ log^6 n`) automatically satisfies `D' ≥ log^2 n`. That lower
-    /// bound is what keeps the total inter-ring handoff cost
-    /// (`Θ(log^2 n)` per ring) additive rather than multiplicative in `D`,
-    /// so at simulation scale we enforce it explicitly:
-    /// `D' = max(D / log^4 n, 2·log^2 n)`. With the floor, graphs whose
-    /// diameter is below `2·log^2 n` use a single ring — exactly the paper's
-    /// footnote 7 ("if D is small, just one ring is enough").
-    ///
-    /// The floor of 2 on overrides keeps the parity-slotted parallel ring
-    /// constructions interference-free.
-    pub fn ring_width_for(&self, diameter_bound: u32) -> u32 {
-        if let Some(w) = self.ring_width {
-            return w.max(2);
-        }
-        let log4 = (self.log_n as u64).pow(4).max(1);
-        let paper = u64::from(diameter_bound) / log4;
-        let floor = 2 * (self.log_n as u64).pow(2);
-        let w = paper.max(floor).max(2);
-        u32::try_from(w).expect("ring width fits u32")
-    }
-
     /// The period of the MMV schedule's fast-transmission pattern:
     /// `6·⌈log2 n⌉`.
     pub fn schedule_period(&self) -> u32 {
         6 * self.log_n
     }
 
-    /// The ring width for the *adaptive* Theorem 1.1 and 1.3 pipelines,
-    /// honoring the override.
+    /// The ring width for the decomposition of the adaptive Theorem 1.1 and
+    /// 1.3 pipelines, honoring the override.
     ///
-    /// [`Params::ring_width_for`] floors the width at `2·log^2 n` because with
-    /// fixed windows every inter-ring handoff costs its full worst-case
-    /// `Θ(log^2 n)` window, so rings must be wide enough to amortize it. The
-    /// adaptive pipeline closes each handoff window as soon as the next ring's
-    /// roots are informed (typically a handful of Decay rounds), which removes
-    /// that amortization argument: narrow rings now *win*, because every
+    /// The paper uses `D' = D / log^4 n`, which at paper scale
+    /// (`D ≥ log^6 n`) automatically satisfies `D' ≥ log^2 n` — the bound
+    /// that keeps fixed `Θ(log^2 n)` handoff windows additive in `D`. The
+    /// adaptive pipeline closes each handoff window as soon as the next
+    /// ring's roots are informed (typically a handful of Decay rounds), which
+    /// removes that amortization argument: narrow rings *win*, because every
     /// ring's GST forest is constructed in parallel (parity-slotted), making
     /// the construction phase proportional to the ring width rather than to
-    /// `D`. The floor therefore drops to 2, the minimum that keeps the
+    /// `D`. The floor is therefore 2, the minimum that keeps the
     /// parity-slotted interleave interference-free; at paper-scale diameters
-    /// the `D / log^4 n` term takes over exactly as before.
+    /// the `D / log^4 n` term takes over.
     pub fn adaptive_ring_width(&self, diameter_bound: u32) -> u32 {
         if let Some(w) = self.ring_width {
             return w.max(2);
@@ -235,25 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_width_floor_keeps_handoffs_additive() {
-        // log_n = 10. Small D: the 2·log^2 floor yields a single ring.
-        let p = Params::scaled(1024);
-        assert_eq!(p.ring_width_for(50), 200);
-
-        // Huge D: the paper's D / log^4 takes over.
-        assert_eq!(p.ring_width_for(3_000_000), 300);
-    }
-
-    #[test]
-    fn ring_width_override_wins() {
-        let mut p = Params::scaled(1024);
-        p.ring_width = Some(7);
-        assert_eq!(p.ring_width_for(1000), 7);
-        p.ring_width = Some(1);
-        assert_eq!(p.ring_width_for(1000), 2, "floor of 2 applies to overrides too");
-    }
-
-    #[test]
     fn tiny_n_has_floor() {
         let p = Params::scaled(1);
         assert!(p.log_n >= 1);
@@ -263,15 +219,12 @@ mod tests {
     #[test]
     fn adaptive_ring_width_prefers_narrow_rings() {
         // log_n = 10. Small D: the adaptive pipeline drops to the minimum
-        // width of 2 (parallel construction, pay-as-you-go handoffs) where
-        // the fixed pipeline would use one giant ring.
+        // width of 2 (parallel construction, pay-as-you-go handoffs).
         let p = Params::scaled(1024);
         assert_eq!(p.adaptive_ring_width(50), 2);
-        assert_eq!(p.ring_width_for(50), 200, "fixed formula unchanged");
 
-        // Huge D: both formulas agree on the paper's D / log^4.
+        // Huge D: the paper's D / log^4 takes over.
         assert_eq!(p.adaptive_ring_width(3_000_000), 300);
-        assert_eq!(p.ring_width_for(3_000_000), 300);
 
         // Overrides win, with the interference floor of 2.
         let mut q = p.clone();

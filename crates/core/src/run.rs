@@ -19,16 +19,15 @@
 //! |---|---|
 //! | run any algorithm on a declared topology, compare apples to apples | [`Scenario`] (this module) |
 //! | sweep seeds and aggregate | [`Scenario::seeds`] → [`SeedMatrix`] |
-//! | Theorem 1.1 on a pre-built [`Graph`], typed [`Ghk1Outcome`](crate::single_message::Ghk1Outcome) | [`broadcast_single`](crate::single_message::broadcast_single) and friends |
+//! | Theorem 1.1 on a pre-built [`Graph`] | [`broadcast_single`](crate::single_message::broadcast_single) and friends |
 //! | Theorem 1.2 with explicit [`KnownRunOpts`] | [`broadcast_known`](crate::multi_message::broadcast_known) |
 //! | Theorem 1.3 with explicit [`MultiRunOpts`] | [`broadcast_unknown_with`](crate::multi_message::broadcast_unknown_with) |
 //! | drive a protocol round by round | [`radio_sim::Simulator`] directly |
 //!
-//! The free functions are the engines this facade drives; they stay public
-//! for callers that need the algorithm-specific outcome types. A `Scenario`
-//! run is **bit-identical** to the corresponding free-function call with the
-//! same graph, parameters and seed — `tests/e2e_scenario.rs` pins this on
-//! both collision modes.
+//! The free functions are the engines this facade drives, and every one of
+//! them returns the same [`Outcome`]. A `Scenario` run is **bit-identical**
+//! to the corresponding free-function call with the same graph, parameters
+//! and seed — `tests/e2e_scenario.rs` pins this on both collision modes.
 //!
 //! ```
 //! use broadcast::{Scenario, TopologySpec, Workload};
@@ -48,11 +47,11 @@ use crate::adaptive::Pacing;
 use crate::decay::{DecayBroadcast, DecayMsg, MmvDecayBroadcast};
 use crate::multi_message::{
     broadcast_known_faulted, broadcast_unknown_on, BatchMode, GhkMultiPlan, KnownRunOpts,
-    MultiPhaseRounds, MultiRunOpts,
+    MultiRunOpts,
 };
 use crate::params::Params;
 use crate::schedule::{EmptyBehavior, SchedAudit, SlowKey};
-use crate::single_message::{broadcast_single_on, Ghk1Plan, PhaseRounds};
+use crate::single_message::{broadcast_single_on, Ghk1Plan};
 use radio_sim::graph::{bfs_layering, generators};
 use radio_sim::rng::stream_rng;
 use radio_sim::trace::RunStats;
@@ -166,6 +165,26 @@ impl TopologySpec {
     /// Wraps a pre-built graph as a [`TopologySpec::Custom`] spec.
     pub fn custom(graph: Graph) -> Self {
         TopologySpec::Custom(Arc::new(graph))
+    }
+
+    /// The number of nodes the spec builds, read off the spec alone (nothing
+    /// is built). Lets a front end reject a source outside the topology, or
+    /// an empty topology, before any run starts.
+    pub fn node_count(&self) -> usize {
+        match self {
+            TopologySpec::Path { n }
+            | TopologySpec::Star { n }
+            | TopologySpec::BinaryTree { n }
+            | TopologySpec::UnitDisk { n, .. }
+            | TopologySpec::Gnp { n, .. }
+            | TopologySpec::StreamedUnitDisk { n, .. }
+            | TopologySpec::StreamedGnp { n, .. } => *n,
+            TopologySpec::Grid { w, h } | TopologySpec::StreamedGrid { w, h } => {
+                w.saturating_mul(*h)
+            }
+            TopologySpec::ClusterChain { clusters, size } => clusters.saturating_mul(*size),
+            TopologySpec::Custom(g) => g.node_count(),
+        }
     }
 
     /// The streamed topology of a `Streamed*` spec, `None` for materialized
@@ -360,43 +379,6 @@ impl Phases {
             + self.repair
             + self.fallback
             + self.status
-    }
-}
-
-impl From<PhaseRounds> for Phases {
-    fn from(p: PhaseRounds) -> Self {
-        // Exhaustive destructuring (no `..`): adding a phase field to the
-        // pipeline accounting without mapping it here must not compile, or
-        // the `phases.total() == stats.rounds` invariant would silently
-        // break for facade callers.
-        let PhaseRounds { wave, construct, broadcast, handoff, repair, fallback, status } = p;
-        Phases {
-            wave,
-            construct,
-            label: 0,
-            disseminate: broadcast,
-            handoff,
-            repair,
-            fallback,
-            status,
-        }
-    }
-}
-
-impl From<MultiPhaseRounds> for Phases {
-    fn from(p: MultiPhaseRounds) -> Self {
-        // Exhaustive destructuring, same rationale as above.
-        let MultiPhaseRounds {
-            wave,
-            construct,
-            label,
-            disseminate,
-            handoff,
-            repair,
-            fallback,
-            status,
-        } = p;
-        Phases { wave, construct, label, disseminate, handoff, repair, fallback, status }
     }
 }
 
@@ -886,31 +868,16 @@ impl Scenario {
         let params = self.params.clone().unwrap_or_else(|| Params::scaled(topo.node_count()));
         let mode = self.mode.unwrap_or_else(|| self.workload.default_mode());
         match &self.workload {
-            Workload::Single { payload } => {
-                let out = broadcast_single_on(
-                    topo.clone(),
-                    self.source,
-                    *payload,
-                    &params,
-                    seed,
-                    mode,
-                    self.pacing,
-                    &self.faults,
-                );
-                Outcome {
-                    completion_round: out.completion_round,
-                    cap: out.plan.total_rounds(),
-                    phases: out.phases.into(),
-                    stats: out.stats,
-                    audit: out.audit,
-                    peak_state_bytes: out.peak_state_bytes,
-                    detail: Detail::Single {
-                        plan: out.plan,
-                        fallbacks: out.fallbacks,
-                        fallback_entry: out.fallback_entry,
-                    },
-                }
-            }
+            Workload::Single { payload } => broadcast_single_on(
+                topo.clone(),
+                self.source,
+                *payload,
+                &params,
+                seed,
+                mode,
+                self.pacing,
+                &self.faults,
+            ),
             Workload::MultiKnown { messages, slow_key, empty } => {
                 let graph = topo.as_graph().expect(
                     "Workload::MultiKnown builds its GST centrally from global \
@@ -922,7 +889,7 @@ impl Scenario {
                 if let Some(cap) = self.round_cap {
                     opts = opts.with_max_rounds(cap);
                 }
-                let out = broadcast_known_faulted(
+                broadcast_known_faulted(
                     graph,
                     self.source,
                     messages,
@@ -930,23 +897,14 @@ impl Scenario {
                     seed,
                     opts,
                     &self.faults,
-                );
-                Outcome {
-                    completion_round: out.completion_round,
-                    cap: out.rounds_budget,
-                    phases: out.phases.into(),
-                    stats: out.stats,
-                    audit: out.audit,
-                    peak_state_bytes: out.peak_state_bytes,
-                    detail: Detail::MultiKnown { slow_key: *slow_key, empty: *empty },
-                }
+                )
             }
             Workload::MultiUnknown { messages, batch } => {
                 let opts = MultiRunOpts::new(*batch)
                     .with_mode(mode)
                     .with_pacing(self.pacing)
                     .with_fec_repair(self.fec_repair);
-                let out = broadcast_unknown_on(
+                broadcast_unknown_on(
                     topo.clone(),
                     self.source,
                     messages,
@@ -954,27 +912,7 @@ impl Scenario {
                     seed,
                     opts,
                     &self.faults,
-                );
-                // The engine derives the same plan internally; recompute it
-                // here (deterministic) so the typed detail carries the full
-                // ring/batch geometry, not just the cap. The cap check below
-                // keeps this derivation honest if the engine's ever changes.
-                let d = bfs_layering(topo, &[self.source]).max_level();
-                let plan = GhkMultiPlan::new_adaptive(&params, d.max(1), messages.len(), *batch);
-                assert_eq!(
-                    plan.total_rounds(),
-                    out.rounds_budget,
-                    "facade plan derivation diverged from the engine's"
-                );
-                Outcome {
-                    completion_round: out.completion_round,
-                    cap: out.rounds_budget,
-                    phases: out.phases.into(),
-                    stats: out.stats,
-                    audit: out.audit,
-                    peak_state_bytes: out.peak_state_bytes,
-                    detail: Detail::MultiUnknown { plan, fallback_entry: out.fallback_entry },
-                }
+                )
             }
             Workload::Baseline(algo) => self.run_baseline(topo, &params, mode, seed, *algo),
         }
@@ -1108,43 +1046,31 @@ mod tests {
     }
 
     #[test]
+    fn node_count_matches_the_built_graph() {
+        let specs = [
+            TopologySpec::Path { n: 9 },
+            TopologySpec::Grid { w: 3, h: 4 },
+            TopologySpec::Star { n: 7 },
+            TopologySpec::ClusterChain { clusters: 3, size: 4 },
+            TopologySpec::BinaryTree { n: 15 },
+            TopologySpec::UnitDisk { n: 20, radius: 0.5, graph_seed: 3 },
+            TopologySpec::Gnp { n: 16, p: 0.3, graph_seed: 4 },
+            TopologySpec::custom(generators::path(5)),
+            TopologySpec::StreamedGrid { w: 5, h: 2 },
+            TopologySpec::StreamedUnitDisk { n: 30, radius: 0.4, graph_seed: 1 },
+            TopologySpec::StreamedGnp { n: 12, p: 0.5, graph_seed: 2 },
+        ];
+        for spec in specs {
+            assert_eq!(spec.node_count(), spec.build().node_count(), "{}", spec.label());
+        }
+        assert_eq!(TopologySpec::Path { n: 0 }.node_count(), 0);
+    }
+
+    #[test]
     fn randomized_specs_build_deterministically() {
         let spec = TopologySpec::UnitDisk { n: 30, radius: 0.3, graph_seed: 11 };
         let (a, b) = (spec.build(), spec.build());
         assert_eq!(a.edge_count(), b.edge_count(), "same spec must build the same graph");
-    }
-
-    #[test]
-    fn phases_roundtrip_from_both_pipelines() {
-        let single = PhaseRounds {
-            wave: 1,
-            construct: 2,
-            broadcast: 3,
-            handoff: 4,
-            repair: 8,
-            fallback: 6,
-            status: 5,
-        };
-        let p: Phases = single.into();
-        assert_eq!(p.total(), single.total());
-        assert_eq!(p.disseminate, 3);
-        assert_eq!(p.repair, 8);
-        assert_eq!(p.fallback, 6);
-        let multi = MultiPhaseRounds {
-            wave: 1,
-            construct: 2,
-            label: 3,
-            disseminate: 4,
-            handoff: 5,
-            repair: 9,
-            fallback: 7,
-            status: 6,
-        };
-        let p: Phases = multi.into();
-        assert_eq!(p.total(), multi.total());
-        assert_eq!(p.label, 3);
-        assert_eq!(p.repair, 9);
-        assert_eq!(p.fallback, 7);
     }
 
     #[test]

@@ -48,9 +48,11 @@
 //! node state or topology — it plays the part of the `O(D)`-round echo /
 //! termination-detection subprotocol such adaptive algorithms run in-band,
 //! with the echo cost folded into the status-round accounting. Nodes learn
-//! the cursor through a shared [`Step`] cell, modelling the outcome of that
+//! the cursor through a shared [`StepCell`], modelling the outcome of that
 //! same echo; the [`radio_sim::Protocol`] trait stays pure and leaks no
-//! topology.
+//! topology. The driver itself is the one both adaptive pipelines share
+//! (see [`crate::adaptive`]); this module supplies the phase sequence, the
+//! probes and the node.
 //!
 //! The worst case is still enforced: every phase is hard-capped by its
 //! paper-sized window, and [`Ghk1Plan::total_rounds`] (the sum of all caps,
@@ -58,19 +60,19 @@
 //! run — `tests/regression_rounds.rs` asserts it.
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, drive_construction, vote_quiet, Advance, ConsDriver,
-    ConsProbe, Ladder, Pacing, Segment, WindowEnd, HANDOFF_RETRIES,
+    answer_cons_probe, cons_status_budget, narrow, Advance, Budget, ConsProbe, Driver, Pacing,
+    Pipeline, Segment, Step, StepCell, WindowEnd,
 };
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
 use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
+use crate::run::{Detail, Outcome};
 use crate::schedule::{
     EmptyBehavior, MmvScheduleNode, SchedAudit, SchedLabels, SchedMsg, ScheduleConfig, SlowKey,
 };
 use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
-use radio_sim::trace::{RoundStats, RunStats};
 use radio_sim::{
     Action, CollisionMode, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator, Topology,
     Wake,
@@ -200,7 +202,7 @@ impl Advance for PhasePos {
 pub enum Probe {
     /// Wave phase: "did the frontier reach you since the last status round?"
     WaveProgress,
-    /// A construction status probe (shared with the Theorem 1.3 driver).
+    /// A construction status probe (shared with the Theorem 1.3 pipeline).
     Cons(ConsProbe),
     /// Broadcast window: "a node of `ring` still missing the message?"
     RingUninformed {
@@ -226,30 +228,6 @@ pub enum Probe {
     /// ring) still answer.
     Uninformed,
 }
-
-/// The shared per-round directive: what kind of round the pipeline is in.
-///
-/// All nodes observe the same status-round transcript (via the idealized
-/// echo, see the module docs), so they all hold the same cursor; the cell
-/// materializes that shared knowledge without touching the `Protocol` trait.
-///
-/// Work rounds are published as whole [`Segment`]s (start round + schedule
-/// geometry, set once per batch): nodes resolve a round's [`PhasePos`] from
-/// the segment, and their wake hints may sleep them through the rounds of
-/// the segment in which they are provably inert — never past its end, so
-/// every cursor change finds all nodes awake (see `crate::adaptive`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// Before the first round.
-    Idle,
-    /// A published segment of work rounds of the current phase.
-    Work(Segment<PhasePos>),
-    /// A status round probing for pending work.
-    Status(Probe),
-}
-
-/// Shared handle to the pipeline's current [`Step`].
-pub type StepCell = Rc<Cell<Step>>;
 
 /// The worst-case phase budgets of the pipeline — the adaptive run's hard
 /// caps. [`Ghk1Plan::total_rounds`] is the guaranteed-completion bound of
@@ -336,7 +314,7 @@ pub struct Ghk1Node {
     id: u32,
     params: Rc<Params>,
     plan: Rc<Ghk1Plan>,
-    step: StepCell,
+    step: StepCell<PhasePos, Probe>,
     wave: CollisionWaveLayering,
     /// Frontier reached this node since the last wave status round.
     wave_dirty: bool,
@@ -364,7 +342,7 @@ impl Ghk1Node {
     pub fn new(
         params: Rc<Params>,
         plan: Rc<Ghk1Plan>,
-        step: StepCell,
+        step: StepCell<PhasePos, Probe>,
         id: u32,
         message: Option<u64>,
     ) -> Self {
@@ -400,24 +378,16 @@ impl Ghk1Node {
         self.message.is_some() || self.sched.as_ref().is_some_and(|s| s.is_complete())
     }
 
-    /// The message, once held.
+    /// The message, once held. A payload the schedule decoded but the node
+    /// has not harvested yet is decoded on the spot, matching
+    /// [`Ghk1Node::has_message`].
     pub fn message(&self) -> Option<u64> {
-        self.message
+        self.message.or_else(|| self.decoded())
     }
 
     /// The node's BFS layer, once learned.
     pub fn layer(&self) -> Option<u32> {
         self.wave.level()
-    }
-
-    /// Schedule audit counters from the broadcast phase: the counters
-    /// absorbed from retired schedule state plus any still-live schedule.
-    pub fn audit(&self) -> SchedAudit {
-        let mut a = self.audit_acc;
-        if let Some(s) = &self.sched {
-            a.absorb(s.audit());
-        }
-        a
     }
 
     /// Construction fallback/orphan accounting (kept after the construction
@@ -426,31 +396,22 @@ impl Ghk1Node {
         self.cons.as_ref().map(|c| c.stats()).or(self.cons_stats)
     }
 
-    /// Resident bytes of this node's protocol state, at struct granularity:
-    /// the shell plus each live boxed sub-state at its `size_of`. Internal
-    /// heap of the sub-states (recruiting buffers, decoder rows) is excluded
-    /// on both sides of the streamed-vs-materialized comparison, as are the
-    /// engine's own `O(n)` buffers — see the README's memory-model section.
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.cons.as_ref().map_or(0, |_| std::mem::size_of::<GstConstructionNode>())
-            + self.sched.as_ref().map_or(0, |_| std::mem::size_of::<MmvScheduleNode>())
+    /// The payload the live schedule node decodes, if it is complete.
+    fn decoded(&self) -> Option<u64> {
+        let decoded = self.sched.as_ref()?.decoder().decode()?;
+        let mut value = 0u64;
+        for (b, bit) in (0..64).zip(0..decoded[0].len().min(64)) {
+            if decoded[0].get(bit) {
+                value |= 1 << b;
+            }
+        }
+        Some(value)
     }
 
     /// Harvests the decoded message out of the schedule node, if complete.
     fn harvest(&mut self) {
         if self.message.is_none() {
-            if let Some(s) = &self.sched {
-                if let Some(decoded) = s.decoder().decode() {
-                    let mut value = 0u64;
-                    for (b, bit) in (0..64).zip(0..decoded[0].len().min(64)) {
-                        if decoded[0].get(bit) {
-                            value |= 1 << b;
-                        }
-                    }
-                    self.message = Some(value);
-                }
-            }
+            self.message = self.decoded();
         }
     }
 
@@ -750,17 +711,16 @@ impl Protocol for Ghk1Node {
             Step::Idle | Step::Status(_) => return,
             Step::Work(seg) => seg.pos_at(round).expect("observation within published segment"),
         };
+        let gst = |m: &Ghk1Msg| match m {
+            Ghk1Msg::Gst(g) => Some(*g),
+            _ => None,
+        };
         match pos {
             PhasePos::Wave { offset } => {
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Wave(b) => Observation::packet(*b),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |m| match m {
+                    Ghk1Msg::Wave(b) => Some(*b),
+                    _ => None,
+                });
                 let was_layered = self.wave.level().is_some();
                 self.wave.observe(offset, mapped, rng);
                 if !was_layered && self.wave.level().is_some() {
@@ -772,17 +732,8 @@ impl Protocol for Ghk1Node {
                 if offset % 2 != u64::from(ring % 2) {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Gst(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
                 if let Some(c) = self.cons.as_mut() {
-                    c.observe(offset / 2, mapped, rng);
+                    c.observe(offset / 2, narrow(&obs, gst), rng);
                 }
             }
             PhasePos::Broadcast { ring, offset } => {
@@ -790,73 +741,39 @@ impl Protocol for Ghk1Node {
                 if my_ring != ring {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Sched(m) => Observation::packet(m.clone()),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |m| match m {
+                    Ghk1Msg::Sched(s) => Some(s.clone()),
+                    _ => None,
+                });
                 if let Some(s) = self.sched.as_mut() {
                     s.observe(offset, mapped, rng);
                 }
             }
             PhasePos::Handoff { ring, .. } => {
                 let Some((my_ring, ring_level)) = self.ring else { return };
-                if my_ring == ring + 1 && ring_level == 0 && self.message.is_none() {
-                    if let Observation::Message(p) = &obs {
-                        if let Ghk1Msg::Handoff(m) = &**p {
-                            self.message = Some(*m);
-                        }
-                    }
+                if my_ring == ring + 1 && ring_level == 0 {
+                    self.adopt(&obs);
                 }
             }
             PhasePos::RepairConstruct { ring, offset } => {
                 if self.ring.is_none_or(|(r, _)| r != ring) {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Gst(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
                 if let Some(c) = self.cons.as_mut() {
-                    c.observe(offset, mapped, rng);
+                    c.observe(offset, narrow(&obs, gst), rng);
                 }
             }
             PhasePos::Regional { ring, .. } => {
                 // Region nodes adopt, and so do ring-less strays — the
                 // churn/mobility victims the regional rung exists for.
                 self.ensure_ring();
-                let in_region = match self.ring {
-                    Some((r, _)) => r + 1 >= ring && r <= ring.saturating_add(1),
-                    None => true,
-                };
-                if in_region && self.message.is_none() {
-                    if let Observation::Message(p) = &obs {
-                        if let Ghk1Msg::Handoff(m) = &**p {
-                            self.message = Some(*m);
-                        }
-                    }
+                if self.ring.is_none_or(|(r, _)| r + 1 >= ring && r <= ring.saturating_add(1)) {
+                    self.adopt(&obs);
                 }
             }
-            PhasePos::Fallback { .. } => {
-                // Ring-agnostic adoption: the whole point of the fallback is
-                // reaching nodes the faulted setup phases left without a ring.
-                if self.message.is_none() {
-                    if let Observation::Message(p) = &obs {
-                        if let Ghk1Msg::Handoff(m) = &**p {
-                            self.message = Some(*m);
-                        }
-                    }
-                }
-            }
+            // Ring-agnostic adoption: the whole point of the fallback is
+            // reaching nodes the faulted setup phases left without a ring.
+            PhasePos::Fallback { .. } => self.adopt(&obs),
         }
     }
 }
@@ -913,12 +830,7 @@ impl Ghk1Node {
                 self.harvest();
                 let Some((my_ring, ring_level)) = self.ring else { return Action::Listen };
                 let outer = my_ring == ring && ring_level == self.plan.ring_width - 1;
-                if let Some(m) = self.message {
-                    if outer && self.decay.fires(offset, rng) {
-                        return Action::Transmit(Ghk1Msg::Handoff(m));
-                    }
-                }
-                Action::Listen
+                self.flood(outer, offset, rng)
             }
             PhasePos::RepairConstruct { ring, offset } => {
                 self.ensure_cons();
@@ -933,554 +845,221 @@ impl Ghk1Node {
             }
             PhasePos::Regional { ring, offset } => {
                 self.harvest();
-                let Some((my_ring, _)) = self.ring else { return Action::Listen };
-                if my_ring + 1 < ring || my_ring > ring.saturating_add(1) {
-                    return Action::Listen;
-                }
-                if let Some(m) = self.message {
-                    if self.decay.fires(offset, rng) {
-                        return Action::Transmit(Ghk1Msg::Handoff(m));
-                    }
-                }
-                Action::Listen
+                let in_region =
+                    self.ring.is_some_and(|(r, _)| r + 1 >= ring && r <= ring.saturating_add(1));
+                self.flood(in_region, offset, rng)
             }
             PhasePos::Fallback { offset } => {
                 self.harvest();
-                if let Some(m) = self.message {
-                    if self.decay.fires(offset, rng) {
-                        return Action::Transmit(Ghk1Msg::Handoff(m));
-                    }
-                }
-                Action::Listen
+                self.flood(true, offset, rng)
+            }
+        }
+    }
+
+    /// A holder allowed to (`gate`) floods the payload on the Decay schedule;
+    /// the Decay coin is drawn only for gated holders.
+    fn flood(&mut self, gate: bool, offset: u64, rng: &mut SmallRng) -> Action<Ghk1Msg> {
+        match self.message {
+            Some(m) if gate && self.decay.fires(offset, rng) => {
+                Action::Transmit(Ghk1Msg::Handoff(m))
+            }
+            _ => Action::Listen,
+        }
+    }
+
+    /// Takes a heard handoff payload as the message, unless one is held.
+    fn adopt(&mut self, obs: &Observation<Ghk1Msg>) {
+        if let (None, Observation::Message(p)) = (self.message, obs) {
+            if let Ghk1Msg::Handoff(m) = &**p {
+                self.message = Some(*m);
             }
         }
     }
 }
 
-/// Round accounting of one adaptive run, by phase. Work counters tally the
-/// rounds actually spent inside each phase; `status` tallies every dedicated
-/// beep round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseRounds {
-    /// Collision-wave work rounds.
-    pub wave: u64,
-    /// Construction work rounds (2-slotted).
-    pub construct: u64,
-    /// In-ring broadcast work rounds, summed over rings.
-    pub broadcast: u64,
-    /// Inter-ring handoff work rounds, summed over handoffs.
-    pub handoff: u64,
-    /// Recovery-ladder work rounds (rung-1 ring-local repair and rung-2
-    /// regional re-dissemination); 0 unless a handoff failed on a faulted
-    /// run.
-    pub repair: u64,
-    /// No-knowledge fallback work rounds (0 unless the driver armed the
-    /// recovery flood on a faulted run).
-    pub fallback: u64,
-    /// Status-beep rounds, all phases.
-    pub status: u64,
-}
+impl Pipeline for Ghk1Node {
+    type Pos = PhasePos;
+    type Probe = Probe;
+    type Plan = Ghk1Plan;
+    const FALLBACK: PhasePos = PhasePos::Fallback { offset: 0 };
 
-impl PhaseRounds {
-    /// Total rounds executed.
-    pub fn total(&self) -> u64 {
-        self.wave
-            + self.construct
-            + self.broadcast
-            + self.handoff
-            + self.repair
-            + self.fallback
-            + self.status
+    fn is_complete(&self) -> bool {
+        self.has_message()
     }
 
-    /// One-time setup cost (layering + GST construction work rounds).
-    pub fn setup(&self) -> u64 {
-        self.wave + self.construct
-    }
-}
-
-/// Outcome of a full pipeline run.
-#[derive(Clone, Debug)]
-pub struct Ghk1Outcome {
-    /// Round at which every node held the message, `None` on failure.
-    pub completion_round: Option<u64>,
-    /// The executed plan (worst-case caps).
-    pub plan: Ghk1Plan,
-    /// Rounds actually spent, by phase.
-    pub phases: PhaseRounds,
-    /// Channel statistics of the run.
-    pub stats: RunStats,
-    /// Aggregated schedule audit.
-    pub audit: SchedAudit,
-    /// Nodes that used the construction fallback.
-    pub fallbacks: usize,
-    /// Round at which the driver armed the rung-3 no-knowledge Decay flood,
-    /// `None` if the run never fell back that far.
-    pub fallback_entry: Option<u64>,
-    /// Peak resident bytes of topology plus protocol state, sampled at phase
-    /// boundaries (struct-level accounting: topology representation, node
-    /// shells, live boxed sub-states; engine buffers and sub-state internal
-    /// heap excluded on all paths — see the README's memory-model section).
-    pub peak_state_bytes: usize,
-}
-
-/// The adaptive pipeline driver: owns the simulator and the shared phase
-/// cursor, advances phases on status-round quiescence, and hard-caps every
-/// phase at its [`Ghk1Plan`] budget.
-struct Driver<T: Topology> {
-    sim: Simulator<Ghk1Node, T>,
-    step: StepCell,
-    plan: Rc<Ghk1Plan>,
-    beep: u64,
-    quiescence_slack: u32,
-    cons_status_left: u64,
-    /// Status budget for rung-1 repair construction; refreshed per repair.
-    repair_status_left: u64,
-    phases: PhaseRounds,
-    completion: Option<u64>,
-    /// Whether the recovery paths (status voting, handoff retry, the staged
-    /// ladder) are armed — true exactly when the simulator carries a fault
-    /// plan, so `FaultPlan::none()` runs stay bit-identical by construction.
-    recovery: bool,
-    /// Rung bookkeeping for the staged recovery ladder.
-    ladder: Ladder,
-    /// Peak of the phase-boundary node-state samples (see `sample_state`).
-    peak_nodes: usize,
-}
-
-impl<T: Topology> Driver<T> {
-    /// Moves the shared cursor: every cell change force-wakes all nodes
-    /// (their hints were computed against the outgoing cell).
-    fn publish(&mut self, step: Step) {
-        self.sim.wake_all();
-        self.step.set(step);
+    /// The shell plus each live boxed sub-state at its `size_of`. Internal
+    /// heap of the sub-states (recruiting buffers, decoder rows) is excluded
+    /// on both sides of the streamed-vs-materialized comparison, as are the
+    /// engine's own `O(n)` buffers.
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.cons.as_ref().map_or(0, |_| std::mem::size_of::<GstConstructionNode>())
+            + self.sched.as_ref().map_or(0, |_| std::mem::size_of::<MmvScheduleNode>())
     }
 
-    /// Samples the resident protocol state (an `O(n)` sweep, run only at
-    /// phase boundaries) and folds it into the peak. The phase structure
-    /// makes boundary sampling exact enough: sub-states are created and
-    /// retired only at the boundaries the driver itself publishes.
-    fn sample_state(&mut self) {
-        let nodes: usize = self.sim.nodes().iter().map(Ghk1Node::resident_bytes).sum();
-        self.peak_nodes = self.peak_nodes.max(nodes);
-    }
-
-    fn exec(&mut self, step: Step) -> RoundStats {
-        self.publish(step);
-        let stats = self.sim.step();
-        // `has_message` flips only when a packet arrives (a handoff payload
-        // or the decoding delivery of the schedule), so the O(n) all-nodes
-        // completion scan is needed only after delivery rounds.
-        if self.completion.is_none()
-            && stats.deliveries > 0
-            && self.sim.nodes().iter().all(Ghk1Node::has_message)
-        {
-            self.completion = Some(self.sim.round());
+    /// The counters absorbed from retired schedule state plus any still-live
+    /// schedule.
+    fn audit(&self) -> SchedAudit {
+        let mut a = self.audit_acc;
+        if let Some(s) = &self.sched {
+            a.absorb(s.audit());
         }
-        stats
+        a
     }
 
-    /// Publishes `len` consecutive work rounds starting at phase position
-    /// `pos` as one [`Segment`] and runs them through the engine's wake fast
-    /// path. Stops after any round that delivered a packet to re-evaluate
-    /// completion (exactly the per-step driver's delivery-gated scan), then
-    /// resumes the remainder; aborts once complete. Returns the number of
-    /// rounds actually executed.
-    fn exec_segment(&mut self, pos: PhasePos, len: u64) -> u64 {
-        let start = self.sim.round();
-        self.publish(Step::Work(Segment { start, len, pos }));
-        let mut run = 0u64;
-        while run < len && !self.done() {
-            let seg = self.sim.run_segment(len - run, true);
-            run += seg.rounds;
-            if seg.stopped_on_delivery
-                && self.completion.is_none()
-                && self.sim.nodes().iter().all(Ghk1Node::has_message)
-            {
-                self.completion = Some(self.sim.round());
-            }
-        }
-        run
-    }
-
-    fn done(&self) -> bool {
-        self.completion.is_some()
-    }
-
-    /// Runs one status round; `true` iff the probe quiesced.
-    ///
-    /// On a fault-free run the verdict is the single-round channel census
-    /// ("did anybody transmit?") — bit-identical to the pre-voting driver.
-    /// With faults armed, a fault-touched read is demoted to the channel's
-    /// listener-side rendering and majority-voted over a small window of
-    /// re-probes (see [`vote_quiet`]); consuming probes (the take-style
-    /// wave-progress and new-activation reads) are never re-probed.
-    fn quiet(&mut self, probe: Probe) -> bool {
-        self.phases.status += 1;
-        let first = self.exec(Step::Status(probe));
-        if !self.recovery {
-            return first.transmitters == 0;
-        }
-        let votable = !matches!(
+    fn votable(probe: Probe) -> bool {
+        !matches!(
             probe,
             Probe::WaveProgress
                 | Probe::Cons(ConsProbe::NewActivation)
                 | Probe::RepairCons { probe: ConsProbe::NewActivation, .. }
-        );
-        let v = vote_quiet(first, votable, || {
-            self.phases.status += 1;
-            // Extra vote rounds stay charged against the construction status
-            // budget, so the skip loop's round accounting cannot outgrow its
-            // cap just because votes fired.
-            match probe {
-                Probe::Cons(_) => {
-                    self.cons_status_left = self.cons_status_left.saturating_sub(1);
-                }
-                Probe::RepairCons { .. } => {
-                    self.repair_status_left = self.repair_status_left.saturating_sub(1);
-                }
-                _ => {}
-            }
-            self.exec(Step::Status(probe))
-        });
-        if v.overturned {
-            self.sim.stats_mut().votes_overturned += 1;
-        }
-        v.quiet
+        )
     }
 
-    /// Rounds left under the plan's worst-case cap — the pool the recovery
-    /// paths (handoff retries, the fallback flood) may draw from without
-    /// breaking the `completion <= total_rounds` guarantee.
-    fn budget_left(&self) -> u64 {
-        self.plan.total_rounds().saturating_sub(self.sim.round())
-    }
-
-    /// One adaptive open-ended window: a `beep_interval`-round work segment,
-    /// one status round, until the probe has stayed quiet for
-    /// `quiescence_slack` consecutive status rounds or `budget` (work +
-    /// status rounds, including any vote re-probes) is exhausted. The wave,
-    /// broadcast, handoff and fallback phases all share this loop.
-    fn window(
-        &mut self,
-        budget: u64,
-        probe: Probe,
-        pos_at: impl Fn(u64) -> PhasePos,
-        count: fn(&mut PhaseRounds) -> &mut u64,
-    ) -> WindowEnd {
-        let slack = self.quiescence_slack.max(1);
-        let start = self.sim.round();
-        let mut offset = 0u64;
-        let mut quiet_streak = 0u32;
-        let spent = |sim: &Simulator<Ghk1Node, T>| sim.round() - start;
-        while spent(&self.sim) < budget && !self.done() {
-            let run = self.exec_segment(pos_at(offset), self.beep.min(budget - spent(&self.sim)));
-            *count(&mut self.phases) += run;
-            offset += run;
-            if spent(&self.sim) >= budget || self.done() {
-                break;
-            }
-            if self.quiet(probe) {
-                quiet_streak += 1;
-                if quiet_streak >= slack {
-                    return WindowEnd::Quiesced;
-                }
-            } else {
-                quiet_streak = 0;
-            }
-        }
-        if self.done() {
-            WindowEnd::Quiesced
-        } else {
-            WindowEnd::Exhausted
+    fn vote_budget(probe: Probe) -> Option<Budget> {
+        match probe {
+            Probe::Cons(_) => Some(Budget::Construct),
+            Probe::RepairCons { .. } => Some(Budget::Repair),
+            _ => None,
         }
     }
 
-    /// Hooks for the shared construction driver (`crate::adaptive`).
-    fn cons_quiet_impl(&mut self, probe: ConsProbe) -> Option<bool> {
-        if self.cons_status_left == 0 {
-            return None;
-        }
-        self.cons_status_left -= 1;
-        Some(self.quiet(Probe::Cons(probe)))
-    }
-
-    /// Rung 1 of the recovery [`Ladder`]: re-run the *failed ring's*
-    /// construction and dissemination with fresh budget, keeping every other
-    /// ring's GST intact. The failed ring's nodes drop their schedule state
-    /// (harvesting any pending delivery first), rebuild it through the shared
-    /// quiescence-skipping construction loop restricted to that ring, then
-    /// replay the ring's broadcast window and a fresh handoff window — all
-    /// drawn from what remains of the worst-case pool. Returns `true` iff the
-    /// run completed or the replayed handoff quiesced.
-    fn ring_repair(&mut self, ring: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
-        }
-        self.ladder.ring();
-        self.sim.stats_mut().ring_repairs += 1;
-        self.repair_status_left = self.plan.cons_status;
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).repair_ring(ring);
-        }
-        let cons = self.plan.cons;
-        drive_construction(&mut RingRepair { drv: self, ring }, cons);
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_ring(ring);
-        }
-        if self.done() {
-            return true;
-        }
-        let bcast = self.plan.bcast_window.min(self.budget_left());
-        let _ = self.window(
-            bcast,
-            Probe::RingUninformed { ring },
-            |offset| PhasePos::Broadcast { ring, offset },
-            |p| &mut p.repair,
-        );
-        if self.done() {
-            return true;
-        }
-        if ring + 1 >= self.plan.ring_count {
-            return false;
-        }
-        let budget = self.plan.handoff_window.min(self.budget_left());
-        self.window(
-            budget,
-            Probe::RootsUninformed { ring: ring + 1 },
-            |offset| PhasePos::Handoff { ring, offset },
-            |p| &mut p.repair,
-        ) == WindowEnd::Quiesced
-    }
-
-    /// Rung 2 of the recovery [`Ladder`]: regional re-dissemination — every
-    /// holder in the failed ring ± 1 floods the payload on the Decay
-    /// schedule, covering churn/mobility that moved the frontier across ring
-    /// boundaries. Budgeted at two handoff windows from the remaining pool.
-    fn regional_repair(&mut self, ring: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
-        }
-        self.ladder.regional();
-        self.sim.stats_mut().regional_repairs += 1;
-        let budget = (2 * self.plan.handoff_window).min(self.budget_left());
-        let probe = if ring + 1 < self.plan.ring_count {
-            Probe::RootsUninformed { ring: ring + 1 }
-        } else {
-            Probe::RingUninformed { ring }
-        };
-        self.window(budget, probe, |offset| PhasePos::Regional { ring, offset }, |p| &mut p.repair)
-            == WindowEnd::Quiesced
-    }
-
-    /// Climbs rungs 1–2 for the failed ring; `true` iff a rung recovered the
-    /// handoff (or the run completed outright).
-    fn climb_ladder(&mut self, ring: u32) -> bool {
-        if self.ring_repair(ring) || self.done() {
-            return true;
-        }
-        self.regional_repair(ring) || self.done()
-    }
-
-    fn run(mut self) -> Ghk1Outcome {
-        if self.sim.nodes().iter().all(Ghk1Node::has_message) {
-            self.completion = Some(0);
-        }
-        if !self.done() {
+    /// The collision wave, the parallel per-ring construction, then ring by
+    /// ring: the ring's broadcast window and the handoff to the next ring's
+    /// roots. Anchors recovery at the last ring.
+    fn phases<T: Topology>(d: &mut Driver<Self, T>) -> u32 {
+        let plan = d.plan;
+        if !d.done() {
             // Phase 1: the collision wave, closed `quiescence_slack` silent
             // status rounds after the frontier stops advancing.
-            let _ = self.window(
-                self.plan.wave_budget,
+            let _ = d.window(
+                plan.wave_budget,
                 Probe::WaveProgress,
+                false,
                 |offset| PhasePos::Wave { offset },
                 |p| &mut p.wave,
             );
         }
-        if !self.done() {
+        if !d.done() {
             // Phase 2: the shared quiescence-skipping construction driver.
-            let cons = self.plan.cons;
-            drive_construction(&mut self, cons);
+            d.construct(plan.cons, Budget::Construct, Probe::Cons, |offset| PhasePos::Construct {
+                offset,
+            });
         }
         // All rings constructed in parallel, so this is the run's resident
         // peak: every layered node holds live construction state.
-        self.sample_state();
+        d.sample_state();
         // End-of-construction echo: every node runs its local block epilogue
         // (pending recruiting results + unassigned-blue fallback), then
         // retires its construction state (labels move inline). The fixed
         // schedule reaches this state lazily through later blocks' rounds;
         // the adaptive driver may have skipped those blocks entirely.
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_construction();
-        }
-        'rings: for ring in 0..self.plan.ring_count {
-            if self.done() {
+        d.echo(Ghk1Node::finalize_construction);
+        for ring in 0..plan.ring_count {
+            if d.done() {
                 break;
             }
-            let _ = self.window(
-                self.plan.bcast_window,
+            let _ = d.window(
+                plan.bcast_window,
                 Probe::RingUninformed { ring },
+                false,
                 |offset| PhasePos::Broadcast { ring, offset },
-                |p| &mut p.broadcast,
+                |p| &mut p.disseminate,
             );
             // The ring's schedule state is live now; sample before anything
             // retires it.
-            self.sample_state();
-            if ring + 1 < self.plan.ring_count && !self.done() {
-                // Handoff with retry-and-backoff: a window that exhausts its
-                // budget while the receiving roots still beep is a *failed*
-                // handoff — re-publish it with a doubled budget (drawn from
-                // the worst-case pool) instead of advancing the cursor into
-                // a dead phase. Retries exhausting climbs the recovery
-                // ladder for *this* ring (rung-1 ring-local repair, then
-                // rung-2 regional re-dissemination); only both rungs failing
-                // abandons the ring loop toward the rung-3 fallback,
-                // preserving the remaining budget.
-                let mut budget = self.plan.handoff_window;
-                let mut attempt = 0u32;
-                // Once the ladder has fired, the channel has already proven
-                // persistently degraded — later failed handoffs skip the
-                // doubling retry schedule and climb immediately, instead of
-                // burning the full backoff pool per ring.
-                let max_retries = if self.ladder.ring_attempted() { 0 } else { HANDOFF_RETRIES };
-                loop {
-                    let end = self.window(
-                        budget,
-                        Probe::RootsUninformed { ring: ring + 1 },
-                        |offset| PhasePos::Handoff { ring, offset },
-                        |p| &mut p.handoff,
-                    );
-                    if end == WindowEnd::Quiesced || !self.recovery {
-                        break;
-                    }
-                    if attempt >= max_retries {
-                        if self.climb_ladder(ring) {
-                            break;
-                        }
-                        break 'rings;
-                    }
-                    attempt += 1;
-                    budget = (budget * 2).min(self.budget_left());
-                    if budget == 0 {
-                        if self.climb_ladder(ring) {
-                            break;
-                        }
-                        break 'rings;
-                    }
-                    self.sim.stats_mut().retries += 1;
-                }
+            d.sample_state();
+            let handed_off = ring + 1 == plan.ring_count
+                || d.done()
+                || d.handoff(
+                    plan.handoff_window,
+                    Probe::RootsUninformed { ring: ring + 1 },
+                    false,
+                    |offset| PhasePos::Handoff { ring, offset },
+                    ring,
+                );
+            if !handed_off {
+                break; // both rungs failed: on to the rung-3 fallback
             }
             // Ring `ring` is done transmitting its schedule (its broadcast
             // window closed and its outgoing handoff — if any — resolved):
             // retire its schedule state so resident memory tracks the active
             // frontier. Repair rungs rebuild from scratch if ever needed.
-            for i in 0..self.sim.nodes().len() {
-                self.sim.node_mut(NodeId::new(i)).retire_ring(ring);
-            }
+            d.echo(|n| n.retire_ring(ring));
         }
-
-        // Staged-ladder epilogue: a faulted run that ends uninformed climbs
-        // any rung it has not yet attempted — anchored at the frontier ring —
-        // before the last resort. Rung 3, the no-knowledge Decay fallback
-        // (the Czumaj–Davies regime), is reached only after rungs 1–2 both
-        // fired and failed: every holder floods the payload on the Decay
-        // schedule and every node adopts it without any ring bookkeeping,
-        // bounded by what remains of the worst-case cap. True to the
-        // no-knowledge regime, there are no status beeps in rung 3: a vote
-        // the faults corrupt must not silence the last-resort phase, so only
-        // the delivery-gated completion scan (or the cap) ends it.
-        if self.recovery && !self.done() {
-            let frontier = self.plan.ring_count - 1;
-            if !self.ladder.ring_attempted() {
-                let _ = self.ring_repair(frontier);
-            }
-            if !self.done() && !self.ladder.regional_attempted() {
-                let _ = self.regional_repair(frontier);
-            }
-            if !self.done() && self.ladder.may_fall_back() {
-                let left = self.budget_left();
-                if left > 0 {
-                    self.ladder.arm_fallback(self.sim.round());
-                    let run = self.exec_segment(PhasePos::Fallback { offset: 0 }, left);
-                    self.phases.fallback += run;
-                    self.sim.stats_mut().fallback_rounds += run;
-                }
-            }
-        }
-
-        self.sample_state();
-        let mut audit = SchedAudit::default();
-        let mut fallbacks = 0;
-        for n in self.sim.nodes() {
-            audit.absorb(n.audit());
-            if n.construction_stats().is_some_and(|s| s.fallback_used) {
-                fallbacks += 1;
-            }
-        }
-        Ghk1Outcome {
-            completion_round: self.completion,
-            plan: *self.plan,
-            phases: self.phases,
-            stats: self.sim.stats().clone(),
-            audit,
-            fallbacks,
-            fallback_entry: self.ladder.fallback_entry(),
-            peak_state_bytes: self.sim.graph().resident_bytes() + self.peak_nodes,
-        }
-    }
-}
-
-impl<T: Topology> ConsDriver for Driver<T> {
-    fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool> {
-        self.cons_quiet_impl(probe)
+        plan.ring_count - 1
     }
 
-    fn cons_run(&mut self, start: u64, len: u64) {
-        // One segment covering the whole 2-slotted sub-window; the shared
-        // skip loop only ever requests runs within a single construction
-        // schedule segment, which is what keeps `may_act_in` hints valid
-        // across the batch.
-        let run = self.exec_segment(PhasePos::Construct { offset: 2 * start }, 2 * len);
-        self.phases.construct += run;
-    }
-
-    fn finished(&self) -> bool {
-        self.done()
-    }
-}
-
-/// Rung-1 view of the driver: the shared construction skip loop restricted
-/// to one failed ring. Status rounds draw from the repair status budget and
-/// work segments are clamped to the remaining worst-case pool, so a repair
-/// can never outgrow the plan's cap.
-struct RingRepair<'a, T: Topology> {
-    drv: &'a mut Driver<T>,
-    ring: u32,
-}
-
-impl<T: Topology> ConsDriver for RingRepair<'_, T> {
-    fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool> {
-        if self.drv.repair_status_left == 0 || self.drv.budget_left() == 0 {
-            return None;
+    /// Re-runs the *failed ring's* construction and dissemination with fresh
+    /// budget, keeping every other ring's GST intact. The ring's nodes drop
+    /// their construction and schedule state (harvesting any decoded payload
+    /// first), rebuild it through the construction skip loop restricted to
+    /// that ring, then replay the ring's broadcast window and a fresh handoff
+    /// window — all drawn from what remains of the worst-case pool.
+    fn ring_repair<T: Topology>(d: &mut Driver<Self, T>, ring: u32) -> bool {
+        let plan = d.plan;
+        d.set_status(Budget::Repair, plan.cons_status);
+        d.echo(|n| n.repair_ring(ring));
+        d.construct(
+            plan.cons,
+            Budget::Repair,
+            |probe| Probe::RepairCons { ring, probe },
+            |offset| PhasePos::RepairConstruct { ring, offset },
+        );
+        d.echo(|n| n.finalize_ring(ring));
+        if d.done() {
+            return true;
         }
-        self.drv.repair_status_left -= 1;
-        Some(self.drv.quiet(Probe::RepairCons { ring: self.ring, probe }))
-    }
-
-    fn cons_run(&mut self, start: u64, len: u64) {
-        // Unslotted: the repair schedule replays construction offsets 1:1
-        // (no parity interleave — only one ring is rebuilding).
-        let len = len.min(self.drv.budget_left());
-        if len == 0 {
-            return;
+        let bcast = plan.bcast_window.min(d.budget_left());
+        let _ = d.window(
+            bcast,
+            Probe::RingUninformed { ring },
+            false,
+            |offset| PhasePos::Broadcast { ring, offset },
+            |p| &mut p.repair,
+        );
+        if d.done() {
+            return true;
         }
-        let run = self
-            .drv
-            .exec_segment(PhasePos::RepairConstruct { ring: self.ring, offset: start }, len);
-        self.drv.phases.repair += run;
+        if ring + 1 >= plan.ring_count {
+            return false;
+        }
+        let budget = plan.handoff_window.min(d.budget_left());
+        d.window(
+            budget,
+            Probe::RootsUninformed { ring: ring + 1 },
+            false,
+            |offset| PhasePos::Handoff { ring, offset },
+            |p| &mut p.repair,
+        ) == WindowEnd::Quiesced
     }
 
-    fn finished(&self) -> bool {
-        self.drv.done()
+    /// Every holder in the failed ring ± 1 floods the payload on the Decay
+    /// schedule, covering churn/mobility that moved the frontier across ring
+    /// boundaries. Budgeted at two handoff windows from the remaining pool.
+    fn regional_repair<T: Topology>(d: &mut Driver<Self, T>, ring: u32) -> bool {
+        let plan = d.plan;
+        let budget = (2 * plan.handoff_window).min(d.budget_left());
+        let probe = if ring + 1 < plan.ring_count {
+            Probe::RootsUninformed { ring: ring + 1 }
+        } else {
+            Probe::RingUninformed { ring }
+        };
+        d.window(
+            budget,
+            probe,
+            false,
+            |offset| PhasePos::Regional { ring, offset },
+            |p| &mut p.repair,
+        ) == WindowEnd::Quiesced
+    }
+
+    fn detail(plan: &Ghk1Plan, nodes: &[Self], fallback_entry: Option<u64>) -> Detail {
+        let fallbacks = nodes
+            .iter()
+            .filter(|n| n.construction_stats().is_some_and(|s| s.fallback_used))
+            .count();
+        Detail::Single { plan: *plan, fallbacks, fallback_entry }
     }
 }
 
@@ -1502,14 +1081,11 @@ pub fn broadcast_single_in_mode(
     params: &Params,
     seed: u64,
     mode: CollisionMode,
-) -> Ghk1Outcome {
+) -> Outcome {
     broadcast_single_with(graph, source, payload, params, seed, mode, Pacing::Segment)
 }
 
-/// [`broadcast_single_in_mode`] with an explicit driver [`Pacing`] — the
-/// single core path all Theorem 1.1 entry points (including
-/// [`crate::run::Scenario`] with [`crate::run::Workload::Single`]) collapse
-/// onto.
+/// [`broadcast_single_in_mode`] with an explicit driver [`Pacing`].
 ///
 /// [`Pacing::Segment`] (the production default) batches work rounds through
 /// the engine's wake-list fast path; [`Pacing::PerStep`] polls every node
@@ -1527,7 +1103,7 @@ pub fn broadcast_single_with(
     seed: u64,
     mode: CollisionMode,
     pacing: Pacing,
-) -> Ghk1Outcome {
+) -> Outcome {
     broadcast_single_faulted(graph, source, payload, params, seed, mode, pacing, &FaultPlan::none())
 }
 
@@ -1555,7 +1131,7 @@ pub fn broadcast_single_faulted(
     mode: CollisionMode,
     pacing: Pacing,
     faults: &FaultPlan,
-) -> Ghk1Outcome {
+) -> Outcome {
     broadcast_single_on(graph.clone(), source, payload, params, seed, mode, pacing, faults)
 }
 
@@ -1564,6 +1140,7 @@ pub fn broadcast_single_faulted(
 /// clone per run), or a streamed
 /// [`ImplicitGraph`](radio_sim::ImplicitGraph), whose million-node runs
 /// never materialize `O(m)` adjacency. All other single-message entry points
+/// (including [`crate::run::Scenario`] with [`crate::run::Workload::Single`])
 /// collapse onto this one.
 ///
 /// The run — trace, statistics, RNG streams, completion round — depends only
@@ -1586,38 +1163,40 @@ pub fn broadcast_single_on<T: Topology>(
     mode: CollisionMode,
     pacing: Pacing,
     faults: &FaultPlan,
-) -> Ghk1Outcome {
+) -> Outcome {
+    driver(topology, source, payload, params, seed, mode, pacing, faults).run()
+}
+
+/// Builds the Theorem 1.1 driver [`broadcast_single_on`] runs.
+#[expect(clippy::too_many_arguments, reason = "the knobs of broadcast_single_on")]
+fn driver<T: Topology>(
+    topology: T,
+    source: NodeId,
+    payload: u64,
+    params: &Params,
+    seed: u64,
+    mode: CollisionMode,
+    pacing: Pacing,
+    faults: &FaultPlan,
+) -> Driver<Ghk1Node, T> {
     assert!(topology.node_count() > 0, "graph must be non-empty");
     let d = bfs_layering(&topology, &[source]).max_level();
-    let plan = Rc::new(Ghk1Plan::new(params, d.max(1)));
-    let params = Rc::new(params.clone());
-    let step: StepCell = Rc::new(Cell::new(Step::Idle));
+    let plan = Ghk1Plan::new(params, d.max(1));
+    let (shared_params, shared_plan) = (Rc::new(params.clone()), Rc::new(plan));
+    let step = Rc::new(Cell::new(Step::Idle));
     let sim = Simulator::new_with_faults(topology, mode, seed, faults.clone(), |id| {
         Ghk1Node::new(
-            Rc::clone(&params),
-            Rc::clone(&plan),
+            Rc::clone(&shared_params),
+            Rc::clone(&shared_plan),
             Rc::clone(&step),
             id.raw(),
             (id == source).then_some(payload),
         )
         .with_pacing(pacing)
     });
-    let recovery = sim.has_faults();
-    Driver {
-        sim,
-        step,
-        beep: u64::from(params.beep_interval.max(1)),
-        quiescence_slack: params.quiescence_slack,
-        cons_status_left: plan.cons_status,
-        repair_status_left: 0,
-        plan,
-        phases: PhaseRounds::default(),
-        completion: None,
-        recovery,
-        ladder: Ladder::new(),
-        peak_nodes: 0,
-    }
-    .run()
+    let mut driver = Driver::new(sim, step, plan, plan.total_rounds(), params);
+    driver.set_status(Budget::Construct, plan.cons_status);
+    driver
 }
 
 /// Runs Theorem 1.1 end to end on `graph` from `source` (with collision
@@ -1635,7 +1214,7 @@ pub fn broadcast_single(
     payload: u64,
     params: &Params,
     seed: u64,
-) -> Ghk1Outcome {
+) -> Outcome {
     broadcast_single_in_mode(graph, source, payload, params, seed, CollisionMode::Detection)
 }
 
@@ -1645,21 +1224,19 @@ mod tests {
     use radio_sim::graph::generators;
     use radio_sim::rng::stream_rng;
 
-    fn check_completes(g: Graph, seed: u64) -> Ghk1Outcome {
+    fn plan(out: &Outcome) -> Ghk1Plan {
+        let Detail::Single { plan, .. } = out.detail else { panic!("not a Theorem 1.1 outcome") };
+        plan
+    }
+
+    fn check_completes(g: Graph, seed: u64) -> Outcome {
         let params = Params::scaled(g.node_count());
         let out = broadcast_single(&g, NodeId::new(0), 0xDADA, &params, seed);
         let done = out.completion_round.unwrap_or_else(|| {
-            panic!(
-                "broadcast did not complete within {} rounds (plan {:?})",
-                out.plan.total_rounds(),
-                out.plan
-            )
+            panic!("broadcast did not complete within {} rounds (plan {:?})", out.cap, plan(&out))
         });
-        assert!(
-            done <= out.plan.total_rounds(),
-            "completion {done} exceeds the worst-case cap {}",
-            out.plan.total_rounds()
-        );
+        assert!(done <= out.cap, "completion {done} exceeds the worst-case cap {}", out.cap);
+        assert_eq!(out.cap, plan(&out).total_rounds());
         assert_eq!(out.phases.total(), out.stats.rounds, "phase accounting must match the run");
         out
     }
@@ -1699,12 +1276,38 @@ mod tests {
         let mut params = Params::scaled(32);
         params.ring_width = Some(4);
         let out = broadcast_single(&g, NodeId::new(0), 99, &params, 6);
-        assert!(out.plan.ring_count > 1, "expected multiple rings");
+        assert!(plan(&out).ring_count > 1, "expected multiple rings");
         assert!(
             out.completion_round.is_some(),
             "multi-ring broadcast failed (plan {:?})",
-            out.plan
+            plan(&out)
         );
+    }
+
+    #[test]
+    fn every_node_holds_the_exact_payload() {
+        // Completion is `has_message` everywhere; this checks the payload
+        // value itself survived every hop: schedule decode, handoffs, and
+        // the lazy harvest of nodes the run stopped before harvesting.
+        let g = generators::cluster_chain(4, 5);
+        let params = Params::scaled(g.node_count());
+        for seed in [2u64, 5, 11] {
+            let mut d = driver(
+                g.clone(),
+                NodeId::new(0),
+                0xC0FFEE,
+                &params,
+                seed,
+                CollisionMode::Detection,
+                Pacing::Segment,
+                &FaultPlan::none(),
+            );
+            d.drive();
+            assert!(d.done(), "seed {seed}: the run did not complete");
+            for (i, n) in d.sim.nodes().iter().enumerate() {
+                assert_eq!(n.message(), Some(0xC0FFEE), "seed {seed}: node {i} wrong payload");
+            }
+        }
     }
 
     #[test]
@@ -1713,9 +1316,9 @@ mod tests {
         let out = check_completes(generators::cluster_chain(10, 5), 7);
         let done = out.completion_round.unwrap();
         assert!(
-            done * 10 <= out.plan.total_rounds(),
+            done * 10 <= out.cap,
             "adaptive run ({done}) should be at least 10x below the cap ({})",
-            out.plan.total_rounds()
+            out.cap
         );
         assert!(out.phases.status > 0, "no status rounds were spent");
     }
@@ -1761,6 +1364,6 @@ mod tests {
         let out =
             broadcast_single_in_mode(&g, NodeId::new(0), 1, &params, 0, CollisionMode::NoDetection);
         assert!(out.completion_round.is_none());
-        assert!(out.phases.total() <= out.plan.total_rounds());
+        assert!(out.phases.total() <= out.cap);
     }
 }

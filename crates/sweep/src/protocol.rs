@@ -207,12 +207,20 @@ fn parse_scenario(value: &Json, id: u64) -> Result<Scenario, RequestError> {
         value.get("workload").ok_or_else(|| RequestError::bad(Some(id), "missing 'workload'"))?,
         id,
     )?;
-    let mut scenario = Scenario::new(topology, workload);
-    if let Some(source) = value.get("source") {
-        let source =
-            source.as_u64().ok_or_else(|| RequestError::bad(Some(id), "'source' must be u64"))?;
-        scenario = scenario.source(NodeId::new(source as usize));
+    let source = match value.get("source") {
+        Some(s) => s.as_u64().ok_or_else(|| RequestError::bad(Some(id), "'source' must be u64"))?,
+        None => 0,
+    };
+    // A source outside the topology (or an empty topology) would panic a
+    // worker mid-sweep; reject it while the line is still a request.
+    let nodes = topology.node_count();
+    if source >= nodes as u64 {
+        return Err(RequestError::bad(
+            Some(id),
+            format!("'source' {source} is not a node of a {nodes}-node topology"),
+        ));
     }
+    let mut scenario = Scenario::new(topology, workload).source(NodeId::new(source as usize));
     if let Some(cap) = value.get("round_cap") {
         let cap =
             cap.as_u64().ok_or_else(|| RequestError::bad(Some(id), "'round_cap' must be u64"))?;

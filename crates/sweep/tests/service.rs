@@ -219,6 +219,25 @@ fn bad_requests_are_typed_and_survivable() {
     let err = session.recv();
     assert_eq!(err.get("code").and_then(Json::as_str), Some("unsupported"));
 
+    // Well-formed lines whose source is not a node of the topology (out of
+    // range, and an empty topology) would panic a worker if run.
+    for (id, line) in [
+        (
+            1,
+            r#"{"type":"submit_sweep","id":1,"scenario":{"topology":{"kind":"path","n":5},"workload":{"kind":"single","payload":7},"source":99},"seeds":[1]}"#,
+        ),
+        (
+            8,
+            r#"{"type":"submit_sweep","id":8,"scenario":{"topology":{"kind":"path","n":0},"workload":{"kind":"single","payload":7}},"seeds":[1]}"#,
+        ),
+    ] {
+        session.send(line);
+        let err = session.recv();
+        assert_eq!(kind(&err), "error");
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"));
+        assert_eq!(err.get("id").and_then(Json::as_u64), Some(id));
+    }
+
     session.send(TINY_SUBMIT);
     assert_eq!(kind(&session.recv()), "submit_ok");
     session.recv_until("sweep_done");

@@ -1,12 +1,10 @@
-//! End-to-end Theorems 1.2/1.3: every node decodes the exact payloads,
-//! swept over a seed × topology matrix (failures name the exact cell).
-//! Scheduled runs go through the `Scenario` facade; the payload-inspection
-//! test drives the fixed-plan node through the simulator directly.
+//! End-to-end Theorems 1.2/1.3 through the `Scenario` facade, swept over a
+//! seed × topology matrix (failures name the exact cell). The per-node
+//! payload checks of the adaptive Theorem 1.3 driver live in
+//! `multi_message`'s unit tests, which can reach the nodes.
 
-use broadcast::multi_message::{BatchMode, GhkMultiNode, GhkMultiPlan};
-use broadcast::{EmptyBehavior, Params, Scenario, SlowKey, TopologySpec, Workload};
-use radio_sim::graph::{generators, Traversal};
-use radio_sim::{CollisionMode, NodeId, Simulator};
+use broadcast::multi_message::BatchMode;
+use broadcast::{EmptyBehavior, Scenario, SlowKey, TopologySpec, Workload};
 use rlnc::gf2::BitVec;
 
 fn payloads(k: usize) -> Vec<BitVec> {
@@ -37,28 +35,6 @@ fn known_topology_decodes_exact_payloads() {
                 run.outcome.completion_round.is_some(),
                 "topology {name} seed {}: timed out",
                 run.seed
-            );
-        }
-    }
-}
-
-#[test]
-fn unknown_topology_decodes_exact_payloads() {
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
-    let msgs = payloads(4);
-    let d = g.bfs(NodeId::new(0)).max_level();
-    for seed in [2u64, 5, 11] {
-        let plan = GhkMultiPlan::new(&params, d, 4, BatchMode::FullK);
-        let mut sim = Simulator::new(g.clone(), CollisionMode::Detection, seed, |id| {
-            GhkMultiNode::new(&params, plan, id.raw(), 24, (id.index() == 0).then(|| msgs.clone()))
-        });
-        sim.run(plan.total_rounds() + 1);
-        for (i, n) in sim.nodes().iter().enumerate() {
-            assert_eq!(
-                n.messages().as_deref(),
-                Some(&msgs[..]),
-                "seed {seed}: node {i} decoded wrong payloads"
             );
         }
     }
