@@ -9,8 +9,8 @@
 //!   `O(D log(n/D) + log^2 n)` shape: Decay with phases truncated to
 //!   `⌈log(n/D)⌉ + 1` densities, interleaved with periodic full-length
 //!   phases. The exact CR probability sequence is intricate; this variant
-//!   preserves the asymptotic shape the experiments compare (see DESIGN.md
-//!   §3.3).
+//!   preserves the asymptotic shape the experiments compare (see the
+//!   README's paper → module crosswalk).
 //! * [`routing`] — the no-coding multi-message baseline: the paper's own MMV
 //!   GST schedule, but forwarding a uniformly random *plaintext* stored
 //!   message instead of an RLNC combination (the routing-vs-coding question
@@ -252,8 +252,9 @@ pub mod routing {
 pub mod repeat {
     //! The trivial `k ×` single-message baseline.
 
-    use broadcast::Params;
+    use broadcast::{EmptyBehavior, Params, Scenario, SlowKey, TopologySpec, Workload};
     use radio_sim::{Graph, NodeId};
+    use rlnc::gf2::BitVec;
 
     /// Estimated rounds to broadcast `k` messages by running the
     /// known-topology single-message broadcast `k` times back to back
@@ -267,17 +268,19 @@ pub mod repeat {
         params: &Params,
         seed: u64,
     ) -> Option<u64> {
-        use broadcast::multi_message::{broadcast_known, KnownRunOpts};
-        use rlnc::gf2::BitVec;
-        let one = broadcast_known(
-            graph,
-            source,
-            &[BitVec::from_u64(1, 32)],
-            params,
-            seed,
-            KnownRunOpts::new().with_max_rounds(2_000_000),
-        );
-        one.completion_round.map(|r| r * k as u64)
+        let one = Workload::MultiKnown {
+            messages: vec![BitVec::from_u64(1, 32)],
+            slow_key: SlowKey::VirtualDistance,
+            empty: EmptyBehavior::Silent,
+        };
+        Scenario::new(TopologySpec::custom(graph.clone()), one)
+            .source(source)
+            .params(params.clone())
+            .seed(seed)
+            .round_cap(2_000_000)
+            .run()
+            .completion_round
+            .map(|r| r * k as u64)
     }
 }
 
@@ -349,14 +352,17 @@ mod tests {
 
         let msgs: Vec<rlnc::gf2::BitVec> =
             (0..k as u64).map(|i| rlnc::gf2::BitVec::from_u64(i, 32)).collect();
-        let coded = broadcast::multi_message::broadcast_known(
-            &g,
-            NodeId::new(0),
-            &msgs,
-            &params,
-            2,
-            broadcast::multi_message::KnownRunOpts::new(),
-        );
+        let coded = broadcast::Scenario::new(
+            broadcast::TopologySpec::custom(g),
+            broadcast::Workload::MultiKnown {
+                messages: msgs,
+                slow_key: broadcast::SlowKey::VirtualDistance,
+                empty: broadcast::EmptyBehavior::Silent,
+            },
+        )
+        .params(params)
+        .seed(2)
+        .run();
         assert!(coded.completion_round.is_some());
         // Coding should not be slower (it is usually strictly faster).
         assert!(

@@ -5,10 +5,8 @@
 //! lemma (see the gst crate docs) and are reported for transparency.
 
 use bench::*;
-use broadcast::multi_message::{broadcast_known, KnownRunOpts};
-use broadcast::Params;
+use broadcast::{EmptyBehavior, Scenario, SlowKey, TopologySpec, Workload};
 use radio_sim::graph::generators;
-use radio_sim::NodeId;
 
 fn main() {
     header(
@@ -23,19 +21,17 @@ fn main() {
         ("udg80", generators::unit_disk(80, 0.2, &mut rng)),
     ];
     for (name, g) in cases {
-        let params = Params::scaled(g.node_count());
+        let workload = Workload::MultiKnown {
+            messages: payloads(8),
+            slow_key: SlowKey::VirtualDistance,
+            empty: EmptyBehavior::Silent,
+        };
         let mut in_stretch = 0u64;
         let mut bystander = 0u64;
         let mut slow = 0u64;
-        for seed in 0..SEEDS {
-            let out = broadcast_known(
-                &g,
-                NodeId::new(0),
-                &payloads(8),
-                &params,
-                seed,
-                KnownRunOpts::new().with_max_rounds(MAX_ROUNDS),
-            );
+        let sweep =
+            Scenario::new(TopologySpec::custom(g), workload).round_cap(MAX_ROUNDS).seeds(0..SEEDS);
+        for out in sweep.runs.iter().map(|r| &r.outcome) {
             in_stretch += out.audit.fast_collisions_in_stretch;
             bystander += out.audit.fast_collisions_bystander;
             slow += out.audit.slow_collisions;

@@ -8,8 +8,7 @@
 //! guarantee the run never exceeds.
 
 use bench::*;
-use broadcast::single_message::broadcast_single;
-use radio_sim::NodeId;
+use broadcast::{Scenario, SlowKey, TopologySpec, Workload};
 
 fn main() {
     header(
@@ -20,18 +19,20 @@ fn main() {
         let g = chain_with_n(clusters, 72);
         let params = bench_params(g.node_count());
         let d = diameter(&g);
-        let mut e2e: Vec<Option<u64>> = Vec::new();
-        let mut setup: Vec<Option<u64>> = Vec::new();
-        let mut cap = 0u64;
-        for s in 0..SEEDS {
-            let out = broadcast_single(&g, NodeId::new(0), 1, &params, s);
-            e2e.push(out.completion_round);
-            setup.push(Some(out.phases.wave + out.phases.construct));
-            cap = out.cap;
-        }
+        let ghk = Scenario::new(TopologySpec::custom(g.clone()), Workload::Single { payload: 1 })
+            .params(params.clone())
+            .seeds(0..SEEDS);
+        let e2e: Vec<_> = ghk.runs.iter().map(|r| r.outcome.completion_round).collect();
+        let setup: Vec<_> = ghk
+            .runs
+            .iter()
+            .map(|r| Some(r.outcome.phases.wave + r.outcome.phases.construct))
+            .collect();
+        let cap = ghk.runs.iter().map(|r| r.outcome.cap).max().unwrap_or(0);
         let decay: Vec<_> = (0..SEEDS).map(|s| run_decay(&g, &params, s)).collect();
         let cr: Vec<_> = (0..SEEDS).map(|s| run_cr(&g, &params, s)).collect();
-        let gpx: Vec<_> = (0..SEEDS).map(|s| run_gpx_known(&g, &params, s)).collect();
+        let gpx: Vec<_> =
+            (0..SEEDS).map(|s| run_known_k(&g, &params, s, 1, SlowKey::VirtualDistance)).collect();
         row(
             &format!("{clusters}cl/D={d}"),
             &[

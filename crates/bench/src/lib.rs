@@ -1,7 +1,8 @@
 //! # bench — the experiment harness
 //!
 //! Shared measurement utilities for the `fig_*` bench targets, which
-//! regenerate the theorem-derived tables of `DESIGN.md` §2. Each bench
+//! regenerate the theorem-derived experiment tables (see the README's
+//! paper → module crosswalk for where each result lives). Each bench
 //! prints a table: rows = swept parameter, columns = algorithms, cells =
 //! mean ± σ of the completion round over [`SEEDS`] seeds (`FAIL xN` cells
 //! count runs that exhausted [`MAX_ROUNDS`]).
@@ -40,11 +41,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use broadcast::decay::{DecayBroadcast, DecayMsg};
-use broadcast::multi_message::{broadcast_known, broadcast_unknown, BatchMode, KnownRunOpts};
-use broadcast::schedule::SlowKey;
-use broadcast::single_message::broadcast_single;
-use broadcast::Params;
+use broadcast::{
+    Algo, BatchMode, EmptyBehavior, Params, Scenario, SlowKey, TopologySpec, Workload,
+};
 use radio_sim::graph::Traversal;
 use radio_sim::{CollisionMode, Graph, NodeId, Simulator};
 use rlnc::gf2::BitVec;
@@ -121,17 +120,26 @@ pub fn payloads(k: usize) -> Vec<BitVec> {
     (0..k as u64).map(|i| BitVec::from_u64((i.wrapping_mul(0x9E37) + 1) & 0xFFFF, 32)).collect()
 }
 
+/// Completion round of `workload` run from node 0 of `g` through the
+/// [`Scenario`] facade, capped at [`MAX_ROUNDS`] where the workload takes a
+/// cap (the adaptive pipelines derive theirs from the paper's plan).
+fn completion(g: &Graph, workload: Workload, params: &Params, seed: u64) -> Option<u64> {
+    Scenario::new(TopologySpec::custom(g.clone()), workload)
+        .params(params.clone())
+        .seed(seed)
+        .round_cap(MAX_ROUNDS)
+        .run()
+        .completion_round
+}
+
 /// Measured completion round of the Theorem 1.1 pipeline.
 pub fn run_ghk_single(g: &Graph, params: &Params, seed: u64) -> Option<u64> {
-    broadcast_single(g, NodeId::new(0), 0xFEED, params, seed).completion_round
+    completion(g, Workload::Single { payload: 0xFEED }, params, seed)
 }
 
 /// Measured completion round of BGI Decay.
 pub fn run_decay(g: &Graph, params: &Params, seed: u64) -> Option<u64> {
-    let mut sim = Simulator::new(g.clone(), CollisionMode::NoDetection, seed, |id| {
-        DecayBroadcast::new(params, (id.index() == 0).then_some(DecayMsg(1)))
-    });
-    sim.run_until(MAX_ROUNDS, |ns| ns.iter().all(DecayBroadcast::is_informed))
+    completion(g, Workload::Baseline(Algo::Decay { payload: 1 }), params, seed)
 }
 
 /// Measured completion round of the CR-style baseline.
@@ -147,31 +155,13 @@ pub fn run_cr(g: &Graph, params: &Params, seed: u64) -> Option<u64> {
     sim.run_until(MAX_ROUNDS, |ns| ns.iter().all(baselines::cr::CrBroadcast::is_informed))
 }
 
-/// Measured completion round of the known-topology GST broadcast (k = 1),
-/// the Gasieniec–Peleg–Xin reference point.
-pub fn run_gpx_known(g: &Graph, params: &Params, seed: u64) -> Option<u64> {
-    broadcast_known(
-        g,
-        NodeId::new(0),
-        &payloads(1),
-        params,
-        seed,
-        KnownRunOpts::new().with_max_rounds(MAX_ROUNDS),
-    )
-    .completion_round
-}
-
-/// Measured completion round of Theorem 1.2 (known topology, k messages).
+/// Measured completion round of Theorem 1.2 (known topology, k messages);
+/// at `k = 1` with [`SlowKey::VirtualDistance`] it is the
+/// Gasieniec–Peleg–Xin known-topology reference point.
 pub fn run_known_k(g: &Graph, params: &Params, seed: u64, k: usize, key: SlowKey) -> Option<u64> {
-    broadcast_known(
-        g,
-        NodeId::new(0),
-        &payloads(k),
-        params,
-        seed,
-        KnownRunOpts::new().with_slow_key(key).with_max_rounds(MAX_ROUNDS),
-    )
-    .completion_round
+    let workload =
+        Workload::MultiKnown { messages: payloads(k), slow_key: key, empty: EmptyBehavior::Silent };
+    completion(g, workload, params, seed)
 }
 
 /// Measured completion round of Theorem 1.3 (unknown topology, k messages).
@@ -182,7 +172,7 @@ pub fn run_unknown_k(
     k: usize,
     mode: BatchMode,
 ) -> Option<u64> {
-    broadcast_unknown(g, NodeId::new(0), &payloads(k), params, seed, mode).completion_round
+    completion(g, Workload::MultiUnknown { messages: payloads(k), batch: mode }, params, seed)
 }
 
 /// Measured completion round of the routing (no-coding) baseline.

@@ -18,9 +18,8 @@
 //!
 //! Start from [`run`]: declare a [`TopologySpec`] and a [`Workload`], let
 //! [`Scenario`] wire the graph, parameters and driver, and read one unified
-//! [`Outcome`]. The per-theorem free functions stay available for callers
-//! that bring a pre-built graph or explicit knobs; they return the same
-//! [`Outcome`].
+//! [`Outcome`]. [`Scenario`] is the only way to run a pipeline; a pre-built
+//! graph goes in through [`TopologySpec::custom`].
 //!
 //! Every protocol is a per-node state machine implementing
 //! [`radio_sim::Protocol`]; nodes act only on local knowledge (their id, their
@@ -45,7 +44,7 @@ pub mod single_message;
 pub mod virtual_labels;
 
 pub use adaptive::Pacing;
-pub use multi_message::{BatchMode, KnownRunOpts, MultiRunOpts};
+pub use multi_message::BatchMode;
 pub use params::Params;
 pub use run::{
     Algo, Detail, Outcome, Phases, PreparedTopology, Scenario, SeedMatrix, SeedRun, SweepJob,

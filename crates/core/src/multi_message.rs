@@ -1,17 +1,21 @@
 //! k-message broadcast (Theorems 1.2 and 1.3).
 //!
-//! * [`broadcast_known`] — **Theorem 1.2**, known topology: every node
+//! * **Theorem 1.2**, known topology
+//!   ([`Workload::MultiKnown`](crate::run::Workload::MultiKnown)): every node
 //!   computes the same GST and virtual distances locally (no communication),
 //!   then the MMV schedule of Section 3.2 runs with RLNC
 //!   (`O(D + k log n + log^2 n)` rounds). The slow-key and empty-behavior
 //!   knobs expose the E8 ablation (level keying) and the MMV noise stress.
-//! * [`GhkMultiNode`] / [`broadcast_unknown`] — **Theorem 1.3**, unknown
-//!   topology with collision detection: collision-wave layering → parallel
-//!   per-ring distributed GST construction → per-ring distributed
-//!   virtual-distance labeling (Lemma 3.10) → dissemination, with message
-//!   *batches* pipelined across rings and forward error correction (a random
-//!   linear fountain) carrying each batch across ring boundaries
-//!   (Section 3.4).
+//!   The run is non-adaptive, so it lives beside the baselines in
+//!   [`crate::run`].
+//! * [`GhkMultiNode`]
+//!   ([`Workload::MultiUnknown`](crate::run::Workload::MultiUnknown)) —
+//!   **Theorem 1.3**, unknown topology with collision detection:
+//!   collision-wave layering → parallel per-ring distributed GST
+//!   construction → per-ring distributed virtual-distance labeling
+//!   (Lemma 3.10) → dissemination, with message *batches* pipelined across
+//!   rings and forward error correction (a random linear fountain) carrying
+//!   each batch across ring boundaries (Section 3.4).
 //!
 //! Batching: [`BatchMode::FullK`] codes all `k` messages together (simple,
 //! `k`-bit coefficient vectors — the packet-budget audit of E14 flags the
@@ -21,10 +25,10 @@
 //!
 //! ## Adaptive phase termination
 //!
-//! [`broadcast_unknown`] runs the pipeline **adaptively**, on the driver it
-//! shares with Theorem 1.1 (see [`crate::adaptive`], and the
-//! `single_message` module docs for the in-model justification of status
-//! rounds and the shared cursor): the wave closes when the frontier stops,
+//! Theorem 1.3 runs **adaptively**, on the driver it shares with
+//! Theorem 1.1 (see [`crate::adaptive`], and the `single_message` module
+//! docs for the in-model justification of status rounds and the shared
+//! cursor): the wave closes when the frontier stops,
 //! construction runs the shared rank-block skip loop, labeling processes
 //! `d` frontiers only while they are alive, dissemination windows close once
 //! every ring with an open batch can decode it, and handoff slots collapse
@@ -51,7 +55,7 @@ use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
 use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
-use crate::run::{Detail, Outcome, Phases};
+use crate::run::Detail;
 use crate::schedule::{
     EmptyBehavior, MmvScheduleNode, SchedAudit, SchedLabels, SchedMsg, ScheduleConfig, SlowKey,
 };
@@ -59,173 +63,13 @@ use crate::virtual_labels::{VirtualLabelNode, VlMsg, VlSchedule};
 use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
 use radio_sim::{
-    Action, CollisionMode, DoneCheck, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator,
-    Topology, Wake,
+    Action, CollisionMode, FaultPlan, NodeId, Observation, Protocol, Simulator, Topology, Wake,
 };
 use rand::rngs::SmallRng;
 use rlnc::gf2::BitVec;
 use rlnc::{CodedPacket, Decoder};
 use std::cell::Cell;
 use std::rc::Rc;
-
-/// Knobs of [`broadcast_known`] beyond the graph/source/messages/params/seed
-/// core. The defaults mirror the historical call sites: the paper's
-/// virtual-distance slow keying, silent empty decoders, a 1M-round cap, and
-/// no collision detection (the MMV schedule is analyzed without CD; the
-/// other modes exist for ablations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KnownRunOpts {
-    /// Slow-pattern keying (the E8 ablation switches to [`SlowKey::Level`]).
-    pub slow_key: SlowKey,
-    /// Empty-decoder behavior (the MMV noise stress of Lemma 3.3 uses
-    /// [`EmptyBehavior::Noise`]).
-    pub empty: EmptyBehavior,
-    /// Hard round cap of the run (reported as
-    /// [`Outcome::cap`](crate::run::Outcome::cap)).
-    pub max_rounds: u64,
-    /// Collision mode of the channel.
-    pub mode: CollisionMode,
-}
-
-impl Default for KnownRunOpts {
-    fn default() -> Self {
-        KnownRunOpts {
-            slow_key: SlowKey::VirtualDistance,
-            empty: EmptyBehavior::Silent,
-            max_rounds: 1_000_000,
-            mode: CollisionMode::NoDetection,
-        }
-    }
-}
-
-impl KnownRunOpts {
-    /// The Theorem 1.2 defaults (see the struct docs).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the slow-pattern keying.
-    pub fn with_slow_key(mut self, slow_key: SlowKey) -> Self {
-        self.slow_key = slow_key;
-        self
-    }
-
-    /// Overrides the empty-decoder behavior.
-    pub fn with_empty(mut self, empty: EmptyBehavior) -> Self {
-        self.empty = empty;
-        self
-    }
-
-    /// Overrides the hard round cap.
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Overrides the collision mode.
-    pub fn with_mode(mut self, mode: CollisionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-}
-
-/// Theorem 1.2: known-topology k-message broadcast.
-///
-/// Builds the GST and virtual distances centrally (the shared-knowledge
-/// model), then runs the MMV schedule with RLNC until every node decodes all
-/// messages or [`KnownRunOpts::max_rounds`] elapse.
-///
-/// Prefer the [`crate::run::Scenario`] facade for end-to-end experiments;
-/// this function is the underlying engine it drives for
-/// [`crate::run::Workload::MultiKnown`].
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_known(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: KnownRunOpts,
-) -> Outcome {
-    broadcast_known_faulted(graph, source, messages, params, seed, opts, &FaultPlan::none())
-}
-
-/// [`broadcast_known`] under a seeded adversarial
-/// [`FaultPlan`] (see [`radio_sim::engine::faults`]).
-///
-/// With [`FaultPlan::none`](radio_sim::FaultPlan::none) the run is
-/// bit-identical to [`broadcast_known`]. The GST and virtual distances are
-/// built centrally from the *initial* topology (the shared-knowledge model
-/// fixes them before the adversary acts); churn and mobility then degrade the
-/// live channel against that fixed schedule.
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_known_faulted(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: KnownRunOpts,
-    faults: &FaultPlan,
-) -> Outcome {
-    assert!(!messages.is_empty(), "need at least one message");
-    assert!(graph.node_count() > 0, "graph must be non-empty");
-    let k = messages.len();
-    let payload_bits = messages[0].len();
-    let mut rng = radio_sim::rng::stream_rng(seed, 1000);
-    let (tree, _) = gst::build_gst(
-        graph,
-        &[source],
-        &mut rng,
-        &gst::BuildConfig::for_nodes(graph.node_count()),
-    );
-    let vd = gst::VirtualDistances::compute(graph, &tree);
-    let cfg = ScheduleConfig { log_n: params.log_n, slow_key: opts.slow_key, empty: opts.empty };
-    let mut sim =
-        Simulator::new_with_faults(graph.clone(), opts.mode, seed, faults.clone(), |id| {
-            let node =
-                MmvScheduleNode::new(cfg, SchedLabels::from_gst(&tree, &vd, id), k, payload_bits);
-            if id == source {
-                node.with_messages(messages)
-            } else {
-                node
-            }
-        });
-    // Completion advances only when a node receives a packet, so the
-    // delivery-gated check policy is exact and avoids the O(n) predicate
-    // scan in silent rounds.
-    let completion_round = sim.run_until_with(opts.max_rounds, DoneCheck::OnDelivery, |nodes| {
-        nodes.iter().all(MmvScheduleNode::is_complete)
-    });
-    let mut audit = SchedAudit::default();
-    for n in sim.nodes() {
-        audit.absorb(n.audit());
-    }
-    let stats = sim.stats().clone();
-    // Theorem 1.2 has no setup phases: every executed round is schedule-driven
-    // dissemination work, so the unified per-phase accounting stays exact
-    // (`phases.total() == stats.rounds`) across all three theorems.
-    let phases = Phases { disseminate: stats.rounds, ..Phases::default() };
-    // Theorem 1.2 nodes carry their full schedule state for the whole run
-    // (there are no phases to retire through), so the peak is the steady
-    // state: the materialized graph plus one schedule shell per node.
-    let peak_state_bytes = sim.graph().resident_bytes() + std::mem::size_of_val(sim.nodes());
-    Outcome {
-        completion_round,
-        cap: opts.max_rounds,
-        phases,
-        stats,
-        audit,
-        peak_state_bytes,
-        detail: Detail::MultiKnown { slow_key: opts.slow_key, empty: opts.empty },
-    }
-}
 
 /// How messages are grouped for coding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -572,7 +416,8 @@ pub struct GhkMultiNode {
     /// Whether the node emits real segment wake hints ([`Pacing::Segment`])
     /// or `Wake::Now` every round ([`Pacing::PerStep`]).
     seg_hints: bool,
-    /// Handoff FEC repair aggressiveness (see [`MultiRunOpts::fec_repair`]);
+    /// Handoff FEC repair aggressiveness (see
+    /// [`Scenario::fec_repair`](crate::run::Scenario::fec_repair));
     /// `0` keeps the paper's full decay-cycle gate.
     fec_repair: u32,
 }
@@ -629,8 +474,8 @@ impl GhkMultiNode {
     }
 
     /// Sets the handoff FEC repair aggressiveness (see
-    /// [`MultiRunOpts::fec_repair`]). `0` (the default) is bit-identical to
-    /// the pre-knob pipeline.
+    /// [`Scenario::fec_repair`](crate::run::Scenario::fec_repair)). `0` (the
+    /// default) is bit-identical to the pre-knob pipeline.
     pub fn with_fec_repair(mut self, fec_repair: u32) -> Self {
         self.fec_repair = fec_repair;
         self
@@ -841,8 +686,9 @@ impl GhkMultiNode {
     }
 
     /// Driver echo of the measured-erasure adapted handoff repair rate (see
-    /// [`MultiRunOpts::fec_repair`]); part of the idealized status-round
-    /// knowledge, like the finalize echoes. Never called on fault-free runs.
+    /// [`Scenario::fec_repair`](crate::run::Scenario::fec_repair)); part of
+    /// the idealized status-round knowledge, like the finalize echoes. Never
+    /// called on fault-free runs.
     fn set_fec_repair(&mut self, fec_repair: u32) {
         self.fec_repair = fec_repair;
     }
@@ -1533,167 +1379,40 @@ fn label<T: Topology>(drv: &mut Driver<GhkMultiNode, T>, vl: VlSchedule) {
     }
 }
 
-/// Runs Theorem 1.3 end to end **adaptively**: the paper's phase windows are
-/// kept as hard caps ([`GhkMultiPlan::total_rounds`] bounds every run), but
-/// each phase terminates via in-model status beeps as soon as its work is
-/// done — dissemination windows end on ring quiescence, handoff slots
-/// collapse when the batch already crossed, and construction runs the
-/// quiescence-skipping driver shared with Theorem 1.1. Narrow adaptive rings
-/// ([`GhkMultiPlan::new`]) keep construction parallel and shallow.
+/// Builds the Theorem 1.3 driver that
+/// [`Scenario`](crate::run::Scenario) runs for
+/// [`Workload::MultiUnknown`](crate::run::Workload::MultiUnknown), over any
+/// [`Topology`]. The run is **adaptive**: the paper's phase windows are kept
+/// as hard caps ([`GhkMultiPlan::total_rounds`] bounds every run), but each
+/// phase terminates via in-model status beeps as soon as its work is done.
+/// A streamed topology produces a run bit-identical to the same topology
+/// materialized; only residence changes, which
+/// [`Outcome::peak_state_bytes`](crate::run::Outcome::peak_state_bytes)
+/// reports. The diameter-derived plan is computed from the *initial*
+/// topology.
 ///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_unknown(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    mode: BatchMode,
-) -> Outcome {
-    broadcast_unknown_with(graph, source, messages, params, seed, MultiRunOpts::new(mode))
-}
-
-/// Knobs of [`broadcast_unknown_with`] beyond the theorem's defaults.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MultiRunOpts {
-    /// Message batching.
-    pub batch: BatchMode,
-    /// Collision-detection mode (the theorem needs
-    /// [`CollisionMode::Detection`]; `NoDetection` exists for determinism
-    /// and ablation tests — the wave jams and the run caps out gracefully).
-    pub mode: CollisionMode,
-    /// Driver pacing — [`Pacing::PerStep`] reproduces the batched run round
-    /// for round with every node polled every round (equivalence suites).
-    pub pacing: Pacing,
-    /// FEC repair aggressiveness at ring handoffs, for lossy channels.
-    ///
-    /// `0` (the default) keeps the paper's handoff emission: boundary nodes
-    /// gate fountain packets on the full decay cycle. A positive value `r`
-    /// compresses that gate to its `r` highest-probability slots, so boundary
-    /// nodes emit RLNC repair packets (the in-tree `rlnc` fountain) much more
-    /// often — redundancy that buys erasure protection at the dissemination
-    /// windows' hand-off seams. The number of RNG draws per slot is
-    /// unchanged, so `0` is bit-identical to the pre-knob pipeline.
-    pub fec_repair: u32,
-}
-
-impl MultiRunOpts {
-    /// Theorem 1.3 defaults: collision detection on, segment pacing.
-    pub fn new(batch: BatchMode) -> Self {
-        MultiRunOpts {
-            batch,
-            mode: CollisionMode::Detection,
-            pacing: Pacing::Segment,
-            fec_repair: 0,
-        }
-    }
-
-    /// Overrides the collision mode.
-    pub fn with_mode(mut self, mode: CollisionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Overrides the driver pacing.
-    pub fn with_pacing(mut self, pacing: Pacing) -> Self {
-        self.pacing = pacing;
-        self
-    }
-
-    /// Overrides the handoff FEC repair aggressiveness (see
-    /// [`MultiRunOpts::fec_repair`]).
-    pub fn with_fec_repair(mut self, fec_repair: u32) -> Self {
-        self.fec_repair = fec_repair;
-        self
-    }
-}
-
-/// [`broadcast_unknown`] with explicit [`MultiRunOpts`].
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_unknown_with(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: MultiRunOpts,
-) -> Outcome {
-    broadcast_unknown_faulted(graph, source, messages, params, seed, opts, &FaultPlan::none())
-}
-
-/// [`broadcast_unknown_with`] under a seeded adversarial
-/// [`FaultPlan`] (see [`radio_sim::engine::faults`]).
-///
-/// With [`FaultPlan::none`](radio_sim::FaultPlan::none) the run is
-/// bit-identical to [`broadcast_unknown_with`]. The diameter-derived plan is
-/// computed from the *initial* topology; pair lossy plans with
-/// [`MultiRunOpts::fec_repair`] to buy erasure protection at the ring
-/// handoffs.
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_unknown_faulted(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: MultiRunOpts,
-    faults: &FaultPlan,
-) -> Outcome {
-    broadcast_unknown_on(graph.clone(), source, messages, params, seed, opts, faults)
-}
-
-/// [`broadcast_unknown_faulted`] over any [`Topology`] — the generic entry
-/// point the streamed pipelines use.
-///
-/// A streamed topology (e.g. [`radio_sim::ImplicitGraph`]) produces a run
-/// bit-identical to the same topology materialized: neighborhoods are
-/// byte-equal, so every transmission resolves identically. What changes is
-/// residence — the adjacency is recomputed on demand instead of held in
-/// memory, and [`Outcome::peak_state_bytes`] reports the difference.
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the topology is empty, and if `faults`
-/// carries a churn or mobility plan while `topology` is not a materialized
-/// [`Graph`] (those plans rewrite the adjacency; see
-/// [`Simulator::new_with_faults`]).
-pub fn broadcast_unknown_on<T: Topology>(
+/// `fec_repair` is the ring-handoff FEC repair aggressiveness (see
+/// [`Scenario::fec_repair`](crate::run::Scenario::fec_repair)). The
+/// scenario has passed [`Scenario::validate`](crate::run::Scenario::validate):
+/// the topology holds the source and `messages` is non-empty.
+#[expect(clippy::too_many_arguments, reason = "every knob of a Theorem 1.3 run")]
+pub(crate) fn driver<T: Topology>(
     topology: T,
     source: NodeId,
     messages: &[BitVec],
     params: &Params,
     seed: u64,
-    opts: MultiRunOpts,
-    faults: &FaultPlan,
-) -> Outcome {
-    driver(topology, source, messages, params, seed, opts, faults).run()
-}
-
-/// Builds the Theorem 1.3 driver [`broadcast_unknown_on`] runs.
-fn driver<T: Topology>(
-    topology: T,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: MultiRunOpts,
+    batch: BatchMode,
+    mode: CollisionMode,
+    pacing: Pacing,
+    fec_repair: u32,
     faults: &FaultPlan,
 ) -> Driver<GhkMultiNode, T> {
-    assert!(!messages.is_empty(), "need at least one message");
-    assert!(topology.node_count() > 0, "graph must be non-empty");
     let payload_bits = messages[0].len();
     let d = bfs_layering(&topology, &[source]).max_level();
-    let plan = GhkMultiPlan::new(params, d.max(1), messages.len(), opts.batch);
+    let plan = GhkMultiPlan::new(params, d.max(1), messages.len(), batch);
     let step = Rc::new(Cell::new(Step::Idle));
-    let sim = Simulator::new_with_faults(topology, opts.mode, seed, faults.clone(), |id| {
+    let sim = Simulator::new_with_faults(topology, mode, seed, faults.clone(), |id| {
         GhkMultiNode::new(
             params,
             plan,
@@ -1702,10 +1421,10 @@ fn driver<T: Topology>(
             payload_bits,
             (id == source).then(|| messages.to_vec()),
         )
-        .with_pacing(opts.pacing)
-        .with_fec_repair(opts.fec_repair)
+        .with_pacing(pacing)
+        .with_fec_repair(fec_repair)
     });
-    let run = MultiRun { plan, fec_repair: opts.fec_repair };
+    let run = MultiRun { plan, fec_repair };
     let mut driver = Driver::new(sim, step, run, plan.total_rounds(), params);
     driver.set_status(Budget::Construct, plan.cons_status);
     driver.set_status(Budget::Label, plan.label_status);
@@ -1715,25 +1434,37 @@ fn driver<T: Topology>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{Outcome, Scenario, TopologySpec, Workload};
     use radio_sim::graph::generators;
     use radio_sim::rng::stream_rng;
+    use radio_sim::Graph;
 
     fn msgs(k: usize) -> Vec<BitVec> {
         (0..k as u64).map(|i| BitVec::from_u64(i.wrapping_mul(37) & 0xFFFF, 32)).collect()
+    }
+
+    /// Runs Theorem 1.3 from node 0 with collision detection, segment
+    /// pacing, no FEC repair and no faults.
+    fn run(g: Graph, messages: &[BitVec], params: &Params, seed: u64, batch: BatchMode) -> Outcome {
+        let (mode, pacing, none) = (CollisionMode::Detection, Pacing::Segment, FaultPlan::none());
+        let source = NodeId::new(0);
+        driver(g, source, messages, params, seed, batch, mode, pacing, 0, &none).run()
     }
 
     #[test]
     fn known_topology_broadcasts_k_messages() {
         let g = generators::grid(6, 6);
         let params = Params::scaled(36);
-        let out = broadcast_known(
-            &g,
-            NodeId::new(0),
-            &msgs(8),
-            &params,
-            1,
-            KnownRunOpts::new().with_max_rounds(300_000),
-        );
+        let workload = Workload::MultiKnown {
+            messages: msgs(8),
+            slow_key: SlowKey::VirtualDistance,
+            empty: EmptyBehavior::Silent,
+        };
+        let out = Scenario::new(TopologySpec::custom(g), workload)
+            .params(params)
+            .seed(1)
+            .round_cap(300_000)
+            .run();
         assert!(out.completion_round.is_some());
         assert_eq!(out.audit.fast_collisions_in_stretch, 0);
         assert_eq!(out.phases.total(), out.stats.rounds, "phase accounting must match the run");
@@ -1770,7 +1501,7 @@ mod tests {
     fn unknown_topology_single_ring_full_k() {
         let g = generators::cluster_chain(4, 5);
         let params = Params::scaled(20);
-        let out = broadcast_unknown(&g, NodeId::new(0), &msgs(4), &params, 2, BatchMode::FullK);
+        let out = run(g, &msgs(4), &params, 2, BatchMode::FullK);
         assert!(out.completion_round.is_some(), "T1.3 failed within {} rounds", out.cap);
     }
 
@@ -1778,7 +1509,7 @@ mod tests {
     fn unknown_topology_on_grid() {
         let g = generators::grid(5, 5);
         let params = Params::scaled(25);
-        let out = broadcast_unknown(&g, NodeId::new(0), &msgs(6), &params, 3, BatchMode::FullK);
+        let out = run(g, &msgs(6), &params, 3, BatchMode::FullK);
         assert!(out.completion_round.is_some());
     }
 
@@ -1789,8 +1520,7 @@ mod tests {
         let g = generators::cluster_chain(8, 3);
         let mut params = Params::scaled(24);
         params.ring_width = Some(4);
-        let out =
-            broadcast_unknown(&g, NodeId::new(0), &msgs(6), &params, 4, BatchMode::Generations(3));
+        let out = run(g, &msgs(6), &params, 4, BatchMode::Generations(3));
         assert!(out.completion_round.is_some(), "pipelined T1.3 failed within {} rounds", out.cap);
     }
 
@@ -1803,14 +1533,16 @@ mod tests {
         let params = Params::scaled(20);
         let messages: Vec<BitVec> = (0..4u64).map(|i| BitVec::from_u64(i * 11 + 3, 24)).collect();
         for seed in [2u64, 5, 11] {
-            let opts = MultiRunOpts::new(BatchMode::FullK);
             let mut d = driver(
                 g.clone(),
                 NodeId::new(0),
                 &messages,
                 &params,
                 seed,
-                opts,
+                BatchMode::FullK,
+                CollisionMode::Detection,
+                Pacing::Segment,
+                0,
                 &FaultPlan::none(),
             );
             d.drive();
@@ -1847,7 +1579,7 @@ mod tests {
         // (the fixed windows used to be executed verbatim).
         let g = generators::cluster_chain(6, 6);
         let params = Params::scaled(36);
-        let out = broadcast_unknown(&g, NodeId::new(0), &msgs(8), &params, 11, BatchMode::FullK);
+        let out = run(g, &msgs(8), &params, 11, BatchMode::FullK);
         let done = out.completion_round.expect("completes");
         assert!(done <= out.cap, "cap violated: {done} > {}", out.cap);
         assert!(

@@ -21,7 +21,7 @@
 //!    echoes the multi marker `Σ`; one that heard none echoes an empty
 //!    marker. Echoes carry the red's id and cumulative recruit class, which
 //!    also lets already-recruited blues refresh a stale "only child" belief
-//!    (see DESIGN.md §3.6).
+//!    (the README's paper → module crosswalk places Lemma 2.3 here).
 //!
 //! The paper's echo description has the red "broadcast v.id" in the
 //! single-responder case; for the blue-side rule ("u is recruited if it

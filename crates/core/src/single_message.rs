@@ -67,15 +67,14 @@ use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
 use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
-use crate::run::{Detail, Outcome};
+use crate::run::Detail;
 use crate::schedule::{
     EmptyBehavior, MmvScheduleNode, SchedAudit, SchedLabels, SchedMsg, ScheduleConfig, SlowKey,
 };
 use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
 use radio_sim::{
-    Action, CollisionMode, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator, Topology,
-    Wake,
+    Action, CollisionMode, FaultPlan, NodeId, Observation, Protocol, Simulator, Topology, Wake,
 };
 use rand::rngs::SmallRng;
 use rlnc::gf2::BitVec;
@@ -1063,113 +1062,18 @@ impl Pipeline for Ghk1Node {
     }
 }
 
-/// Runs Theorem 1.1 end to end on `graph` from `source` under the given
-/// collision mode (the theorem needs [`CollisionMode::Detection`]; the
-/// no-detection mode exists for determinism and ablation tests — the wave
-/// stalls on dense graphs there, and the run reports `None`).
-///
-/// Thin wrapper over [`broadcast_single_with`] with the production pacing;
-/// prefer the [`crate::run::Scenario`] facade for end-to-end experiments.
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-pub fn broadcast_single_in_mode(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-) -> Outcome {
-    broadcast_single_with(graph, source, payload, params, seed, mode, Pacing::Segment)
-}
-
-/// [`broadcast_single_in_mode`] with an explicit driver [`Pacing`].
-///
-/// [`Pacing::Segment`] (the production default) batches work rounds through
-/// the engine's wake-list fast path; [`Pacing::PerStep`] polls every node
-/// every round. The two pacings execute bit-identical round sequences —
-/// `tests/determinism.rs` pins the full trace equality.
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-pub fn broadcast_single_with(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-    pacing: Pacing,
-) -> Outcome {
-    broadcast_single_faulted(graph, source, payload, params, seed, mode, pacing, &FaultPlan::none())
-}
-
-/// [`broadcast_single_with`] under a seeded adversarial
-/// [`FaultPlan`] (see [`radio_sim::engine::faults`]).
-///
-/// With [`FaultPlan::none`](radio_sim::FaultPlan::none) the run — trace,
-/// statistics and RNG streams — is bit-identical to
-/// [`broadcast_single_with`]: fault randomness lives on its own seed
-/// streams. The plan's initial topology is `graph`; churn and mobility
-/// rewrite it as the run proceeds, and the diameter-derived plan is computed
-/// from the *initial* topology (the adversary does not get to re-negotiate
-/// the round budget).
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-#[expect(clippy::too_many_arguments, reason = "explicit-knob variant of broadcast_single_with")]
-pub fn broadcast_single_faulted(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-    pacing: Pacing,
-    faults: &FaultPlan,
-) -> Outcome {
-    broadcast_single_on(graph.clone(), source, payload, params, seed, mode, pacing, faults)
-}
-
-/// The fully generic Theorem 1.1 entry point: runs the pipeline over any
-/// [`Topology`] — a materialized [`Graph`], a shared `Arc<Graph>` (no CSR
-/// clone per run), or a streamed
-/// [`ImplicitGraph`](radio_sim::ImplicitGraph), whose million-node runs
-/// never materialize `O(m)` adjacency. All other single-message entry points
-/// (including [`crate::run::Scenario`] with [`crate::run::Workload::Single`])
-/// collapse onto this one.
-///
-/// The run — trace, statistics, RNG streams, completion round — depends only
-/// on the neighborhoods the topology reports, so a streamed run is
-/// bit-identical to the same run over its materialization
-/// (`tests/streamed_topology.rs` pins this).
-///
-/// # Panics
-///
-/// Panics if the topology is empty, or if `faults` enables churn/mobility
-/// over a topology that is not a materialized `Graph` (those fault classes
-/// rewrite the topology; see [`Simulator::new_with_faults`]).
-#[expect(clippy::too_many_arguments, reason = "explicit-knob variant of broadcast_single_with")]
-pub fn broadcast_single_on<T: Topology>(
-    topology: T,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-    pacing: Pacing,
-    faults: &FaultPlan,
-) -> Outcome {
-    driver(topology, source, payload, params, seed, mode, pacing, faults).run()
-}
-
-/// Builds the Theorem 1.1 driver [`broadcast_single_on`] runs.
-#[expect(clippy::too_many_arguments, reason = "the knobs of broadcast_single_on")]
-fn driver<T: Topology>(
+/// Builds the Theorem 1.1 driver that
+/// [`Scenario`](crate::run::Scenario) runs for
+/// [`Workload::Single`](crate::run::Workload::Single), over any
+/// [`Topology`]: a shared `Arc<Graph>` or a streamed
+/// [`ImplicitGraph`](radio_sim::ImplicitGraph). The run depends only on the
+/// neighborhoods the topology reports, so a streamed run is bit-identical to
+/// the same run over its materialization. The diameter-derived plan is
+/// computed from the *initial* topology (churn and mobility do not get to
+/// re-negotiate the round budget). The scenario has passed
+/// [`Scenario::validate`](crate::run::Scenario::validate).
+#[expect(clippy::too_many_arguments, reason = "every knob of a Theorem 1.1 run")]
+pub(crate) fn driver<T: Topology>(
     topology: T,
     source: NodeId,
     payload: u64,
@@ -1179,7 +1083,6 @@ fn driver<T: Topology>(
     pacing: Pacing,
     faults: &FaultPlan,
 ) -> Driver<Ghk1Node, T> {
-    assert!(topology.node_count() > 0, "graph must be non-empty");
     let d = bfs_layering(&topology, &[source]).max_level();
     let plan = Ghk1Plan::new(params, d.max(1));
     let (shared_params, shared_plan) = (Rc::new(params.clone()), Rc::new(plan));
@@ -1199,30 +1102,19 @@ fn driver<T: Topology>(
     driver
 }
 
-/// Runs Theorem 1.1 end to end on `graph` from `source` (with collision
-/// detection, as the theorem requires).
-///
-/// Thin wrapper over [`broadcast_single_with`]; prefer the
-/// [`crate::run::Scenario`] facade for end-to-end experiments.
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-pub fn broadcast_single(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-) -> Outcome {
-    broadcast_single_in_mode(graph, source, payload, params, seed, CollisionMode::Detection)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Outcome;
     use radio_sim::graph::generators;
     use radio_sim::rng::stream_rng;
+    use radio_sim::Graph;
+
+    /// Runs Theorem 1.1 from node 0 with segment pacing and no faults.
+    fn run(g: Graph, payload: u64, params: &Params, seed: u64, mode: CollisionMode) -> Outcome {
+        let none = FaultPlan::none();
+        driver(g, NodeId::new(0), payload, params, seed, mode, Pacing::Segment, &none).run()
+    }
 
     fn plan(out: &Outcome) -> Ghk1Plan {
         let Detail::Single { plan, .. } = out.detail else { panic!("not a Theorem 1.1 outcome") };
@@ -1231,7 +1123,7 @@ mod tests {
 
     fn check_completes(g: Graph, seed: u64) -> Outcome {
         let params = Params::scaled(g.node_count());
-        let out = broadcast_single(&g, NodeId::new(0), 0xDADA, &params, seed);
+        let out = run(g, 0xDADA, &params, seed, CollisionMode::Detection);
         let done = out.completion_round.unwrap_or_else(|| {
             panic!("broadcast did not complete within {} rounds (plan {:?})", out.cap, plan(&out))
         });
@@ -1275,7 +1167,7 @@ mod tests {
         let g = generators::cluster_chain(8, 4);
         let mut params = Params::scaled(32);
         params.ring_width = Some(4);
-        let out = broadcast_single(&g, NodeId::new(0), 99, &params, 6);
+        let out = run(g, 99, &params, 6, CollisionMode::Detection);
         assert!(plan(&out).ring_count > 1, "expected multiple rings");
         assert!(
             out.completion_round.is_some(),
@@ -1351,7 +1243,7 @@ mod tests {
     fn single_node_graph_trivially_done() {
         let g = Graph::from_edges(1, []).unwrap();
         let params = Params::scaled(1);
-        let out = broadcast_single(&g, NodeId::new(0), 1, &params, 0);
+        let out = run(g, 1, &params, 0, CollisionMode::Detection);
         assert_eq!(out.completion_round, Some(0));
     }
 
@@ -1361,8 +1253,7 @@ mod tests {
         // out gracefully.
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let params = Params::scaled(4);
-        let out =
-            broadcast_single_in_mode(&g, NodeId::new(0), 1, &params, 0, CollisionMode::NoDetection);
+        let out = run(g, 1, &params, 0, CollisionMode::NoDetection);
         assert!(out.completion_round.is_none());
         assert!(out.phases.total() <= out.cap);
     }

@@ -181,9 +181,9 @@ impl FaultPlan {
             && self.mobility.is_none()
     }
 
-    /// A stable machine-readable label (joined into scenario labels and the
-    /// perf bench's JSON descriptors): `none`, or `+`-joined fault terms
-    /// like `erase(0.05)+jam(n3,p2+0)+churn(1,n0.005,e0.01)+mobile(r0.2,e64)`.
+    /// A stable machine-readable label (joined into scenario labels): `none`,
+    /// or `+`-joined fault terms like
+    /// `erase(0.05)+jam(n3,p2+0)+churn(1,n0.005,e0.01)+mobile(r0.2,e64)`.
     pub fn label(&self) -> String {
         if self.is_none() {
             return "none".to_string();
@@ -229,7 +229,7 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     /// Builds the fault state for a simulator over an `n`-node topology
-    /// seeded with `master_seed`. `base_edges` is the fault-free edge list
+    /// seeded with the master `seed`. `base_edges` is the fault-free edge list
     /// that churn masks and mobility re-samples apply to; plans without
     /// either class never read it, so the engine passes an empty list (and
     /// streamed topologies, which cannot harvest one, stay supported for
@@ -238,12 +238,7 @@ impl FaultState {
     /// # Panics
     ///
     /// Panics if a jammer's node is out of bounds for the topology.
-    pub(crate) fn new(
-        plan: FaultPlan,
-        master_seed: u64,
-        n: usize,
-        base_edges: Vec<(u32, u32)>,
-    ) -> Self {
+    pub(crate) fn new(plan: FaultPlan, seed: u64, n: usize, base_edges: Vec<(u32, u32)>) -> Self {
         for j in &plan.jammers {
             assert!(
                 (j.node as usize) < n,
@@ -254,9 +249,9 @@ impl FaultState {
         let edge_down = vec![false; base_edges.len()];
         FaultState {
             plan,
-            erasure_rng: rng::fault_stream_rng(master_seed, STREAM_ERASURE),
-            churn_rng: rng::fault_stream_rng(master_seed, STREAM_CHURN),
-            mobility_rng: rng::fault_stream_rng(master_seed, STREAM_MOBILITY),
+            erasure_rng: rng::fault_stream_rng(seed, STREAM_ERASURE),
+            churn_rng: rng::fault_stream_rng(seed, STREAM_CHURN),
+            mobility_rng: rng::fault_stream_rng(seed, STREAM_MOBILITY),
             base_edges,
             node_down: vec![false; n],
             edge_down,

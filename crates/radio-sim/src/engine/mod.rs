@@ -243,19 +243,14 @@ const WHEEL: u64 = 64;
 impl<P: Protocol, T: Topology> Simulator<P, T> {
     /// Creates a simulator over `graph` with the given collision mode and
     /// master seed; `init` constructs each node's protocol state.
-    pub fn new(
-        graph: T,
-        mode: CollisionMode,
-        master_seed: u64,
-        init: impl FnMut(NodeId) -> P,
-    ) -> Self {
-        Self::new_with_faults(graph, mode, master_seed, FaultPlan::none(), init)
+    pub fn new(graph: T, mode: CollisionMode, seed: u64, init: impl FnMut(NodeId) -> P) -> Self {
+        Self::new_with_faults(graph, mode, seed, FaultPlan::none(), init)
     }
 
     /// Like [`Simulator::new`], but with a seeded adversarial [`FaultPlan`]
     /// applied inside every round (see [`faults`]).
     ///
-    /// Fault randomness comes from dedicated streams of `master_seed`
+    /// Fault randomness comes from dedicated streams of the master `seed`
     /// ([`rng::fault_stream_rng`]), disjoint from the per-node protocol
     /// streams: with [`FaultPlan::none`] (or any all-no-op plan) the
     /// protocol trace is bit-identical to [`Simulator::new`].
@@ -269,7 +264,7 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     pub fn new_with_faults(
         graph: T,
         mode: CollisionMode,
-        master_seed: u64,
+        seed: u64,
         faults: FaultPlan,
         mut init: impl FnMut(NodeId) -> P,
     ) -> Self {
@@ -288,10 +283,10 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             } else {
                 Vec::new()
             };
-            FaultState::new(faults, master_seed, n, base_edges)
+            FaultState::new(faults, seed, n, base_edges)
         });
         let nodes: Vec<P> = (0..n).map(|i| init(NodeId::new(i))).collect();
-        let rngs: Vec<SmallRng> = (0..n).map(|i| rng::stream_rng(master_seed, i as u64)).collect();
+        let rngs: Vec<SmallRng> = (0..n).map(|i| rng::stream_rng(seed, i as u64)).collect();
         let mut sim = Simulator {
             graph,
             mode,

@@ -173,7 +173,9 @@ impl<M> Observation<M> {
 ///
 /// The model fixes a packet budget of `B = Ω(log n)` bits. Protocol packet
 /// types implement this trait so tests can audit that every transmitted packet
-/// respects the budget (experiment E14 in `DESIGN.md`).
+/// respects the budget (experiment E14: `tests/packet_budget.rs` and the
+/// `fig_packet_budget` bench; the README's paper → module crosswalk maps
+/// the model to its modules).
 pub trait PacketBits {
     /// Size of this packet's encoding, in bits.
     fn packet_bits(&self) -> usize;

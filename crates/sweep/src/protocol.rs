@@ -211,15 +211,8 @@ fn parse_scenario(value: &Json, id: u64) -> Result<Scenario, RequestError> {
         Some(s) => s.as_u64().ok_or_else(|| RequestError::bad(Some(id), "'source' must be u64"))?,
         None => 0,
     };
-    // A source outside the topology (or an empty topology) would panic a
-    // worker mid-sweep; reject it while the line is still a request.
-    let nodes = topology.node_count();
-    if source >= nodes as u64 {
-        return Err(RequestError::bad(
-            Some(id),
-            format!("'source' {source} is not a node of a {nodes}-node topology"),
-        ));
-    }
+    let source = u32::try_from(source)
+        .map_err(|_| RequestError::bad(Some(id), "'source' must fit in u32"))?;
     let mut scenario = Scenario::new(topology, workload).source(NodeId::new(source as usize));
     if let Some(cap) = value.get("round_cap") {
         let cap =
@@ -246,6 +239,9 @@ fn parse_scenario(value: &Json, id: u64) -> Result<Scenario, RequestError> {
     if let Some(faults) = value.get("faults") {
         scenario = scenario.faults(parse_faults(faults, id)?);
     }
+    // A scenario that cannot run would panic a worker mid-sweep; reject it
+    // while the line is still a request.
+    scenario.validate().map_err(|reason| RequestError::bad(Some(id), reason))?;
     Ok(scenario)
 }
 
@@ -331,7 +327,12 @@ fn parse_workload(value: &Json, id: u64) -> Result<Workload, RequestError> {
             Workload::Baseline(Algo::MmvDecay { payload: payload()?, noise })
         }
         "multi_unknown" => {
-            let bits = value.get("bits").and_then(Json::as_u64).unwrap_or(32) as usize;
+            let bits = match value.get("bits") {
+                None => 32,
+                Some(b) => b.as_u64().filter(|b| (1..=64).contains(b)).ok_or_else(|| {
+                    RequestError::bad(Some(id), "'bits' must be an integer in 1..=64")
+                })?,
+            };
             let messages = value
                 .get("messages")
                 .and_then(Json::as_arr)
@@ -340,14 +341,17 @@ fn parse_workload(value: &Json, id: u64) -> Result<Workload, RequestError> {
                 })?
                 .iter()
                 .map(|m| {
-                    m.as_u64().map(|v| BitVec::from_u64(v, bits)).ok_or_else(|| {
-                        RequestError::bad(Some(id), "'messages' entries must be u64")
-                    })
+                    m.as_u64()
+                        .filter(|v| bits == 64 || v >> bits == 0)
+                        .map(|v| BitVec::from_u64(v, bits as usize))
+                        .ok_or_else(|| {
+                            RequestError::bad(
+                                Some(id),
+                                format!("'messages' entries must be u64 values of {bits} bits"),
+                            )
+                        })
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            if messages.is_empty() {
-                return Err(RequestError::bad(Some(id), "'messages' must not be empty"));
-            }
             let batch = match value.get("batch") {
                 None => BatchMode::FullK,
                 Some(b) if b.as_str() == Some("full_k") => BatchMode::FullK,

@@ -219,22 +219,40 @@ fn bad_requests_are_typed_and_survivable() {
     let err = session.recv();
     assert_eq!(err.get("code").and_then(Json::as_str), Some("unsupported"));
 
-    // Well-formed lines whose source is not a node of the topology (out of
-    // range, and an empty topology) would panic a worker if run.
-    for (id, line) in [
-        (
-            1,
-            r#"{"type":"submit_sweep","id":1,"scenario":{"topology":{"kind":"path","n":5},"workload":{"kind":"single","payload":7},"source":99},"seeds":[1]}"#,
+    // Well-formed scenarios that cannot run would panic a worker (or the
+    // parser) if accepted: a source outside the topology, an empty
+    // topology, churn or mobility on a streamed topology, a jammer outside
+    // the topology, an edge probability outside [0, 1], a non-positive
+    // radius, and messages that do not fit their bit width.
+    let single = r#""workload":{"kind":"single","payload":7}"#;
+    let path5 = r#""topology":{"kind":"path","n":5}"#;
+    let grid = r#""topology":{"kind":"streamed_grid","w":4,"h":4}"#;
+    let scenarios = [
+        format!(r#"{path5},{single},"source":99"#),
+        format!(r#""topology":{{"kind":"path","n":0}},{single}"#),
+        format!(
+            r#"{grid},{single},"faults":{{"churn":{{"period":4,"node_p":0.05,"edge_p":0.05}}}}"#
         ),
-        (
-            8,
-            r#"{"type":"submit_sweep","id":8,"scenario":{"topology":{"kind":"path","n":0},"workload":{"kind":"single","payload":7}},"seeds":[1]}"#,
+        format!(r#"{grid},{single},"faults":{{"mobility":{{"radius":0.4,"epoch":16}}}}"#),
+        format!(r#"{path5},{single},"faults":{{"jammers":[{{"node":99,"period":2}}]}}"#),
+        format!(r#""topology":{{"kind":"gnp","n":10,"p":1.5,"graph_seed":1}},{single}"#),
+        format!(r#""topology":{{"kind":"gnp","n":10,"p":-0.5,"graph_seed":1}},{single}"#),
+        format!(r#""topology":{{"kind":"streamed_gnp","n":10,"p":1.5,"graph_seed":1}},{single}"#),
+        format!(
+            r#""topology":{{"kind":"unit_disk","n":10,"radius":-0.5,"graph_seed":1}},{single}"#
         ),
-    ] {
-        session.send(line);
+        format!(
+            r#""topology":{{"kind":"streamed_unit_disk","n":10,"radius":-0.5,"graph_seed":1}},{single}"#
+        ),
+        format!(r#"{path5},"workload":{{"kind":"multi_unknown","messages":[1,2],"bits":0}}"#),
+    ];
+    for (id, scenario) in (10u64..).zip(&scenarios) {
+        session.send(&format!(
+            r#"{{"type":"submit_sweep","id":{id},"scenario":{{{scenario}}},"seeds":[1]}}"#
+        ));
         let err = session.recv();
-        assert_eq!(kind(&err), "error");
-        assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"));
+        assert_eq!(kind(&err), "error", "accepted: {scenario}");
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"), "{scenario}");
         assert_eq!(err.get("id").and_then(Json::as_u64), Some(id));
     }
 

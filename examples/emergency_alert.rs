@@ -20,9 +20,7 @@ fn main() {
     let d = graph.bfs(NodeId::new(0)).max_level();
     println!("corridor mesh: {} radios, diameter {}", graph.node_count(), d);
 
-    let ghk = Scenario::new(corridor.clone(), Workload::Single { payload: 0xA1E57 })
-        .seed(1)
-        .run_on(&graph);
+    let ghk = Scenario::new(corridor.clone(), Workload::Single { payload: 0xA1E57 }).seed(1).run();
     let ghk_rounds = ghk.completion_round.expect("alert delivered");
     let Detail::Single { plan, .. } = &ghk.detail else { unreachable!() };
     println!(
@@ -31,9 +29,8 @@ fn main() {
         ghk.cap, plan.ring_count, ghk.phases,
     );
 
-    let decay = Scenario::new(corridor, Workload::Baseline(Algo::Decay { payload: 0xA1E57 }))
-        .seed(1)
-        .run_on(&graph);
+    let decay =
+        Scenario::new(corridor, Workload::Baseline(Algo::Decay { payload: 0xA1E57 })).seed(1).run();
     let decay_rounds = decay.completion_round.expect("alert delivered");
     println!("BGI Decay (no CD):       {decay_rounds} rounds");
 

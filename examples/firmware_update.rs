@@ -19,8 +19,11 @@ fn main() {
     let k = 16; // firmware split into 16 packets
     let image: Vec<BitVec> = (0..k as u64).map(|i| BitVec::from_u64(0xF00D + i * 7, 32)).collect();
 
-    let scenario = Scenario::new(
-        warehouse.clone(),
+    let graph = warehouse.build();
+    println!("pushing a {k}-packet image to {} sensors", graph.node_count());
+
+    let coded = Scenario::new(
+        warehouse,
         Workload::MultiKnown {
             messages: image,
             slow_key: SlowKey::VirtualDistance,
@@ -28,12 +31,8 @@ fn main() {
         },
     )
     .seed(3)
-    .round_cap(4_000_000);
-
-    let graph = scenario.graph();
-    println!("pushing a {k}-packet image to {} sensors", graph.node_count());
-
-    let coded = scenario.run_on(&graph);
+    .round_cap(4_000_000)
+    .run();
     println!("RLNC over the MMV schedule: {:?} rounds", coded.completion_round.unwrap());
 
     // Routing baseline on the identical schedule.

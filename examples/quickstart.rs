@@ -15,17 +15,12 @@ fn main() {
     // A 150-node unit-disk deployment — the classical physical radio model.
     // The spec *describes* the network; the graph is built lazily at run
     // time (swap the spec to change topology, nothing else moves).
-    let scenario = Scenario::new(
-        TopologySpec::UnitDisk { n: 150, radius: 0.16, graph_seed: 2024 },
-        Workload::Single { payload: 0xC0FFEE },
-    )
-    .seed(7);
-
-    let graph = scenario.graph();
+    let deployment = TopologySpec::UnitDisk { n: 150, radius: 0.16, graph_seed: 2024 };
+    let graph = deployment.build();
     let d = graph.bfs(NodeId::new(0)).max_level();
     println!("network: {} nodes, {} links, diameter {}", graph.node_count(), graph.edge_count(), d);
 
-    let outcome = scenario.run_on(&graph);
+    let outcome = Scenario::new(deployment, Workload::Single { payload: 0xC0FFEE }).seed(7).run();
     let Detail::Single { plan, .. } = &outcome.detail else { unreachable!() };
     match outcome.completion_round {
         Some(round) => println!(

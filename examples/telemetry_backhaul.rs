@@ -16,13 +16,8 @@ use rlnc::gf2::BitVec;
 
 fn main() {
     let frames: Vec<BitVec> = (0..8u64).map(|i| BitVec::from_u64(0xBEE0 + i, 32)).collect();
-    let scenario = Scenario::new(
-        TopologySpec::ClusterChain { clusters: 6, size: 6 },
-        Workload::MultiUnknown { messages: frames.clone(), batch: BatchMode::FullK },
-    )
-    .seed(11);
-
-    let graph = scenario.graph();
+    let backhaul = TopologySpec::ClusterChain { clusters: 6, size: 6 };
+    let graph = backhaul.build();
     let d = graph.bfs(NodeId::new(0)).max_level();
     println!(
         "gateway streaming {} frames across {} unknown-topology nodes (D = {d})",
@@ -30,7 +25,12 @@ fn main() {
         graph.node_count()
     );
 
-    let out = scenario.run_on(&graph);
+    let out = Scenario::new(
+        backhaul,
+        Workload::MultiUnknown { messages: frames.clone(), batch: BatchMode::FullK },
+    )
+    .seed(11)
+    .run();
     match out.completion_round {
         Some(r) => {
             println!(

@@ -4,17 +4,28 @@
 
 use broadcast::adaptive::Pacing;
 use broadcast::decay::{DecayBroadcast, DecayMsg, MmvDecayBroadcast};
-use broadcast::multi_message::{
-    broadcast_known, broadcast_unknown, broadcast_unknown_faulted, broadcast_unknown_with,
-    BatchMode, KnownRunOpts, MultiRunOpts,
-};
-use broadcast::single_message::{
-    broadcast_single, broadcast_single_faulted, broadcast_single_in_mode, broadcast_single_with,
-};
-use broadcast::{Params, Scenario, TopologySpec, Workload};
+use broadcast::{BatchMode, EmptyBehavior, Params, Scenario, SlowKey, TopologySpec, Workload};
 use radio_sim::graph::{generators, Traversal};
 use radio_sim::{CollisionMode, DenseWrap, FaultPlan, NodeId, Protocol, RunStats, Simulator};
 use rlnc::gf2::BitVec;
+
+/// The pipeline replay suites' topology: 4 cliques of 5 radios.
+fn chain() -> TopologySpec {
+    TopologySpec::ClusterChain { clusters: 4, size: 5 }
+}
+
+/// Theorem 1.1 from node 0 of [`chain`].
+fn single(payload: u64) -> Scenario {
+    Scenario::new(chain(), Workload::Single { payload })
+}
+
+/// Theorem 1.3 (`FullK`) from node 0 of `spec`.
+fn multi(spec: TopologySpec, messages: &[BitVec]) -> Scenario {
+    Scenario::new(
+        spec,
+        Workload::MultiUnknown { messages: messages.to_vec(), batch: BatchMode::FullK },
+    )
+}
 
 /// Runs `make`'s protocol through both engine paths (wake-list vs dense
 /// sweep) for `rounds`, returning the per-node extracts and channel stats of
@@ -69,6 +80,21 @@ fn decay_wake_list_equals_dense_across_modes_and_seeds() {
 }
 
 #[test]
+fn idle_million_node_path_polls_only_the_frontier() {
+    // Decay from one end of a 1,000,000-node path: for 300 rounds nearly
+    // every node is uninformed and asleep on the wake path, so the engine
+    // must skip all but the frontier's acts (the dense sweep skips none;
+    // the two paths are pinned equal at small sizes above).
+    let n = 1_000_000;
+    let params = Params::scaled(n);
+    let mut sim = Simulator::new(generators::path(n), CollisionMode::NoDetection, 1, |id| {
+        DecayBroadcast::new(&params, (id.index() == 0).then_some(DecayMsg(1)))
+    });
+    sim.run(300);
+    assert_eq!(sim.stats().act_skips, 299_995_053, "stats: {:?}", sim.stats());
+}
+
+#[test]
 fn mmv_decay_wake_list_equals_dense_across_modes_and_seeds() {
     let g = generators::cluster_chain(4, 4);
     let levels: Vec<u32> = {
@@ -104,12 +130,10 @@ fn unknown_topology_adaptive_full_trace_deterministic() {
     // The adaptive driver's phase decisions feed off channel-level
     // quiescence, so completion, phase accounting and the full RunStats must
     // replay exactly.
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i, 16)).collect();
     for seed in 0..4u64 {
-        let a = broadcast_unknown(&g, NodeId::new(0), &msgs, &params, seed, BatchMode::FullK);
-        let b = broadcast_unknown(&g, NodeId::new(0), &msgs, &params, seed, BatchMode::FullK);
+        let a = multi(chain(), &msgs).seed(seed).run();
+        let b = multi(chain(), &msgs).seed(seed).run();
         assert_eq!(a.completion_round, b.completion_round, "completion diverged (seed {seed})");
         assert_eq!(a.stats, b.stats, "RunStats diverged (seed {seed})");
         assert_eq!(a.phases, b.phases, "phase accounting diverged (seed {seed})");
@@ -130,14 +154,10 @@ fn single_segment_pacing_equals_per_step_across_modes_and_seeds() {
     // work segments through the wake-hint fast path must replay the
     // per-round-stepped run bit for bit — same completion round, same phase
     // accounting, same channel trace — while actually skipping acts.
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in 0..4u64 {
-            let seg =
-                broadcast_single_with(&g, NodeId::new(0), 9, &params, seed, mode, Pacing::Segment);
-            let step =
-                broadcast_single_with(&g, NodeId::new(0), 9, &params, seed, mode, Pacing::PerStep);
+            let run = |pacing| single(9).collision_mode(mode).pacing(pacing).seed(seed).run();
+            let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
             assert_eq!(
                 seg.completion_round, step.completion_round,
                 "completion diverged ({mode:?}, seed {seed})"
@@ -163,21 +183,12 @@ fn single_segment_pacing_equals_per_step_across_modes_and_seeds() {
 
 #[test]
 fn multi_segment_pacing_equals_per_step_across_modes_and_seeds() {
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i * 7 + 1, 16)).collect();
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in 0..4u64 {
-            let opts = MultiRunOpts::new(BatchMode::FullK).with_mode(mode);
-            let seg = broadcast_unknown_with(&g, NodeId::new(0), &msgs, &params, seed, opts);
-            let step = broadcast_unknown_with(
-                &g,
-                NodeId::new(0),
-                &msgs,
-                &params,
-                seed,
-                opts.with_pacing(Pacing::PerStep),
-            );
+            let run =
+                |pacing| multi(chain(), &msgs).collision_mode(mode).pacing(pacing).seed(seed).run();
+            let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
             assert_eq!(
                 seg.completion_round, step.completion_round,
                 "completion diverged ({mode:?}, seed {seed})"
@@ -262,23 +273,10 @@ fn single_recovery_segment_pacing_equals_per_step() {
     // clean pipeline, so the wake fast path must replay the per-step faulted
     // run exactly — through the fallback transition — with identical
     // recovery counters.
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
     let plan = FaultPlan::none().with_jammer(5, 3, 1).with_erasure(0.15);
     let mut recovery_fired = false;
     for seed in 0..4u64 {
-        let run = |pacing| {
-            broadcast_single_faulted(
-                &g,
-                NodeId::new(0),
-                9,
-                &params,
-                seed,
-                CollisionMode::Detection,
-                pacing,
-                &plan,
-            )
-        };
+        let run = |pacing| single(9).faults(plan.clone()).pacing(pacing).seed(seed).run();
         let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
         assert_eq!(
             seg.completion_round, step.completion_round,
@@ -317,23 +315,12 @@ fn recovery_tuple(stats: &radio_sim::RunStats) -> (u64, u64, u64, u64, u64) {
 fn multi_recovery_segment_pacing_equals_per_step() {
     // Same invariant for the Theorem 1.3 pipeline, with the measured-erasure
     // fec-repair adaptation active on a lossy channel.
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i * 7 + 1, 16)).collect();
     let plan = FaultPlan::none().with_erasure(0.15);
-    let opts = MultiRunOpts::new(BatchMode::FullK).with_fec_repair(2);
     let mut recovery_fired = false;
     for seed in 0..4u64 {
         let run = |pacing| {
-            broadcast_unknown_faulted(
-                &g,
-                NodeId::new(0),
-                &msgs,
-                &params,
-                seed,
-                opts.with_pacing(pacing),
-                &plan,
-            )
+            multi(chain(), &msgs).fec_repair(2).faults(plan.clone()).pacing(pacing).seed(seed).run()
         };
         let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
         assert_eq!(
@@ -358,11 +345,8 @@ fn multi_recovery_segment_pacing_equals_per_step() {
 
 #[test]
 fn single_message_deterministic() {
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
-    let a = broadcast_single(&g, NodeId::new(0), 5, &params, 42).completion_round;
-    let b = broadcast_single(&g, NodeId::new(0), 5, &params, 42).completion_round;
-    let c = broadcast_single(&g, NodeId::new(0), 5, &params, 43).completion_round;
+    let run = |seed| single(5).seed(seed).run().completion_round;
+    let (a, b, c) = (run(42), run(42), run(43));
     assert_eq!(a, b);
     assert!(a.is_some() && c.is_some());
 }
@@ -374,12 +358,10 @@ fn single_message_deterministic_across_modes_and_seeds() {
     // RunStats (rounds, transmissions, deliveries, collisions, skips) — must
     // be a pure function of (graph, params, mode, master seed). Without CD
     // the wave can jam (completion None); the trace must still replay.
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in 0..8u64 {
-            let a = broadcast_single_in_mode(&g, NodeId::new(0), 9, &params, seed, mode);
-            let b = broadcast_single_in_mode(&g, NodeId::new(0), 9, &params, seed, mode);
+            let run = || single(9).collision_mode(mode).seed(seed).run();
+            let (a, b) = (run(), run());
             assert_eq!(
                 a.completion_round, b.completion_round,
                 "completion diverged ({mode:?}, seed {seed})"
@@ -397,41 +379,32 @@ fn single_message_deterministic_across_modes_and_seeds() {
 fn single_message_seeds_differ_somewhere() {
     // Different master seeds must actually produce different traces (the
     // streams are split per node, so this guards against seed plumbing bugs).
-    let g = generators::cluster_chain(4, 5);
-    let params = Params::scaled(20);
-    let traces: Vec<_> = (0..8u64)
-        .map(|seed| broadcast_single(&g, NodeId::new(0), 9, &params, seed).stats)
-        .collect();
+    let traces: Vec<_> = single(9).seeds(0..8).runs.into_iter().map(|r| r.outcome.stats).collect();
     assert!(traces.windows(2).any(|w| w[0] != w[1]), "all 8 seeds produced identical traces");
 }
 
 #[test]
 fn known_topology_deterministic() {
-    let g = generators::grid(5, 4);
-    let params = Params::scaled(20);
     let msgs: Vec<BitVec> = (0..4u64).map(|i| BitVec::from_u64(i, 16)).collect();
     let run = |seed| {
-        broadcast_known(
-            &g,
-            NodeId::new(0),
-            &msgs,
-            &params,
-            seed,
-            KnownRunOpts::new().with_max_rounds(500_000),
-        )
-        .completion_round
+        let workload = Workload::MultiKnown {
+            messages: msgs.clone(),
+            slow_key: SlowKey::VirtualDistance,
+            empty: EmptyBehavior::Silent,
+        };
+        Scenario::new(TopologySpec::Grid { w: 5, h: 4 }, workload)
+            .round_cap(500_000)
+            .seed(seed)
+            .run()
+            .completion_round
     };
     assert_eq!(run(7), run(7));
 }
 
 #[test]
 fn unknown_topology_deterministic() {
-    let g = generators::grid(4, 4);
-    let params = Params::scaled(16);
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i, 16)).collect();
-    let run = |seed| {
-        broadcast_unknown(&g, NodeId::new(0), &msgs, &params, seed, BatchMode::FullK)
-            .completion_round
-    };
+    let run =
+        |seed| multi(TopologySpec::Grid { w: 4, h: 4 }, &msgs).seed(seed).run().completion_round;
     assert_eq!(run(9), run(9));
 }

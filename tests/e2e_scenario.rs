@@ -1,17 +1,13 @@
 //! The `Scenario` facade: cap compliance across a topology × workload × seed
-//! matrix, and bit-identity against the legacy free functions on both
-//! collision modes (the facade is a front door, not a different run —
-//! including the emergency-alert corridor staying at exactly 677 rounds).
+//! matrix, the Decay baseline replaying a hand-rolled simulator loop on both
+//! collision modes, the emergency-alert corridor staying at exactly 677
+//! rounds, and the pacing knob reaching the drivers.
 
 use broadcast::decay::{DecayBroadcast, DecayMsg};
-use broadcast::multi_message::{
-    broadcast_known, broadcast_unknown_with, BatchMode, KnownRunOpts, MultiRunOpts,
-};
-use broadcast::single_message::broadcast_single_with;
 use broadcast::{
-    Algo, Detail, EmptyBehavior, Pacing, Params, Scenario, SlowKey, TopologySpec, Workload,
+    Algo, BatchMode, EmptyBehavior, Pacing, Params, Scenario, SlowKey, TopologySpec, Workload,
 };
-use radio_sim::{CollisionMode, DoneCheck, NodeId, Simulator};
+use radio_sim::{CollisionMode, DoneCheck, Simulator};
 use rlnc::gf2::BitVec;
 
 fn payloads(k: usize) -> Vec<BitVec> {
@@ -70,114 +66,6 @@ fn matrix_completes_within_caps() {
                     run.seed
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn single_matches_legacy_on_both_modes() {
-    let spec = TopologySpec::ClusterChain { clusters: 4, size: 5 };
-    let g = spec.build();
-    let params = Params::scaled(g.node_count());
-    for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-        for seed in [0u64, 3] {
-            let legacy =
-                broadcast_single_with(&g, NodeId::new(0), 9, &params, seed, mode, Pacing::Segment);
-            let facade = Scenario::new(spec.clone(), Workload::Single { payload: 9 })
-                .collision_mode(mode)
-                .seed(seed)
-                .run();
-            assert_eq!(
-                facade.completion_round, legacy.completion_round,
-                "completion diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(facade.stats, legacy.stats, "trace diverged ({mode:?}, seed {seed})");
-            assert_eq!(facade.audit, legacy.audit, "audit diverged ({mode:?}, seed {seed})");
-            assert_eq!(facade.cap, legacy.cap);
-            assert_eq!(facade.phases, legacy.phases);
-            let (
-                Detail::Single { plan, fallbacks, fallback_entry },
-                Detail::Single { plan: l_plan, fallbacks: l_fallbacks, fallback_entry: l_entry },
-            ) = (facade.detail, legacy.detail)
-            else {
-                panic!("wrong detail arm")
-            };
-            assert_eq!(facade.cap, plan.total_rounds());
-            assert_eq!(plan, l_plan);
-            assert_eq!(fallbacks, l_fallbacks);
-            assert_eq!(fallback_entry, l_entry);
-        }
-    }
-}
-
-#[test]
-fn multi_unknown_matches_legacy_on_both_modes() {
-    let spec = TopologySpec::ClusterChain { clusters: 4, size: 4 };
-    let g = spec.build();
-    let params = Params::scaled(g.node_count());
-    let msgs = payloads(3);
-    for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-        for seed in [1u64, 4] {
-            let legacy = broadcast_unknown_with(
-                &g,
-                NodeId::new(0),
-                &msgs,
-                &params,
-                seed,
-                MultiRunOpts::new(BatchMode::FullK).with_mode(mode),
-            );
-            let facade = Scenario::new(
-                spec.clone(),
-                Workload::MultiUnknown { messages: msgs.clone(), batch: BatchMode::FullK },
-            )
-            .collision_mode(mode)
-            .seed(seed)
-            .run();
-            assert_eq!(
-                facade.completion_round, legacy.completion_round,
-                "completion diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(facade.stats, legacy.stats, "trace diverged ({mode:?}, seed {seed})");
-            assert_eq!(facade.audit, legacy.audit, "audit diverged ({mode:?}, seed {seed})");
-            assert_eq!(facade.cap, legacy.cap);
-            assert_eq!(facade.phases, legacy.phases);
-        }
-    }
-}
-
-#[test]
-fn multi_known_matches_legacy_on_both_modes() {
-    let spec = TopologySpec::Grid { w: 4, h: 4 };
-    let g = spec.build();
-    let params = Params::scaled(g.node_count());
-    let msgs = payloads(4);
-    for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-        for seed in [2u64, 6] {
-            let legacy = broadcast_known(
-                &g,
-                NodeId::new(0),
-                &msgs,
-                &params,
-                seed,
-                KnownRunOpts::new().with_mode(mode),
-            );
-            let facade = Scenario::new(
-                spec.clone(),
-                Workload::MultiKnown {
-                    messages: msgs.clone(),
-                    slow_key: SlowKey::VirtualDistance,
-                    empty: EmptyBehavior::Silent,
-                },
-            )
-            .collision_mode(mode)
-            .seed(seed)
-            .run();
-            assert_eq!(
-                facade.completion_round, legacy.completion_round,
-                "completion diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(facade.stats, legacy.stats, "trace diverged ({mode:?}, seed {seed})");
-            assert_eq!(facade.audit, legacy.audit, "audit diverged ({mode:?}, seed {seed})");
         }
     }
 }

@@ -60,13 +60,15 @@ fn completions(m: &SeedMatrix) -> Vec<Option<u64>> {
 
 /// Pins one GHK-vs-Decay degradation scenario: both algorithms swept over
 /// seeds 1..4 under the same fault plan, exact completion rounds asserted.
-/// Completed GHK runs must also stay within the theorem's worst-case cap.
+/// Completed GHK runs must also stay within the theorem's worst-case cap,
+/// and every GHK run must stay on the wake-hint fast path while the ladder
+/// works (`act_skips > 0`). Returns the GHK matrix.
 fn pin_degradation(
     spec: TopologySpec,
     plan: FaultPlan,
     ghk_expected: [Option<u64>; 3],
     decay_expected: [Option<u64>; 3],
-) {
+) -> SeedMatrix {
     let ghk = Scenario::new(spec.clone(), Workload::Single { payload: 0xA1E57 })
         .faults(plan.clone())
         .seeds(1..4);
@@ -84,7 +86,14 @@ fn pin_degradation(
                 run.seed
             );
         }
+        assert!(
+            run.outcome.stats.act_skips > 0,
+            "seed {}: the faulted run fell off the wake-hint fast path (stats: {:?})",
+            run.seed,
+            run.outcome.stats
+        );
     }
+    ghk
 }
 
 /// 5% Bernoulli packet erasure per (transmitter, receiver) copy.
@@ -147,11 +156,19 @@ fn corridor_recovers_under_light_erasure() {
 
 #[test]
 fn corridor_recovers_under_heavy_erasure() {
-    pin_degradation(
+    let ghk = pin_degradation(
         corridor(),
         erase20(),
         [Some(6183), Some(6180), Some(6224)],
         [Some(199), Some(169), Some(169)],
+    );
+    // Seed 1 climbs the whole ladder: one handoff retry, then rung-1 ring
+    // repairs and rung-2 regional repairs before 24 rounds of fallback.
+    let stats = &ghk.runs[0].outcome.stats;
+    assert_eq!(
+        (stats.retries, stats.ring_repairs, stats.regional_repairs, stats.fallback_rounds),
+        (1, 3, 3, 24),
+        "seed 1's recovery path changed (stats: {stats:?})"
     );
 }
 
@@ -207,15 +224,12 @@ fn corridor_recovers_under_slow_mobility() {
 /// the `ring_repairs > 0` acceptance pin for this PR.
 #[test]
 fn corridor_recovers_under_combined_erasure_and_jamming() {
-    pin_degradation(
+    let ghk = pin_degradation(
         corridor(),
         erase05_plus_jammer(),
         [Some(4724), Some(5333), Some(3507)],
         [Some(149), Some(155), Some(148)],
     );
-    let ghk = Scenario::new(corridor(), Workload::Single { payload: 0xA1E57 })
-        .faults(erase05_plus_jammer())
-        .seeds(1..4);
     for run in &ghk.runs {
         assert!(
             run.outcome.stats.ring_repairs > 0,
@@ -291,6 +305,24 @@ fn grid_recovers_under_slow_mobility() {
         [Some(2876), Some(3843), Some(6223)],
         [Some(32), Some(27), Some(44)],
     );
+}
+
+/// The grid under 32-round mobility epochs, at seed 1: the fault class that
+/// exercises the ladder's global rungs hardest on the shallow grid.
+#[test]
+fn mobile_grid_pin_stays_at_1955() {
+    let out = Scenario::new(grid(), Workload::Single { payload: 0xFEED })
+        .faults(grid_mobility(32))
+        .seed(1)
+        .run();
+    assert_eq!(
+        out.completion_round,
+        Some(1955),
+        "the mobile grid drifted (phases {:?})",
+        out.phases
+    );
+    assert!(out.stats.churn_events > 0, "mobility never re-sampled: {:?}", out.stats);
+    assert!(out.stats.act_skips > 0, "fell off the wake-hint fast path: {:?}", out.stats);
 }
 
 #[test]
@@ -420,4 +452,27 @@ fn none_plan_keeps_the_firmware_pin_at_5011() {
         .seed(3),
     );
     assert_eq!(done, Some(5011));
+}
+
+/// The telemetry backhaul (Theorem 1.3) over a lossy channel with the
+/// ring-handoff FEC repair engaged: the pin of the measured-erasure repair
+/// adaptation (down from 3,366 rounds before it), and erasure must fire.
+#[test]
+fn lossy_telemetry_pin_stays_at_3267() {
+    let out = Scenario::new(
+        TopologySpec::ClusterChain { clusters: 6, size: 6 },
+        Workload::MultiUnknown { messages: payloads(8), batch: BatchMode::FullK },
+    )
+    .faults(erase05())
+    .fec_repair(2)
+    .seed(11)
+    .run();
+    assert_eq!(
+        out.completion_round,
+        Some(3267),
+        "the lossy backhaul drifted (phases {:?})",
+        out.phases
+    );
+    assert!(out.stats.erased > 0, "erasure never fired: {:?}", out.stats);
+    assert!(out.stats.act_skips > 0, "fell off the wake-hint fast path: {:?}", out.stats);
 }

@@ -36,7 +36,7 @@ fn topology(pick: u8, a: usize, b: usize) -> TopologySpec {
 
 /// A random single-class fault plan harsh enough to exercise the ladder on
 /// some draws (jammers sit near the middle of every generated topology).
-fn fault_plan(pick: u8, p: f64, period: u64) -> FaultPlan {
+fn random_plan(pick: u8, p: f64, period: u64) -> FaultPlan {
     match pick % 4 {
         0 => FaultPlan::none().with_erasure(0.05 + p * 0.25),
         1 => FaultPlan::none().with_jammer(4, 1 + period % 3, 0),
@@ -98,7 +98,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let scenario = Scenario::new(topology(tpick, a, b), Workload::Single { payload: 7 })
-            .faults(fault_plan(fpick, p, period))
+            .faults(random_plan(fpick, p, period))
             .seed(seed);
         let out = scenario.clone().run();
         let (ring, regional, fallback) = rungs(&out.stats);

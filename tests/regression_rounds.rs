@@ -8,8 +8,7 @@
 //! orders of magnitude below the worst-case caps — that gap *is* the
 //! adaptivity win — and every run is also asserted against the cap itself
 //! (`Outcome::cap`, the plan's `total_rounds()`), which the paper
-//! guarantees. Facade runs are bit-identical to the legacy free functions
-//! (`tests/e2e_scenario.rs`), so these pins cover both entry points at once.
+//! guarantees.
 
 use broadcast::multi_message::BatchMode;
 use broadcast::{Algo, Scenario, TopologySpec, Workload};

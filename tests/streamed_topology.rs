@@ -27,9 +27,9 @@ fn streamed_specs() -> Vec<TopologySpec> {
 /// deliberately excluded: the topology term differs by design.
 fn assert_same_outcome(spec: TopologySpec, workload: &Workload, seed: u64) {
     let label = spec.label();
-    let streamed = Scenario::new(spec, workload.clone()).seed(seed);
     let materialized =
-        Scenario::new(TopologySpec::custom(streamed.graph()), workload.clone()).seed(seed);
+        Scenario::new(TopologySpec::custom(spec.build()), workload.clone()).seed(seed);
+    let streamed = Scenario::new(spec, workload.clone()).seed(seed);
     let a = streamed.run();
     let b = materialized.run();
     assert_eq!(a.completion_round, b.completion_round, "{label}: completion diverged");

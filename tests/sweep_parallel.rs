@@ -30,6 +30,8 @@ fn assert_identical(parallel: &[SeedMatrix], serial: &[SeedMatrix]) {
 fn corridor_sweep_is_bit_identical_across_worker_counts() {
     let product = SweepProduct::new().scenario(corridor()).seeds(0..64);
     let serial = vec![corridor().seeds(0..64)];
+    // The sweep's extremes are exact pins like any other round count.
+    assert_eq!((serial[0].best_rounds(), serial[0].worst_rounds()), (Some(582), Some(1168)));
     let machine = SweepPool::new().worker_count();
     for workers in [1, 2, 4, machine] {
         let parallel = SweepPool::new().workers(workers).run(&product);
