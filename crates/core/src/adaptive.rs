@@ -58,7 +58,8 @@ use crate::params::Params;
 use crate::run::{Detail, Outcome, Phases};
 use crate::schedule::SchedAudit;
 use radio_sim::trace::RoundStats;
-use radio_sim::{NodeId, Observation, Protocol, Simulator, Topology};
+use radio_sim::{Action, NodeId, Observation, Protocol, Simulator, Topology, Wake};
+use rand::rngs::SmallRng;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -148,6 +149,32 @@ pub(crate) fn narrow<M, N>(
         Observation::SelfTransmit => Observation::SelfTransmit,
         Observation::Silence => Observation::Silence,
     }
+}
+
+/// Runs a pipeline node's `act` under the wake-hint contract check (debug
+/// builds only): a node whose [`Protocol::next_wake`] hint postponed past
+/// `round`, yet is polled anyway (forced wakes, dense or per-step sweeps),
+/// must neither transmit nor draw from its RNG.
+pub(crate) fn hint_checked_act<N: Protocol>(
+    node: &mut N,
+    id: u32,
+    round: u64,
+    rng: &mut SmallRng,
+    act: impl FnOnce(&mut N, u64, &mut SmallRng) -> Action<N::Msg>,
+) -> Action<N::Msg> {
+    let hinted_idle = cfg!(debug_assertions)
+        && match node.next_wake(round) {
+            Wake::Now => false,
+            Wake::At(r) => r > round,
+            Wake::Idle => true,
+        };
+    let before = hinted_idle.then(|| rng.clone());
+    let action = act(node, round, rng);
+    if let Some(before) = before {
+        debug_assert!(!action.is_transmit(), "hinted-idle node {id} transmitted at round {round}");
+        debug_assert!(*rng == before, "hinted-idle node {id} drew from its RNG at round {round}");
+    }
+    action
 }
 
 /// How an adaptive open-ended window closed.
@@ -926,8 +953,10 @@ where
 
     /// The construction work of schedule rounds `start..start + len`, as one
     /// published segment: the loop only ever requests runs within a single
-    /// construction-schedule segment, which is what keeps the nodes'
-    /// `may_act_in` hints valid across the batch.
+    /// construction-schedule segment, so a node's next act offset in that
+    /// segment (`GstConstructionNode::next_act_offset`: a recruiting red's
+    /// beacon or echo, a blue's next iteration start or response round) is
+    /// also its next act in the batch.
     fn run(&mut self, start: u64, len: u64) {
         let (slots, count): (u64, fn(&mut Phases) -> &mut u64) = match self.budget {
             Budget::Repair => (1, |p| &mut p.repair),

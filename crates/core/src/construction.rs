@@ -433,34 +433,42 @@ impl GstConstructionNode {
         self.stats
     }
 
-    /// Wake helper for enclosing pipelines: whether [`Protocol::act`] at a
-    /// round of `ph`'s segment might transmit or draw from the RNG given the
-    /// node's current state.
+    /// Wake helper for enclosing pipelines: the first offset `>= ph.offset`
+    /// of `ph`'s segment at which [`Protocol::act`] might transmit, draw from
+    /// the RNG or change state given the node's current state, or `None` if
+    /// no round left in the segment can.
     ///
-    /// `false` promises that every `act` within the segment is a pure listen
-    /// — no transmission, no RNG draw, and no observable state change (only
-    /// the internal cursor's round offset, which nothing reads, advances).
-    /// The promise covers only the *current* state, exactly like
-    /// [`Protocol::next_wake`]: receptions can re-activate the node, and the
-    /// engine re-queries hints after every delivered observation. A pending
-    /// segment transition (`sync` has not yet seen `ph`'s segment) reports
-    /// `true`, since transitions run epilogues and may seed recruiting
-    /// machines (which draws the part-2 brisk/lazy coin).
-    pub fn may_act_in(&self, ph: &PhaseRef) -> bool {
+    /// Every `act` before the returned offset (or, with `None`, every `act`
+    /// of the rest of the segment) is a pure listen — no transmission, no
+    /// RNG draw, and no observable state change (only the internal cursor's
+    /// round offset, which nothing reads, advances). The promise covers only
+    /// the *current* state, exactly like [`Protocol::next_wake`]: receptions
+    /// can re-activate the node, and the engine re-queries hints after every
+    /// delivered observation. A pending segment transition (`sync` has not
+    /// yet seen `ph`'s segment) answers `ph.offset`, since transitions run
+    /// epilogues and may seed recruiting machines (which draws the part-2
+    /// brisk/lazy coin).
+    pub fn next_act_offset(&self, ph: &PhaseRef) -> Option<u64> {
         let synced = self.cursor.is_some_and(|p| {
             (p.boundary, p.rank, p.epoch, p.segment) == (ph.boundary, ph.rank, ph.epoch, ph.segment)
         });
+        let now = |active: bool| active.then_some(ph.offset);
         if !synced {
-            return true;
+            return now(true);
         }
         match ph.segment {
-            Segment::Identify => self.is_open_blue(ph),
-            Segment::StageIa => self.is_red(ph) && self.red_active,
-            Segment::StageIb => self.is_open_blue(ph) && self.blue_loner && !self.blue_temp,
-            // Recruiting machines pace themselves; their mere presence means
-            // the node may beacon/respond/echo this part.
-            Segment::Part(_) => self.red_recruit.is_some() || self.blue_recruit.is_some(),
-            Segment::StageIii => self.is_red(ph) && self.red_newly_ranked,
+            Segment::Identify => now(self.is_open_blue(ph)),
+            Segment::StageIa => now(self.is_red(ph) && self.red_active),
+            Segment::StageIb => now(self.is_open_blue(ph) && self.blue_loner && !self.blue_temp),
+            // Recruiting machines pace themselves: a red acts at its beacon
+            // and echo rounds, a blue at iteration starts and while a beacon
+            // awaits its response (a node holds at most one of the two).
+            Segment::Part(_) => {
+                let red = self.red_recruit.as_ref().and_then(|r| r.next_act_round(ph.offset));
+                let blue = self.blue_recruit.as_ref().and_then(|b| b.next_act_round(ph.offset));
+                red.into_iter().chain(blue).min()
+            }
+            Segment::StageIii => now(self.is_red(ph) && self.red_newly_ranked),
         }
     }
 
@@ -953,6 +961,73 @@ mod tests {
         }
         assert_eq!(seen_segments.len(), 5, "all segment kinds appear");
         assert!(sched.phase(sched.total_rounds()).is_none());
+    }
+
+    /// A construction node paced by [`GstConstructionNode::next_act_offset`],
+    /// each hint clamped to the end of its schedule segment (where `sync`
+    /// must run) — the pipelines' construction hints without their driver.
+    #[derive(Debug)]
+    struct Hinted(GstConstructionNode);
+
+    impl Protocol for Hinted {
+        type Msg = GstMsg;
+        const SILENCE_IS_NOOP: bool = true;
+        const WAKE_HINTS: bool = true;
+
+        fn next_wake(&self, round: u64) -> radio_sim::Wake {
+            let sched = &self.0.sched;
+            let Some(ph) = sched.phase(round) else { return radio_sim::Wake::Idle };
+            let len = match ph.segment {
+                Segment::StageIa => 1,
+                Segment::Part(_) => sched.recruit_rounds(),
+                Segment::Identify | Segment::StageIb | Segment::StageIii => sched.decay_step(),
+            };
+            let end = round + (len - ph.offset);
+            let next = self.0.next_act_offset(&ph).map_or(end, |o| round + (o - ph.offset));
+            radio_sim::Wake::At(next.min(end))
+        }
+
+        fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GstMsg> {
+            self.0.act(round, rng)
+        }
+
+        fn observe(&mut self, round: u64, obs: Observation<GstMsg>, rng: &mut SmallRng) {
+            self.0.observe(round, obs, rng);
+        }
+    }
+
+    #[test]
+    fn next_act_offset_hints_replay_the_dense_run() {
+        // Sleeping every node up to its next act offset (a recruiting red
+        // until its beacon or echo, a blue until its next iteration or
+        // response round) must leave labels, accounting and the channel
+        // trace exactly as polling every node every round does.
+        let graphs = [generators::cluster_chain(4, 5), generators::grid(5, 4), generators::star(9)];
+        for g in &graphs {
+            let layering = g.bfs(NodeId::new(0));
+            let params = Params::scaled(g.node_count());
+            let sched = ConstructionSchedule::new(&params, layering.max_level().max(1));
+            let node =
+                |id: NodeId| GstConstructionNode::new(&params, sched, id.raw(), layering.level(id));
+            for seed in 0..3 {
+                let mut hinted =
+                    Simulator::new(g.clone(), CollisionMode::NoDetection, seed, |id| {
+                        Hinted(node(id))
+                    });
+                let mut dense = Simulator::new(g.clone(), CollisionMode::NoDetection, seed, |id| {
+                    radio_sim::DenseWrap(node(id))
+                });
+                hinted.run(sched.total_rounds() + 1);
+                dense.run(sched.total_rounds() + 1);
+                let of = |n: &GstConstructionNode| (n.labels(), n.stats());
+                let h: Vec<_> = hinted.nodes().iter().map(|n| of(&n.0)).collect();
+                let d: Vec<_> = dense.nodes().iter().map(|n| of(&n.0)).collect();
+                assert_eq!(h, d, "labels diverged (n = {}, seed {seed})", g.node_count());
+                let trace = |s: &radio_sim::RunStats| (s.transmissions, s.deliveries, s.collisions);
+                assert_eq!(trace(hinted.stats()), trace(dense.stats()), "trace diverged");
+                assert!(hinted.stats().act_skips > dense.stats().act_skips, "no act was skipped");
+            }
+        }
     }
 
     #[test]

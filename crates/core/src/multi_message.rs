@@ -48,8 +48,8 @@
 //! ring constructions).
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, narrow, Advance, Budget, ConsProbe, Driver,
-    LossEstimator, Pacing, Pipeline, Segment, Step, StepCell, WindowEnd,
+    answer_cons_probe, cons_status_budget, hint_checked_act, narrow, Advance, Budget, ConsProbe,
+    Driver, LossEstimator, Pacing, Pipeline, Segment, Step, StepCell, WindowEnd,
 };
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
@@ -745,11 +745,13 @@ impl GhkMultiNode {
                 let (first, inner) = aligned(offset, u64::from(ring % 2));
                 let Some(cons) = &self.cons else { return Wake::Now };
                 // A published segment never crosses a construction-schedule
-                // segment, so one activity check covers the remainder.
-                match self.plan.cons.phase(inner) {
-                    Some(ph) if cons.may_act_in(&ph) => clamp(first),
-                    _ => sleep,
-                }
+                // segment, so the node's next act offset in that segment is
+                // its next act in this one; in-parity rounds are two apart.
+                let next =
+                    self.plan.cons.phase(inner).and_then(|ph| {
+                        cons.next_act_offset(&ph).map(|o| first + 2 * (o - ph.offset))
+                    });
+                next.map_or(sleep, clamp)
             }
             GhkMultiPhase::Label { offset } => {
                 let Some((ring, _)) = self.ring else {
@@ -784,8 +786,13 @@ impl GhkMultiNode {
                 let Some((ring, ring_level)) = self.ring else {
                     return if layered { Wake::Now } else { sleep };
                 };
-                if self.handoff_seen != Some(window) {
-                    return Wake::Now; // entry round: window harvest
+                // `act` harvests a live window schedule before it hands off,
+                // and the harvest can make this node a sender: poll on the
+                // entry round, and while a rung-1 repair's replay of the
+                // window has left a schedule behind (the retried handoff
+                // then has `handoff_seen == Some(window)` already).
+                if self.handoff_seen != Some(window) || self.sched.is_some() {
+                    return Wake::Now;
                 }
                 let sender = ring_level == self.plan.ring_width - 1
                     && ring + 1 < self.plan.ring_count
@@ -847,22 +854,8 @@ impl Protocol for GhkMultiNode {
     }
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        // Contract check for the wake hints: a node whose hint postponed past
-        // this round must not transmit if polled anyway (dense/per-step A/B
-        // paths poll everyone).
-        let hinted_idle = cfg!(debug_assertions)
-            && match self.next_wake(round) {
-                Wake::Now => false,
-                Wake::At(r) => r > round,
-                Wake::Idle => true,
-            };
-        let action = self.act_inner(round, rng);
-        debug_assert!(
-            !(hinted_idle && action.is_transmit()),
-            "hinted-idle node {} transmitted at round {round}",
-            self.id
-        );
-        action
+        let id = self.id;
+        hint_checked_act(self, id, round, rng, Self::act_inner)
     }
 
     fn observe(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {

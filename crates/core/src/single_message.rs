@@ -60,8 +60,8 @@
 //! run — `tests/regression_rounds.rs` asserts it.
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, narrow, Advance, Budget, ConsProbe, Driver, Pacing,
-    Pipeline, Segment, Step, StepCell, WindowEnd,
+    answer_cons_probe, cons_status_budget, hint_checked_act, narrow, Advance, Budget, ConsProbe,
+    Driver, Pacing, Pipeline, Segment, Step, StepCell, WindowEnd,
 };
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
@@ -558,8 +558,8 @@ impl Ghk1Node {
 impl Ghk1Node {
     /// The wake hint within a published work segment: the earliest round
     /// `>= round` at which this node's `act` might transmit, draw from its
-    /// RNG, or make an observable state change — clamped to the segment end,
-    /// so the node is always re-polled when the driver publishes its next
+    /// RNG, or make an observable state change. It may lie past the segment
+    /// end; the node is re-polled anyway when the driver publishes its next
     /// step (status round or new segment).
     fn segment_wake(&self, seg: &Segment<PhasePos>, round: u64) -> Wake {
         let Some(pos) = seg.pos_at(round) else {
@@ -590,13 +590,14 @@ impl Ghk1Node {
                 let first = if offset % 2 == parity { round } else { round + 1 };
                 let Some(cons) = &self.cons else { return Wake::Now };
                 // One engine segment never crosses a construction-schedule
-                // segment (the driver publishes per sub-segment), so one
-                // activity check covers the whole remainder.
-                match self.plan.cons.phase((offset + (first - round)) / 2) {
-                    Some(ph) if cons.may_act_in(&ph) => clamp(first),
-                    Some(_) => sleep,
-                    None => sleep,
-                }
+                // segment (the driver publishes per sub-segment), so the
+                // node's next act offset in that segment is its next act in
+                // the engine segment; in-parity rounds are two apart.
+                let next =
+                    self.plan.cons.phase((offset + (first - round)) / 2).and_then(|ph| {
+                        cons.next_act_offset(&ph).map(|o| first + 2 * (o - ph.offset))
+                    });
+                next.map_or(sleep, clamp)
             }
             PhasePos::Broadcast { ring, offset } => {
                 let Some((my_ring, _)) = self.ring else {
@@ -633,11 +634,13 @@ impl Ghk1Node {
                 // Unslotted: the repair segment's offsets are construction
                 // schedule rounds directly. One published segment never
                 // crosses a schedule segment (the shared skip loop publishes
-                // per sub-segment), so one activity check covers the rest.
-                match self.plan.cons.phase(offset) {
-                    Some(ph) if cons.may_act_in(&ph) => Wake::Now,
-                    _ => sleep,
-                }
+                // per sub-segment), so the next act offset maps 1:1.
+                let next = self
+                    .plan
+                    .cons
+                    .phase(offset)
+                    .and_then(|ph| cons.next_act_offset(&ph).map(|o| round + (o - ph.offset)));
+                next.map_or(sleep, clamp)
             }
             PhasePos::Regional { ring, .. } => {
                 // Region holders sample Decay every round; everyone else
@@ -676,7 +679,7 @@ impl Protocol for Ghk1Node {
 
     /// Segment-derived wake hints (see [`crate::adaptive`]): status and idle
     /// rounds poll everyone; work segments sleep the node through rounds in
-    /// which its phase provably keeps it inert, clamped to the segment end.
+    /// which its phase provably keeps it inert.
     fn next_wake(&self, round: u64) -> Wake {
         if !self.seg_hints {
             return Wake::Now;
@@ -688,21 +691,8 @@ impl Protocol for Ghk1Node {
     }
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<Ghk1Msg> {
-        // Contract check for the wake hints: a node whose hint postponed past
-        // this round must not transmit if polled anyway (dense A/B paths).
-        let hinted_idle = cfg!(debug_assertions)
-            && match self.next_wake(round) {
-                Wake::Now => false,
-                Wake::At(r) => r > round,
-                Wake::Idle => true,
-            };
-        let action = self.act_inner(round, rng);
-        debug_assert!(
-            !(hinted_idle && action.is_transmit()),
-            "hinted-idle node {} transmitted at round {round}",
-            self.id
-        );
-        action
+        let id = self.id;
+        hint_checked_act(self, id, round, rng, Self::act_inner)
     }
 
     fn observe(&mut self, round: u64, obs: Observation<Ghk1Msg>, rng: &mut SmallRng) {
@@ -807,11 +797,13 @@ impl Ghk1Node {
                 }
             }
             PhasePos::Broadcast { ring, offset } => {
-                self.ensure_sched();
                 let Some((my_ring, _)) = self.ring else { return Action::Listen };
                 if my_ring != ring {
                     return Action::Listen;
                 }
+                // Only the broadcasting ring holds schedule state (see the
+                // memory model on `Ghk1Node`).
+                self.ensure_sched();
                 // A late holder (handoff) seeds the schedule decoder lazily.
                 if offset == 0 {
                     if let (Some(m), Some(s)) = (self.message, self.sched.as_deref_mut()) {

@@ -57,17 +57,29 @@ enum Family {
 }
 
 /// CSR bucketing of node ids per spatial cell (UnitDisk only): `O(n)` ids
-/// plus one offset per cell, and the hashed positions themselves so a
-/// 9-cell scan reads two floats per candidate instead of re-deriving two
-/// SplitMix64 words. Positions stay `f64`: [`ImplicitGraph::materialize`]
+/// plus one offset per cell, and the hashed positions themselves in the same
+/// cell order — all `x` coordinates, then all `y` coordinates, in one
+/// allocation — so a 3×3-cell scan streams three contiguous row ranges
+/// instead of re-deriving two SplitMix64 words (or chasing a by-id position)
+/// per candidate. Positions stay `f64`: [`ImplicitGraph::materialize`]
 /// brute-forces the same `f64` coordinates, and streamed-vs-materialized
 /// identity is bit-exact only if both sides compare identical floats.
 #[derive(Clone, Debug)]
 struct CellIndex {
     offsets: Vec<u32>,
     nodes: Vec<u32>,
-    positions: Vec<(f64, f64)>,
+    coords: Vec<f64>,
 }
+
+impl CellIndex {
+    /// The `x` and `y` coordinates of the nodes in cell order.
+    fn coords(&self) -> (&[f64], &[f64]) {
+        self.coords.split_at(self.nodes.len())
+    }
+}
+
+/// Candidates one branch-free accept pass compacts on the stack.
+const SCAN_CHUNK: usize = 64;
 
 /// One direct-mapped cache slot: the node whose neighborhood the buffer
 /// currently holds (`u32::MAX` = empty).
@@ -154,12 +166,14 @@ impl ImplicitGraph {
         let offsets = counts;
         let mut cursor = offsets.clone();
         let mut nodes = vec![0u32; n];
+        let mut coords = vec![0f64; 2 * n];
         for (i, &(x, y)) in positions.iter().enumerate() {
             let c = cell_of(x, y);
-            nodes[cursor[c] as usize] = i as u32;
+            let at = cursor[c] as usize;
+            (nodes[at], coords[at], coords[n + at]) = (i as u32, x, y);
             cursor[c] += 1;
         }
-        let index = CellIndex { offsets, nodes, positions };
+        let index = CellIndex { offsets, nodes, coords };
         Self::with_family(n, Family::UnitDisk { radius, seed, cells_per_axis, index })
     }
 
@@ -214,26 +228,35 @@ impl ImplicitGraph {
                     out.push(NodeId(v + w as u32));
                 }
             }
-            Family::UnitDisk { radius, cells_per_axis, index, .. } => {
+            Family::UnitDisk { radius, seed, cells_per_axis, index } => {
                 let cpa = *cells_per_axis;
-                let (x, y) = index.positions[v as usize];
+                let (x, y) = position(*seed, u64::from(v));
                 let cx = ((x * cpa as f64) as usize).min(cpa - 1);
                 let cy = ((y * cpa as f64) as usize).min(cpa - 1);
+                let (x_lo, x_hi) = (cx.saturating_sub(1), (cx + 1).min(cpa - 1));
                 let r2 = radius * radius;
-                for dy in cy.saturating_sub(1)..=(cy + 1).min(cpa - 1) {
-                    for dx in cx.saturating_sub(1)..=(cx + 1).min(cpa - 1) {
-                        let c = dy * cpa + dx;
-                        let lo = index.offsets[c] as usize;
-                        let hi = index.offsets[c + 1] as usize;
-                        for &j in &index.nodes[lo..hi] {
-                            if j == v {
-                                continue;
-                            }
-                            let (px, py) = index.positions[j as usize];
+                let (xs, ys) = index.coords();
+                let mut hits = [0u32; SCAN_CHUNK];
+                // The three cells of one row are adjacent in cell order, so
+                // each row of the 3×3 block is one contiguous range.
+                for row in cy.saturating_sub(1)..=(cy + 1).min(cpa - 1) {
+                    let lo = index.offsets[row * cpa + x_lo] as usize;
+                    let hi = index.offsets[row * cpa + x_hi + 1] as usize;
+                    for start in (lo..hi).step_by(SCAN_CHUNK) {
+                        let end = (start + SCAN_CHUNK).min(hi);
+                        let (ids, xs, ys) =
+                            (&index.nodes[start..end], &xs[start..end], &ys[start..end]);
+                        // Branch-free accept: always write, advance on a hit.
+                        let mut kept = 0;
+                        for ((&j, &px), &py) in ids.iter().zip(xs).zip(ys) {
                             let (ex, ey) = (px - x, py - y);
-                            if ex * ex + ey * ey <= r2 {
-                                out.push(NodeId(j));
-                            }
+                            hits[kept] = j;
+                            kept += usize::from((ex * ex + ey * ey <= r2) & (j != v));
+                        }
+                        // Pushed one by one, so the slot buffer grows exactly
+                        // as if each hit had been pushed during the scan.
+                        for &j in &hits[..kept] {
+                            out.push(NodeId(j));
                         }
                     }
                 }
@@ -321,7 +344,7 @@ impl Topology for ImplicitGraph {
             Family::UnitDisk { index, .. } => {
                 std::mem::size_of_val(&index.offsets[..])
                     + std::mem::size_of_val(&index.nodes[..])
-                    + std::mem::size_of_val(&index.positions[..])
+                    + std::mem::size_of_val(&index.coords[..])
             }
             Family::Grid { .. } | Family::Gnp { .. } => 0,
         };
@@ -362,7 +385,11 @@ mod tests {
 
     #[test]
     fn unit_disk_matches_its_materialization() {
-        for (n, radius, seed) in [(1, 0.5, 0), (40, 0.25, 7), (120, 0.1, 9), (200, 0.04, 3)] {
+        // The last input is dense like the benchmark's disk: ~20 nodes per
+        // cell, mean degree ~60.
+        for (n, radius, seed) in
+            [(1, 0.5, 0), (40, 0.25, 7), (120, 0.1, 9), (200, 0.04, 3), (2_000, 0.1, 4)]
+        {
             let implicit = ImplicitGraph::unit_disk(n, radius, seed);
             let dense = implicit.materialize();
             for v in dense.node_ids() {

@@ -19,6 +19,19 @@ fn single(payload: u64) -> Scenario {
     Scenario::new(chain(), Workload::Single { payload })
 }
 
+/// `workload` on a streamed 600-node unit disk (mean degree ~19) under the
+/// benchmark's leaned `2·log n` recruiting: unlike [`chain`]'s short
+/// recruiting parts, its parts hold many non-participating reds and
+/// recruited blues, whose construction hints sleep through most of each
+/// iteration.
+fn disk(workload: Workload) -> Scenario {
+    let n = 600;
+    let mut params = Params::scaled(n);
+    params.recruit_iterations = 2 * params.log_n;
+    let spec = TopologySpec::StreamedUnitDisk { n, radius: 0.1, graph_seed: 2026 };
+    Scenario::new(spec, workload).params(params)
+}
+
 /// Theorem 1.3 (`FullK`) from node 0 of `spec`.
 fn multi(spec: TopologySpec, messages: &[BitVec]) -> Scenario {
     Scenario::new(
@@ -154,29 +167,28 @@ fn single_segment_pacing_equals_per_step_across_modes_and_seeds() {
     // work segments through the wake-hint fast path must replay the
     // per-round-stepped run bit for bit — same completion round, same phase
     // accounting, same channel trace — while actually skipping acts.
-    for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-        for seed in 0..4u64 {
-            let run = |pacing| single(9).collision_mode(mode).pacing(pacing).seed(seed).run();
-            let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
-            assert_eq!(
-                seg.completion_round, step.completion_round,
-                "completion diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(
-                paced_semantic(&seg.stats),
-                paced_semantic(&step.stats),
-                "trace diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(
-                seg.phases, step.phases,
-                "phase accounting diverged ({mode:?}, seed {seed})"
-            );
-            assert!(
-                seg.stats.act_skips > 0,
-                "segment pacing never skipped ({mode:?}, seed {seed})"
-            );
-            assert_eq!(step.stats.act_skips, 0, "per-step pacing must poll everyone");
-            assert_eq!(step.stats.idle_fastforward, 0);
+    for (input, scenario) in [("chain", single(9)), ("disk", disk(Workload::Single { payload: 9 }))]
+    {
+        for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
+            for seed in 0..4u64 {
+                let run =
+                    |pacing| scenario.clone().collision_mode(mode).pacing(pacing).seed(seed).run();
+                let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
+                let at = format!("{input}, {mode:?}, seed {seed}");
+                assert_eq!(
+                    seg.completion_round, step.completion_round,
+                    "completion diverged ({at})"
+                );
+                assert_eq!(
+                    paced_semantic(&seg.stats),
+                    paced_semantic(&step.stats),
+                    "trace diverged ({at})"
+                );
+                assert_eq!(seg.phases, step.phases, "phase accounting diverged ({at})");
+                assert!(seg.stats.act_skips > 0, "segment pacing never skipped ({at})");
+                assert_eq!(step.stats.act_skips, 0, "per-step pacing must poll everyone");
+                assert_eq!(step.stats.idle_fastforward, 0);
+            }
         }
     }
 }
@@ -184,30 +196,28 @@ fn single_segment_pacing_equals_per_step_across_modes_and_seeds() {
 #[test]
 fn multi_segment_pacing_equals_per_step_across_modes_and_seeds() {
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i * 7 + 1, 16)).collect();
-    for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-        for seed in 0..4u64 {
-            let run =
-                |pacing| multi(chain(), &msgs).collision_mode(mode).pacing(pacing).seed(seed).run();
-            let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
-            assert_eq!(
-                seg.completion_round, step.completion_round,
-                "completion diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(
-                paced_semantic(&seg.stats),
-                paced_semantic(&step.stats),
-                "trace diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(
-                seg.phases, step.phases,
-                "phase accounting diverged ({mode:?}, seed {seed})"
-            );
-            assert_eq!(seg.audit, step.audit, "schedule audit diverged ({mode:?}, seed {seed})");
-            assert!(
-                seg.stats.act_skips > 0,
-                "segment pacing never skipped ({mode:?}, seed {seed})"
-            );
-            assert_eq!(step.stats.act_skips, 0, "per-step pacing must poll everyone");
+    let on_disk = disk(Workload::MultiUnknown { messages: msgs.clone(), batch: BatchMode::FullK });
+    for (input, scenario) in [("chain", multi(chain(), &msgs)), ("disk", on_disk)] {
+        for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
+            for seed in 0..4u64 {
+                let run =
+                    |pacing| scenario.clone().collision_mode(mode).pacing(pacing).seed(seed).run();
+                let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
+                let at = format!("{input}, {mode:?}, seed {seed}");
+                assert_eq!(
+                    seg.completion_round, step.completion_round,
+                    "completion diverged ({at})"
+                );
+                assert_eq!(
+                    paced_semantic(&seg.stats),
+                    paced_semantic(&step.stats),
+                    "trace diverged ({at})"
+                );
+                assert_eq!(seg.phases, step.phases, "phase accounting diverged ({at})");
+                assert_eq!(seg.audit, step.audit, "schedule audit diverged ({at})");
+                assert!(seg.stats.act_skips > 0, "segment pacing never skipped ({at})");
+                assert_eq!(step.stats.act_skips, 0, "per-step pacing must poll everyone");
+            }
         }
     }
 }
@@ -341,6 +351,54 @@ fn multi_recovery_segment_pacing_equals_per_step() {
         recovery_fired |= recovery_tuple(&seg.stats) != (0, 0, 0, 0, 0);
     }
     assert!(recovery_fired, "no seed exercised the recovery machinery");
+}
+
+#[test]
+fn multi_handoff_hints_count_pending_window_harvests() {
+    // A rung-1 repair replays the failed window's dissemination, which
+    // leaves live window schedules behind, then re-runs the same handoff.
+    // `act` harvests such a schedule before it hands off, so the hint must
+    // poll a node with one pending: otherwise a hinted-idle boundary node
+    // transmits a fountain packet, which the debug-build contract check in
+    // `act` rejects. Both runs panicked there before the hint counted the
+    // pending harvest; segment pacing must also still replay per-step.
+    let msgs: Vec<BitVec> = (0..4u64).map(|i| BitVec::from_u64(0xBEE0 + i, 32)).collect();
+    let cases = [
+        (
+            "path(12) under mobility",
+            TopologySpec::Path { n: 12 },
+            BatchMode::Generations(2),
+            FaultPlan::none().with_mobility(0.5, 16),
+        ),
+        (
+            "grid(4x4) under a jammer",
+            TopologySpec::Grid { w: 4, h: 4 },
+            BatchMode::FullK,
+            FaultPlan::none().with_jammer(1, 3, 0),
+        ),
+    ];
+    for (name, spec, batch, plan) in cases {
+        let run = |pacing| {
+            Scenario::new(spec.clone(), Workload::MultiUnknown { messages: msgs.clone(), batch })
+                .faults(plan.clone())
+                .pacing(pacing)
+                .seed(1)
+                .run()
+        };
+        let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
+        assert!(seg.stats.ring_repairs > 0, "{name}: no rung-1 repair ran: {:?}", seg.stats);
+        assert_eq!(seg.completion_round, step.completion_round, "{name}: completion diverged");
+        assert_eq!(
+            paced_semantic(&seg.stats),
+            paced_semantic(&step.stats),
+            "{name}: trace diverged"
+        );
+        assert_eq!(
+            recovery_tuple(&seg.stats),
+            recovery_tuple(&step.stats),
+            "{name}: recovery counters diverged"
+        );
+    }
 }
 
 #[test]

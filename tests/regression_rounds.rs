@@ -229,3 +229,27 @@ fn adaptive_caps_stay_polylog_above_diameter() {
     let long = broadcast::single_message::Ghk1Plan::new(&params, 40).total_rounds();
     assert!(long <= short * 3, "cap explodes with D: {short} -> {long}");
 }
+
+#[test]
+fn recruiting_hints_pin_the_disk_skip_counts() {
+    // Construction hints follow the recruiting machines: a red is polled at
+    // its beacon and echo rounds only, a blue at iteration starts and while
+    // a beacon awaits its response, and a non-participating red never. On
+    // a streamed 600-node disk under the benchmark's leaned `2·log n`
+    // recruiting, most recruiting parts are full of such sleepers. The
+    // host-side skip counters are exact functions of the hints, so pinning
+    // them catches a hint that coarsens (fewer skips) or a schedule change;
+    // the round count pins the simulated trace itself.
+    let n = 600;
+    let mut params = broadcast::Params::scaled(n);
+    params.recruit_iterations = 2 * params.log_n;
+    let out = Scenario::new(
+        TopologySpec::StreamedUnitDisk { n, radius: 0.1, graph_seed: 2026 },
+        Workload::Single { payload: 9 },
+    )
+    .params(params)
+    .seed(1)
+    .run();
+    let counts = (out.completion_round, out.stats.act_skips, out.stats.idle_fastforward);
+    assert_eq!(counts, (Some(4_784), 2_533_626, 3_018), "stats: {:?}", out.stats);
+}
