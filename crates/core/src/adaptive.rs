@@ -14,35 +14,41 @@
 //! The driver (`Driver`, crate-private) owns everything the two pipelines
 //! share:
 //!
-//! * the simulator and the shared [`StepCell`] cursor;
+//! * the simulator and the shared `StepCell` cursor;
 //! * the status budgets and majority voting ([`vote_quiet`]);
 //! * the beep/quiescence window loop, optionally probing before any work (a
 //!   window with nothing pending collapses to one status round);
-//! * the construction skip loop, over [`ConsProbe`]s answered by
-//!   [`answer_cons_probe`];
+//! * the front half both pipelines open with: the collision wave, then the
+//!   construction skip loop over the shared construction probes, parallel
+//!   over every ring or (rung-1 repair) over one ring;
 //! * the handoff retry → rung 1 → rung 2 → rung-3 fallback sequence of the
 //!   recovery [`Ladder`];
 //! * state sampling at phase boundaries, and the [`Outcome`] it returns,
 //!   counted into [`Phases`].
 //!
-//! A pipeline plugs in through the crate-private `Pipeline` trait, which its
-//! node type implements. It supplies its phase-position and probe enums; its
-//! completion predicate, resident bytes and audit counters; which probes a
-//! majority vote may re-read and which status budget a re-vote draws from;
-//! its phase sequence; and the bodies of rungs 1 and 2.
+//! The nodes share their front half too. `RingCore` (crate-private), which
+//! both pipeline nodes embed, holds the wave, the ring and the construction
+//! state and runs the wave and construction rounds and probes; it hands
+//! every other round to the node's own phases and probes.
+//!
+//! A pipeline plugs in through two crate-private traits its node type
+//! implements. `RingNode` supplies the node's own phases, probes and
+//! messages. `Pipeline` supplies its completion predicate, resident bytes
+//! and audit counters; which status budget a re-vote draws from; the phase
+//! sequence after the front half; and the bodies of rungs 1 and 2.
 //!
 //! ## Segment pacing
 //!
 //! The driver pumps the simulator in *segments*. Instead of setting the
 //! shared cursor cell and calling `Simulator::step` once per round, it
-//! publishes a whole [`Segment`] — the simulator round it starts at, its
-//! length, and the phase position of its first round — and executes it with
+//! publishes a whole segment — the simulator round it starts at, its length,
+//! its phase, and the phase offset of its first round — and executes it with
 //! `Simulator::run_segment`, which runs on the engine's wake-list fast path
 //! (acts cost `O(awake)`; fully-idle stretches fast-forward in `O(1)`).
-//! Nodes derive their per-round phase position from the published segment
-//! (`pos.advanced(round - start)`), and their `next_wake` hints only have to
-//! hold while the segment stands: every publish force-wakes all nodes
-//! (`Simulator::wake_all`), so a sleeping node can never miss a cursor
+//! Nodes read the phase of simulator round `r` off the published segment and
+//! its offset as the base offset plus `r - start`. Their `next_wake` hints
+//! only have to hold while the segment stands: every publish force-wakes all
+//! nodes (`Simulator::wake_all`), so a sleeping node can never miss a cursor
 //! change, and arbitrary driver decisions (probe outcomes, block skips,
 //! early phase closure) stay safe under wake hints.
 //!
@@ -53,7 +59,9 @@
 //! per-round stepping — [`Pacing::PerStep`] keeps the old regime available
 //! for the equivalence suites.
 
-use crate::construction::{ConstructionSchedule, GstConstructionNode};
+use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
+use crate::decay::DecaySchedule;
+use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
 use crate::run::{Detail, Outcome, Phases};
 use crate::schedule::SchedAudit;
@@ -61,80 +69,160 @@ use radio_sim::trace::RoundStats;
 use radio_sim::{Action, NodeId, Observation, Protocol, Simulator, Topology, Wake};
 use rand::rngs::SmallRng;
 use std::cell::Cell;
+use std::fmt::Debug;
 use std::rc::Rc;
 
 /// How an adaptive pipeline driver pumps the simulator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Pacing {
-    /// Publish batched work [`Segment`]s and run them through the engine's
+    /// Publish batched work segments and run them through the engine's
     /// wake-list fast path (the default; rounds cost `O(awake)`).
     #[default]
     Segment,
-    /// Poll every node every round (cursor-mode nodes answer `Wake::Now`),
-    /// reproducing the pre-segment behavior round for round. Kept for the
+    /// Poll every node every round (nodes answer `Wake::Now`), reproducing
+    /// the pre-segment behavior round for round. Kept for the
     /// segment-vs-per-step equivalence suites and for A/B benchmarks.
     PerStep,
 }
 
-/// A phase position that can be advanced by a number of work rounds — the
-/// geometry half of a [`Segment`].
-pub trait Advance: Copy {
-    /// The position `delta` work rounds later (same phase, offset shifted).
-    fn advanced(self, delta: u64) -> Self;
+/// The phase of a published work segment: the front half both pipelines
+/// share, or one of the pipeline's own phases `B`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase<B> {
+    /// Collision-wave layering.
+    Wave,
+    /// GST construction. `None`: every ring in parallel, 2-slotted by ring
+    /// parity (see [`slot`]). `Some(ring)`: that ring alone (the Theorem 1.1
+    /// rung-1 repair), unslotted since no neighboring ring runs, so offsets
+    /// are construction rounds.
+    Construct(Option<u32>),
+    /// A pipeline-specific phase.
+    Own(B),
 }
 
-/// A published run of consecutive work rounds sharing one schedule geometry.
+impl<B> From<B> for Phase<B> {
+    fn from(own: B) -> Self {
+        Phase::Own(own)
+    }
+}
+
+/// What a status round asks: a node transmits a beep iff the predicate holds
+/// for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Probe<Q> {
+    /// Wave phase: "did the frontier reach you since the last status round?"
+    WaveProgress,
+    /// A construction probe, answered by the nodes of every ring (`None`) or
+    /// of one ring only (`Some(ring)`, the rung-1 repair). Probes address
+    /// ring-local boundaries and ranks, so one probe covers every ring at
+    /// once.
+    Cons(Option<u32>, ConsProbe),
+    /// A pipeline-specific probe.
+    Own(Q),
+}
+
+impl<Q> From<Q> for Probe<Q> {
+    fn from(own: Q) -> Self {
+        Probe::Own(own)
+    }
+}
+
+impl<Q> Probe<Q> {
+    /// Whether a fault-touched read may be re-probed by a majority vote:
+    /// `false` for the consuming, take-style wave-progress and
+    /// new-activation probes (see [`vote_quiet`]).
+    fn votable(&self) -> bool {
+        !matches!(self, Probe::WaveProgress | Probe::Cons(_, ConsProbe::NewActivation))
+    }
+}
+
+/// Messages of an adaptive pipeline: the front half's, or the pipeline's own
+/// `B`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Msg<B> {
+    /// Collision-wave beep.
+    Wave(Beep),
+    /// GST-construction traffic.
+    Gst(GstMsg),
+    /// Pipeline-specific traffic.
+    Own(B),
+    /// Content-free status beep of the adaptive termination protocol.
+    Status,
+}
+
+/// A published run of consecutive work rounds of one phase.
 ///
 /// The driver sets the shared cursor cell to a segment *once*; every node
-/// then resolves the phase position of simulator round `r` in
-/// `start <= r < start + len` as `pos.advanced(r - start)` and may hint
-/// itself asleep up to (but never past) `end()`.
+/// then reads simulator round `r` in `start <= r < start + len` as `phase` at
+/// offset `offset + (r - start)`, and may hint itself asleep while the
+/// segment stands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Segment<P> {
+pub(crate) struct Segment<B> {
     /// Simulator round of the segment's first work round.
-    pub start: u64,
+    start: u64,
     /// Number of consecutive work rounds published.
-    pub len: u64,
-    /// Phase position of round `start`.
-    pub pos: P,
+    len: u64,
+    /// The phase every round of the segment is in.
+    phase: Phase<B>,
+    /// Phase offset of round `start`. Offsets are *virtual*: they count the
+    /// phase's own work rounds, excluding interleaved status rounds, so every
+    /// in-phase schedule sees exactly the round sequence it would under fixed
+    /// windows.
+    offset: u64,
 }
 
-impl<P: Advance> Segment<P> {
-    /// First simulator round *after* the segment — the round at which every
-    /// node's clamped wake hint fires and the driver publishes its next step.
-    pub fn end(&self) -> u64 {
-        self.start + self.len
-    }
-
-    /// The phase position of simulator round `round`, or `None` outside the
-    /// segment.
-    pub fn pos_at(&self, round: u64) -> Option<P> {
-        (self.start..self.end()).contains(&round).then(|| self.pos.advanced(round - self.start))
+impl<B: Copy> Segment<B> {
+    /// The phase and phase offset of simulator round `round`, or `None`
+    /// outside the segment.
+    fn at(&self, round: u64) -> Option<(Phase<B>, u64)> {
+        (self.start..self.start + self.len)
+            .contains(&round)
+            .then(|| (self.phase, self.offset + (round - self.start)))
     }
 }
 
 /// The shared per-round directive of an adaptive pipeline: what kind of
-/// round the pipeline is in, with phase positions `P` and status probes `Q`.
+/// round the pipeline is in, with own phases `B` and own probes `Q`.
 ///
 /// All nodes observe the same status-round transcript (via the idealized
 /// echo, see the `single_message` module docs), so they all hold the same
 /// cursor; the [`StepCell`] materializes that shared knowledge without
 /// touching the `Protocol` trait. Work rounds are published as whole
-/// [`Segment`]s, so nodes resolve a round's position from the segment and
-/// may sleep through the rounds of it in which they are provably inert.
+/// [`Segment`]s, so nodes resolve a round's phase from the segment and may
+/// sleep through the rounds of it in which they are provably inert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step<P, Q> {
+pub(crate) enum Step<B, Q> {
     /// Before the first round.
     Idle,
     /// A published segment of work rounds of the current phase.
-    Work(Segment<P>),
+    Work(Segment<B>),
     /// A status round probing for pending work.
-    Status(Q),
+    Status(Probe<Q>),
 }
 
 /// Shared handle to a pipeline's current [`Step`]: one cell per run, cloned
 /// into every node and the driver.
-pub type StepCell<P, Q> = Rc<Cell<Step<P, Q>>>;
+pub(crate) type StepCell<B, Q> = Rc<Cell<Step<B, Q>>>;
+
+/// Ring-parity slotting of a 2-slotted phase: adjacent rings run on
+/// alternate work rounds, so ring `ring` runs inner round `o / 2` at offsets
+/// `o` of its parity. Returns how many rounds after `offset` the ring's next
+/// slot comes (`0` when `offset` is in its slot, else `1`) and the inner
+/// round that slot runs.
+pub(crate) fn slot(ring: u32, offset: u64) -> (u64, u64) {
+    let wait = (offset + u64::from(ring % 2)) % 2;
+    (wait, (offset + wait) / 2)
+}
+
+/// The wake hint for a node whose next act falls at simulator round `next`,
+/// seen from `round`.
+pub(crate) fn wake_at(round: u64, next: u64) -> Wake {
+    if next <= round {
+        Wake::Now
+    } else {
+        Wake::At(next)
+    }
+}
 
 /// Narrows a pipeline observation to one sub-protocol: a message `pick`
 /// recognizes becomes that sub-protocol's packet, any other message reads as
@@ -151,30 +239,434 @@ pub(crate) fn narrow<M, N>(
     }
 }
 
-/// Runs a pipeline node's `act` under the wake-hint contract check (debug
-/// builds only): a node whose [`Protocol::next_wake`] hint postponed past
-/// `round`, yet is polled anyway (forced wakes, dense or per-step sweeps),
-/// must neither transmit nor draw from its RNG.
-pub(crate) fn hint_checked_act<N: Protocol>(
+/// The geometry and front-half caps both adaptive plans share: rings of
+/// [`Params::adaptive_ring_width`] layers, the per-ring construction
+/// schedule, and the wave and construction budgets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrontPlan {
+    /// Diameter bound `D`.
+    pub d_bound: u32,
+    /// Ring width in layers.
+    pub ring_width: u32,
+    /// Number of rings.
+    pub ring_count: u32,
+    /// Per-ring construction schedule (ring-local levels `0..ring_width`).
+    pub cons: ConstructionSchedule,
+    /// Cap on the wave phase (work + status rounds).
+    pub wave_budget: u64,
+    /// Cap on construction *work* rounds (2-slotted; rings in parallel).
+    pub cons_rounds: u64,
+    /// Cap on construction *status* rounds: per rank block one rank-skip
+    /// probe, one per Identify phase, and per epoch the open-blue /
+    /// active-red / loner probes, per-part gates plus one probe per
+    /// recruiting iteration, and the two Stage III gates.
+    pub cons_status: u64,
+}
+
+impl FrontPlan {
+    /// The front half for diameter bound `d_bound` under `params`.
+    pub fn new(params: &Params, d_bound: u32) -> Self {
+        let d_bound = d_bound.max(1);
+        let ring_width = params.adaptive_ring_width(d_bound).min(d_bound + 1);
+        let cons = ConstructionSchedule::new(params, ring_width - 1);
+        let beep = u64::from(params.beep_interval.max(1));
+        let d = u64::from(d_bound);
+        let iterations = u64::from(params.recruit_iterations.max(1));
+        let per_epoch_status = 5 + 3 * (1 + iterations);
+        let per_rank_status =
+            1 + u64::from(params.decay_phases) + u64::from(cons.epochs()) * per_epoch_status;
+        FrontPlan {
+            d_bound,
+            ring_width,
+            ring_count: (d_bound + 1).div_ceil(ring_width),
+            cons,
+            wave_budget: d + d / beep + beep + u64::from(params.quiescence_slack) + 4,
+            cons_rounds: 2 * cons.total_rounds(),
+            cons_status: u64::from(cons.d_bound) * u64::from(params.max_rank()) * per_rank_status,
+        }
+    }
+
+    /// The front half's worst-case rounds: the wave plus construction work
+    /// and status rounds.
+    pub fn total_rounds(&self) -> u64 {
+        self.wave_budget + self.cons_rounds + self.cons_status
+    }
+}
+
+/// The back half of an adaptive-pipeline node: what it adds to the
+/// [`RingCore`] front half it embeds. The core's [`next_wake`],
+/// [`hint_checked_act`] and [`observe`] hand every round of an own phase or
+/// probe to these hooks.
+pub(crate) trait RingNode: Sized {
+    /// The run-wide plan, shared by handle.
+    type Plan: AsRef<FrontPlan> + Debug;
+    /// The pipeline's own phases.
+    type Own: Copy + Debug;
+    /// The pipeline's own status probes.
+    type OwnProbe: Copy + Debug;
+    /// The pipeline's own messages.
+    type OwnMsg: Clone + Debug;
+
+    /// The embedded front half.
+    fn core(&self) -> &RingCore<Self>;
+
+    /// The embedded front half, mutably.
+    fn core_mut(&mut self) -> &mut RingCore<Self>;
+
+    /// The wake hint at `offset` of own phase `phase`: the earliest round
+    /// `>= round` at which this node's `act` might transmit, draw from its
+    /// RNG, or make an observable state change. It may lie past the segment
+    /// end; the node is re-polled anyway when the driver publishes its next
+    /// step.
+    fn wake(&self, phase: Self::Own, offset: u64, round: u64) -> Wake;
+
+    /// The node's action at `offset` of own phase `phase`.
+    fn act_own(
+        &mut self,
+        phase: Self::Own,
+        offset: u64,
+        rng: &mut SmallRng,
+    ) -> Action<Msg<Self::OwnMsg>>;
+
+    /// Processes what the node heard at `offset` of own phase `phase`.
+    fn observe_own(
+        &mut self,
+        phase: Self::Own,
+        offset: u64,
+        obs: Observation<Msg<Self::OwnMsg>>,
+        rng: &mut SmallRng,
+    );
+
+    /// Answers an own status probe: `true` = transmit a beep.
+    fn answer(&mut self, probe: Self::OwnProbe) -> bool;
+}
+
+/// The front half of a Theorem 1.1 or 1.3 node: collision-wave layering,
+/// ring decomposition and per-ring GST construction, plus the run-wide
+/// handles (and through them the Decay schedule) both back halves use.
+///
+/// Memory model: the shell holds `Rc` handles to the run-wide [`Params`] and
+/// plan (one allocation per run, not per node); the construction state is
+/// boxed and phase-scoped — it springs into existence when the node's ring
+/// starts constructing, and the pipeline retires it.
+#[derive(Clone, Debug)]
+pub(crate) struct RingCore<N: RingNode> {
+    pub(crate) id: u32,
+    pub(crate) params: Rc<Params>,
+    pub(crate) plan: Rc<N::Plan>,
+    step: StepCell<N::Own, N::OwnProbe>,
+    wave: CollisionWaveLayering,
+    /// Frontier reached this node since the last wave status round.
+    wave_dirty: bool,
+    /// Whether this node emits real segment wake hints ([`Pacing::Segment`])
+    /// or answers [`Wake::Now`] every round ([`Pacing::PerStep`]).
+    seg_hints: bool,
+    /// Ring index and ring-local level, known after the wave.
+    pub(crate) ring: Option<(u32, u32)>,
+    pub(crate) cons: Option<Box<GstConstructionNode>>,
+}
+
+impl<N: RingNode> RingCore<N> {
+    /// The front half of node `id`; the source starts the wave. All nodes of
+    /// one run share the `step` cell (the materialized phase cursor) and the
+    /// `params`/`plan` handles.
+    pub(crate) fn new(
+        params: &Rc<Params>,
+        plan: &Rc<N::Plan>,
+        step: &StepCell<N::Own, N::OwnProbe>,
+        id: u32,
+        source: bool,
+        pacing: Pacing,
+    ) -> Self {
+        RingCore {
+            id,
+            params: Rc::clone(params),
+            plan: Rc::clone(plan),
+            step: Rc::clone(step),
+            wave: CollisionWaveLayering::new(source),
+            wave_dirty: false,
+            seg_hints: pacing == Pacing::Segment,
+            ring: None,
+            cons: None,
+        }
+    }
+
+    /// The plan's shared geometry.
+    pub(crate) fn front(&self) -> &FrontPlan {
+        (*self.plan).as_ref()
+    }
+
+    /// The Decay schedule of the back halves' handoffs and floods.
+    pub(crate) fn decay(&self) -> DecaySchedule {
+        DecaySchedule::from_params(&self.params)
+    }
+
+    /// Derives the ring once the wave has layered the node.
+    fn ensure_ring(&mut self) {
+        if self.ring.is_none() {
+            if let Some(layer) = self.wave.level() {
+                let width = self.front().ring_width;
+                self.ring = Some((layer / width, layer % width));
+            }
+        }
+    }
+
+    /// The ring index and ring-local level, derived first if the wave has
+    /// layered the node since.
+    pub(crate) fn derived_ring(&mut self) -> Option<(u32, u32)> {
+        self.ensure_ring();
+        self.ring
+    }
+
+    /// Builds the construction state of a node that a construction phase
+    /// or probe over `only` (see [`Phase::Construct`]) addresses: every
+    /// layered node, or the nodes of ring `only`. Returns whether the node is
+    /// addressed. The ring is checked before anything is built, so a one-ring
+    /// repair's forced wakes leave every other ring's nodes as they are.
+    fn ensure_cons(&mut self, only: Option<u32>) -> bool {
+        self.ensure_ring();
+        let Some((ring, ring_level)) = self.ring else { return false };
+        if only.is_some_and(|r| r != ring) {
+            return false;
+        }
+        if self.cons.is_none() {
+            let cons =
+                GstConstructionNode::new(&self.params, self.front().cons, self.id, ring_level);
+            self.cons = Some(Box::new(cons));
+        }
+        true
+    }
+
+    /// Runs the construction epilogue once the phase is announced over
+    /// (pending recruiting-part results + the unassigned-blue fallback).
+    pub(crate) fn finalize_cons(&mut self) {
+        if let Some(c) = self.cons.as_mut() {
+            c.finalize();
+        }
+    }
+
+    /// Bytes of the live boxed construction state.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.cons.as_ref().map_or(0, |_| std::mem::size_of::<GstConstructionNode>())
+    }
+
+    /// The wake hint of a node without a ring: a layered node derives its
+    /// ring on its next act, an unlayered one sleeps until an observation
+    /// re-wakes it.
+    pub(crate) fn unringed(&self) -> Wake {
+        if self.wave.level().is_some() {
+            Wake::Now
+        } else {
+            Wake::Idle
+        }
+    }
+
+    /// The construction round this node runs at `offset` of a construction
+    /// phase over `only` (see [`Phase::Construct`]), if any.
+    fn cons_round(&self, only: Option<u32>, offset: u64) -> Option<u64> {
+        let (ring, _) = self.ring?;
+        match only {
+            None => match slot(ring, offset) {
+                (0, inner) => Some(inner),
+                _ => None,
+            },
+            Some(r) => (r == ring).then_some(offset),
+        }
+    }
+
+    fn wave_wake(&self, offset: u64, round: u64) -> Wake {
+        match self.wave.level() {
+            // Re-woken by the frontier's first signal (observation).
+            None => Wake::Idle,
+            Some(l) if u64::from(l) <= offset => Wake::Now,
+            Some(l) => Wake::At(round + (u64::from(l) - offset)),
+        }
+    }
+
+    fn cons_wake(&self, only: Option<u32>, offset: u64, round: u64) -> Wake {
+        let Some((ring, _)) = self.ring else { return self.unringed() };
+        let (first, inner, stride) = match only {
+            None => {
+                let (wait, inner) = slot(ring, offset);
+                (round + wait, inner, 2)
+            }
+            Some(r) if r == ring => (round, offset, 1),
+            Some(_) => return Wake::Idle,
+        };
+        let Some(cons) = &self.cons else { return Wake::Now };
+        // One published segment never crosses a construction-schedule
+        // segment (the skip loop publishes per sub-segment), so the node's
+        // next act offset in that segment is its next act in this one.
+        let next = self
+            .front()
+            .cons
+            .phase(inner)
+            .and_then(|ph| cons.next_act_offset(&ph).map(|o| first + stride * (o - ph.offset)));
+        next.map_or(Wake::Idle, |r| wake_at(round, r))
+    }
+
+    fn wave_act<B>(&mut self, offset: u64, rng: &mut SmallRng) -> Action<Msg<B>> {
+        match self.wave.act(offset, rng) {
+            Action::Transmit(b) => Action::Transmit(Msg::Wave(b)),
+            Action::Listen => Action::Listen,
+        }
+    }
+
+    fn cons_act<B>(
+        &mut self,
+        only: Option<u32>,
+        offset: u64,
+        rng: &mut SmallRng,
+    ) -> Action<Msg<B>> {
+        if !self.ensure_cons(only) {
+            return Action::Listen;
+        }
+        let Some(round) = self.cons_round(only, offset) else { return Action::Listen };
+        match self.cons.as_mut().expect("built above").act(round, rng) {
+            Action::Transmit(m) => Action::Transmit(Msg::Gst(m)),
+            Action::Listen => Action::Listen,
+        }
+    }
+
+    fn wave_observe<B>(&mut self, offset: u64, obs: &Observation<Msg<B>>, rng: &mut SmallRng) {
+        let mapped = narrow(obs, |m| match m {
+            Msg::Wave(b) => Some(*b),
+            _ => None,
+        });
+        let was_layered = self.wave.level().is_some();
+        self.wave.observe(offset, mapped, rng);
+        if !was_layered && self.wave.level().is_some() {
+            self.wave_dirty = true;
+        }
+    }
+
+    fn cons_observe<B>(
+        &mut self,
+        only: Option<u32>,
+        offset: u64,
+        obs: &Observation<Msg<B>>,
+        rng: &mut SmallRng,
+    ) {
+        let Some(round) = self.cons_round(only, offset) else { return };
+        if let Some(c) = self.cons.as_mut() {
+            let mapped = narrow(obs, |m| match m {
+                Msg::Gst(g) => Some(*g),
+                _ => None,
+            });
+            c.observe(round, mapped, rng);
+        }
+    }
+
+    /// Answers a construction probe for the nodes of `only` (every ring if
+    /// `None`).
+    fn answer_cons(&mut self, only: Option<u32>, probe: ConsProbe) -> bool {
+        if !self.ensure_cons(only) {
+            return false;
+        }
+        let c = self.cons.as_mut().expect("built above");
+        match probe {
+            ConsProbe::OpenBlue { boundary, rank } => c.probe_open_blue(boundary, rank),
+            ConsProbe::OpenBlueBelow { boundary, rank } => c.probe_open_blue_below(boundary, rank),
+            ConsProbe::ActiveRed { boundary } => c.probe_active_red(boundary),
+            ConsProbe::NewActivation => c.take_new_activation(),
+            ConsProbe::LonerBlue { boundary } => c.probe_loner_blue(boundary),
+            ConsProbe::PartRed { boundary, part } => c.probe_part_red(boundary, part),
+            ConsProbe::PartParticipant => c.probe_part_participant(),
+            ConsProbe::UnresolvedBlue => c.probe_unresolved_blue(),
+            ConsProbe::NewlyRanked { boundary } => c.probe_newly_ranked_red(boundary),
+        }
+    }
+}
+
+/// `Protocol::next_wake` of a ring node. Status and idle rounds poll
+/// everyone (as does [`Pacing::PerStep`]); work segments sleep the node
+/// through rounds in which its phase provably keeps it inert. Sleeps need no
+/// clamp to the segment end: the driver force-wakes every node
+/// (`Simulator::wake_all`) before each cursor change, so hints only have to
+/// be valid while the segment stands.
+pub(crate) fn next_wake<N: RingNode>(node: &N, round: u64) -> Wake {
+    let core = node.core();
+    if !core.seg_hints {
+        return Wake::Now;
+    }
+    let Step::Work(seg) = core.step.get() else { return Wake::Now };
+    // Past the segment (hints are queried for the round *after* its last
+    // one) the driver is about to move the cursor, so the node is polled.
+    let Some((phase, offset)) = seg.at(round) else { return Wake::Now };
+    match phase {
+        Phase::Wave => core.wave_wake(offset, round),
+        Phase::Construct(only) => core.cons_wake(only, offset, round),
+        Phase::Own(own) => node.wake(own, offset, round),
+    }
+}
+
+/// `Protocol::act` of a ring node, under the wake-hint contract check (debug
+/// builds only): a node whose [`next_wake`] hint postponed past `round`, yet
+/// is polled anyway (forced wakes, dense or per-step sweeps), must neither
+/// transmit nor draw from its RNG.
+pub(crate) fn hint_checked_act<N: RingNode>(
     node: &mut N,
-    id: u32,
     round: u64,
     rng: &mut SmallRng,
-    act: impl FnOnce(&mut N, u64, &mut SmallRng) -> Action<N::Msg>,
-) -> Action<N::Msg> {
+) -> Action<Msg<N::OwnMsg>> {
     let hinted_idle = cfg!(debug_assertions)
-        && match node.next_wake(round) {
+        && match next_wake(node, round) {
             Wake::Now => false,
             Wake::At(r) => r > round,
             Wake::Idle => true,
         };
     let before = hinted_idle.then(|| rng.clone());
-    let action = act(node, round, rng);
+    let action = act_unchecked(node, round, rng);
     if let Some(before) = before {
+        let id = node.core().id;
         debug_assert!(!action.is_transmit(), "hinted-idle node {id} transmitted at round {round}");
         debug_assert!(*rng == before, "hinted-idle node {id} drew from its RNG at round {round}");
     }
     action
+}
+
+fn act_unchecked<N: RingNode>(
+    node: &mut N,
+    round: u64,
+    rng: &mut SmallRng,
+) -> Action<Msg<N::OwnMsg>> {
+    let core = node.core_mut();
+    let (phase, offset) = match core.step.get() {
+        Step::Idle => return Action::Listen,
+        Step::Status(probe) => {
+            let beep = match probe {
+                Probe::WaveProgress => std::mem::take(&mut core.wave_dirty),
+                Probe::Cons(only, p) => core.answer_cons(only, p),
+                Probe::Own(q) => node.answer(q),
+            };
+            return if beep { Action::Transmit(Msg::Status) } else { Action::Listen };
+        }
+        Step::Work(seg) => seg.at(round).expect("act within the published segment"),
+    };
+    match phase {
+        Phase::Wave => core.wave_act(offset, rng),
+        Phase::Construct(only) => core.cons_act(only, offset, rng),
+        Phase::Own(own) => node.act_own(own, offset, rng),
+    }
+}
+
+/// `Protocol::observe` of a ring node. Every sub-protocol a ring node routes
+/// observations into ignores silence, and status rounds ignore everything
+/// non-transmitted.
+pub(crate) fn observe<N: RingNode>(
+    node: &mut N,
+    round: u64,
+    obs: Observation<Msg<N::OwnMsg>>,
+    rng: &mut SmallRng,
+) {
+    let core = node.core_mut();
+    let Step::Work(seg) = core.step.get() else { return };
+    let (phase, offset) = seg.at(round).expect("observation within the published segment");
+    match phase {
+        Phase::Wave => core.wave_observe(offset, &obs, rng),
+        Phase::Construct(only) => core.cons_observe(only, offset, &obs, rng),
+        Phase::Own(own) => node.observe_own(own, offset, obs, rng),
+    }
 }
 
 /// How an adaptive open-ended window closed.
@@ -439,7 +931,7 @@ pub fn vote_quiet(
 /// nodes. Probes address ring-local boundaries/ranks, so one probe covers
 /// every ring at once (parallel ring constructions share the phase cursor).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConsProbe {
+pub(crate) enum ConsProbe {
     /// "Are you an unassigned blue of this `(boundary, rank)`?"
     OpenBlue {
         /// Ring-local blue level.
@@ -485,63 +977,28 @@ pub enum ConsProbe {
     },
 }
 
-/// Evaluates a construction status probe against one node's construction
-/// state: `true` means the node transmits a beep in that status round.
-pub fn answer_cons_probe(c: &mut GstConstructionNode, probe: ConsProbe) -> bool {
-    match probe {
-        ConsProbe::OpenBlue { boundary, rank } => c.probe_open_blue(boundary, rank),
-        ConsProbe::OpenBlueBelow { boundary, rank } => c.probe_open_blue_below(boundary, rank),
-        ConsProbe::ActiveRed { boundary } => c.probe_active_red(boundary),
-        ConsProbe::NewActivation => c.take_new_activation(),
-        ConsProbe::LonerBlue { boundary } => c.probe_loner_blue(boundary),
-        ConsProbe::PartRed { boundary, part } => c.probe_part_red(boundary, part),
-        ConsProbe::PartParticipant => c.probe_part_participant(),
-        ConsProbe::UnresolvedBlue => c.probe_unresolved_blue(),
-        ConsProbe::NewlyRanked { boundary } => c.probe_newly_ranked_red(boundary),
-    }
-}
-
-/// Status rounds the construction skip loop can spend: per rank block one
-/// rank-skip probe, one per Identify phase, and per epoch the open-blue /
-/// active-red / loner probes, per-part gates plus one probe per recruiting
-/// iteration, and the two Stage III gates.
-pub fn cons_status_budget(params: &Params, cons: &ConstructionSchedule) -> u64 {
-    let iterations = u64::from(params.recruit_iterations.max(1));
-    let per_epoch_status = 5 + 3 * (1 + iterations);
-    let per_rank_status =
-        1 + u64::from(params.decay_phases) + u64::from(cons.epochs()) * per_epoch_status;
-    u64::from(cons.d_bound) * u64::from(params.max_rank()) * per_rank_status
-}
-
 /// The status-round budgets a [`Driver`] keeps. A skip loop whose budget
 /// runs dry bails out, and the plan's worst-case cap takes over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Budget {
-    /// The main construction phase. Its work runs two slots per schedule
-    /// round, one per ring parity, counted as construction.
+    /// The main construction phase, over every ring at once.
     Construct,
     /// The Theorem 1.3 labeling phase.
     Label,
-    /// One rung-1 ring-local repair construction, refreshed per repair. Its
-    /// work replays the one failed ring's schedule unslotted, counted as
-    /// repair.
+    /// One rung-1 ring-local repair construction, refreshed per repair.
     Repair,
 }
 
 /// What a pipeline supplies to the shared [`Driver`], implemented by its node
-/// type. Everything else — the cursor, status budgets and voting, windows,
-/// the construction skip loop, the handoff retry and the recovery ladder,
-/// state sampling and the outcome — is the driver's.
-pub(crate) trait Pipeline: Protocol + Sized {
-    /// Phase positions of published work segments.
-    type Pos: Advance;
-    /// Status-round probes.
-    type Probe: Copy;
+/// type on top of its [`RingNode`] back half. Everything else — the cursor,
+/// status budgets and voting, windows, the front half, the handoff retry and
+/// the recovery ladder, state sampling and the outcome — is the driver's.
+pub(crate) trait Pipeline: RingNode + Protocol {
     /// Driver-side run state: the plan, plus whatever the phase sequence
     /// needs across phases.
-    type Plan;
-    /// Position of the first rung-3 fallback round.
-    const FALLBACK: Self::Pos;
+    type Run: AsRef<FrontPlan>;
+    /// The phase of the rung-3 fallback.
+    const FALLBACK: Self::Own;
 
     /// The completion predicate. It may flip only in a round that delivered
     /// a packet: the driver scans it after delivery rounds only.
@@ -554,15 +1011,10 @@ pub(crate) trait Pipeline: Protocol + Sized {
     /// The node's schedule audit counters.
     fn audit(&self) -> SchedAudit;
 
-    /// Whether a fault-touched read of `probe` may be re-probed by a
-    /// majority vote (`false` for consuming, take-style probes; see
-    /// [`vote_quiet`]).
-    fn votable(probe: Self::Probe) -> bool;
-
-    /// The status budget a vote re-read of `probe` is charged against, so a
-    /// skip loop's round accounting cannot outgrow its cap because votes
-    /// fired.
-    fn vote_budget(probe: Self::Probe) -> Option<Budget>;
+    /// The status budget a vote re-read of own probe `probe` is charged
+    /// against, so a skip loop's round accounting cannot outgrow its cap
+    /// because votes fired.
+    fn vote_budget(probe: Self::OwnProbe) -> Option<Budget>;
 
     /// Runs the pipeline's phase sequence, returning the sequence index
     /// (ring or window) the recovery epilogue anchors at.
@@ -577,7 +1029,7 @@ pub(crate) trait Pipeline: Protocol + Sized {
     fn regional_repair<T: Topology>(d: &mut Driver<Self, T>, at: u32) -> bool;
 
     /// The algorithm-specific extension of the outcome.
-    fn detail(plan: &Self::Plan, nodes: &[Self], fallback_entry: Option<u64>) -> Detail;
+    fn detail(run: &Self::Run, nodes: &[Self], fallback_entry: Option<u64>) -> Detail;
 }
 
 /// The adaptive pipeline driver: owns the simulator and the shared phase
@@ -590,9 +1042,9 @@ pub(crate) trait Pipeline: Protocol + Sized {
 pub(crate) struct Driver<N: Pipeline, T: Topology> {
     /// The simulator the pipeline runs on.
     pub(crate) sim: Simulator<N, T>,
-    step: StepCell<N::Pos, N::Probe>,
+    step: StepCell<N::Own, N::OwnProbe>,
     /// The pipeline's plan and run state.
-    pub(crate) plan: N::Plan,
+    pub(crate) plan: N::Run,
     /// Rounds executed so far, by phase.
     pub(crate) phases: Phases,
     cap: u64,
@@ -608,14 +1060,16 @@ pub(crate) struct Driver<N: Pipeline, T: Topology> {
 
 impl<N: Pipeline, T: Topology> Driver<N, T> {
     /// A driver over `sim`, whose nodes all share `step`; `cap` is the
-    /// plan's worst-case round count. Every status budget starts empty.
+    /// plan's worst-case round count. Only the construction status budget
+    /// starts full.
     pub(crate) fn new(
         sim: Simulator<N, T>,
-        step: StepCell<N::Pos, N::Probe>,
-        plan: N::Plan,
+        step: StepCell<N::Own, N::OwnProbe>,
+        plan: N::Run,
         cap: u64,
         params: &Params,
     ) -> Self {
+        let cons_status = plan.as_ref().cons_status;
         Driver {
             sim,
             step,
@@ -624,7 +1078,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
             cap,
             beep: u64::from(params.beep_interval.max(1)),
             quiescence_slack: params.quiescence_slack,
-            status_left: [0; 3],
+            status_left: [cons_status, 0, 0],
             completion: None,
             ladder: Ladder::new(),
             peak_nodes: 0,
@@ -683,7 +1137,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
 
     /// Moves the shared cursor: every cell change force-wakes all nodes
     /// (their hints were computed against the outgoing cell).
-    fn publish(&mut self, step: Step<N::Pos, N::Probe>) {
+    fn publish(&mut self, step: Step<N::Own, N::OwnProbe>) {
         self.sim.wake_all();
         self.step.set(step);
     }
@@ -705,15 +1159,15 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
         self.peak_nodes = self.peak_nodes.max(nodes);
     }
 
-    /// Publishes `len` consecutive work rounds starting at phase position
-    /// `pos` as one [`Segment`] and runs them through the engine's wake fast
-    /// path. Stops after any round that delivered a packet to re-evaluate
-    /// completion (exactly the per-step driver's delivery-gated scan), then
-    /// resumes the remainder; aborts once complete. Returns the number of
-    /// rounds actually executed.
-    pub(crate) fn exec_segment(&mut self, pos: N::Pos, len: u64) -> u64 {
+    /// Publishes `len` consecutive work rounds of `phase`, starting at phase
+    /// offset `offset`, as one [`Segment`] and runs them through the engine's
+    /// wake fast path. Stops after any round that delivered a packet to
+    /// re-evaluate completion (exactly the per-step driver's delivery-gated
+    /// scan), then resumes the remainder; aborts once complete. Returns the
+    /// number of rounds actually executed.
+    pub(crate) fn exec_segment(&mut self, phase: Phase<N::Own>, offset: u64, len: u64) -> u64 {
         let start = self.sim.round();
-        self.publish(Step::Work(Segment { start, len, pos }));
+        self.publish(Step::Work(Segment { start, len, phase, offset }));
         let mut run = 0u64;
         while run < len && !self.done() {
             let seg = self.sim.run_segment(len - run, true);
@@ -726,7 +1180,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
     }
 
     /// Runs one status round for `probe`.
-    fn status_round(&mut self, probe: N::Probe) -> RoundStats {
+    fn status_round(&mut self, probe: Probe<N::OwnProbe>) -> RoundStats {
         self.publish(Step::Status(probe));
         let stats = self.sim.step();
         // The completion predicate flips only when a packet arrives, so the
@@ -744,15 +1198,21 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
     /// demoted to the channel's listener-side rendering and majority-voted
     /// over a small window of re-probes (see [`vote_quiet`]); consuming
     /// probes are never re-probed.
-    fn quiet(&mut self, probe: N::Probe) -> bool {
+    fn quiet(&mut self, probe: Probe<N::OwnProbe>) -> bool {
         self.phases.status += 1;
         let first = self.status_round(probe);
         if !self.sim.has_faults() {
             return first.transmitters == 0;
         }
-        let v = vote_quiet(first, N::votable(probe), || {
+        let budget = match probe {
+            Probe::WaveProgress => None,
+            Probe::Cons(None, _) => Some(Budget::Construct),
+            Probe::Cons(Some(_), _) => Some(Budget::Repair),
+            Probe::Own(q) => N::vote_budget(q),
+        };
+        let v = vote_quiet(first, probe.votable(), || {
             self.phases.status += 1;
-            if let Some(budget) = N::vote_budget(probe) {
+            if let Some(budget) = budget {
                 let left = &mut self.status_left[budget as usize];
                 *left = left.saturating_sub(1);
             }
@@ -766,30 +1226,51 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
 
     /// One status round charged against `budget`: `Some(true)` iff the
     /// probe quiesced, `None` once the budget is spent.
-    pub(crate) fn budgeted_quiet(&mut self, budget: Budget, probe: N::Probe) -> Option<bool> {
+    pub(crate) fn budgeted_quiet(
+        &mut self,
+        budget: Budget,
+        probe: impl Into<Probe<N::OwnProbe>>,
+    ) -> Option<bool> {
         let left = &mut self.status_left[budget as usize];
         if *left == 0 {
             return None;
         }
         *left -= 1;
-        Some(self.quiet(probe))
+        Some(self.quiet(probe.into()))
+    }
+
+    /// The front half both pipelines open with: the collision wave, closed
+    /// `quiescence_slack` silent status rounds after the frontier stops
+    /// advancing, then the parallel per-ring construction. Samples the node
+    /// state at its peak: every layered node holds live construction state.
+    pub(crate) fn front(&mut self) {
+        let wave_budget = self.plan.as_ref().wave_budget;
+        if !self.done() {
+            let _ =
+                self.window(wave_budget, Probe::WaveProgress, false, Phase::Wave, |p| &mut p.wave);
+        }
+        if !self.done() {
+            self.construct(None);
+        }
+        self.sample_state();
     }
 
     /// One adaptive open-ended window: a `beep_interval`-round work segment
-    /// at `pos_at(offset)`, one status round, until the probe has stayed
-    /// quiet for `quiescence_slack` consecutive status rounds or `budget`
-    /// (work + status rounds, including any vote re-probes) is exhausted.
-    /// With `probe_first`, the probe runs before any work — a window with
-    /// nothing pending collapses to a single status round. Work rounds are
-    /// counted into the phase `count` selects.
+    /// of `phase`, one status round, until the probe has stayed quiet for
+    /// `quiescence_slack` consecutive status rounds or `budget` (work +
+    /// status rounds, including any vote re-probes) is exhausted. With
+    /// `probe_first`, the probe runs before any work — a window with nothing
+    /// pending collapses to a single status round. Work rounds are counted
+    /// into the phase `count` selects.
     pub(crate) fn window(
         &mut self,
         budget: u64,
-        probe: N::Probe,
+        probe: impl Into<Probe<N::OwnProbe>>,
         probe_first: bool,
-        pos_at: impl Fn(u64) -> N::Pos,
+        phase: impl Into<Phase<N::Own>>,
         count: fn(&mut Phases) -> &mut u64,
     ) -> WindowEnd {
+        let (probe, phase) = (probe.into(), phase.into());
         let slack = self.quiescence_slack.max(1);
         let start = self.sim.round();
         let spent = |sim: &Simulator<N, T>| sim.round() - start;
@@ -799,7 +1280,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
             return WindowEnd::Quiesced;
         }
         while spent(&self.sim) < budget && !self.done() {
-            let run = self.exec_segment(pos_at(offset), self.beep.min(budget - spent(&self.sim)));
+            let run = self.exec_segment(phase, offset, self.beep.min(budget - spent(&self.sim)));
             *count(&mut self.phases) += run;
             offset += run;
             if spent(&self.sim) >= budget || self.done() {
@@ -821,18 +1302,18 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
         }
     }
 
-    /// Runs the construction skip loop on `cons`. Status rounds ask
-    /// `probe(p)` and draw from `budget`; the work of schedule round `start`
-    /// publishes at `pos(start)`, 2-slotted for [`Budget::Construct`] (see
-    /// [`Budget`]). Both stop at the worst-case cap.
-    pub(crate) fn construct(
-        &mut self,
-        cons: ConstructionSchedule,
-        budget: Budget,
-        probe: impl Fn(ConsProbe) -> N::Probe,
-        pos: impl Fn(u64) -> N::Pos,
-    ) {
-        ConsRun { d: self, budget, probe, pos }.drive(cons);
+    /// Runs the construction skip loop over `only` (see
+    /// [`Phase::Construct`]). Every ring at once (`None`) runs two slots per
+    /// schedule round, counted as construction and charged to
+    /// [`Budget::Construct`]; one ring (`Some`) runs unslotted, counted as
+    /// repair and charged to a refreshed [`Budget::Repair`]. Both stop at the
+    /// worst-case cap.
+    pub(crate) fn construct(&mut self, only: Option<u32>) {
+        let front = *self.plan.as_ref();
+        if only.is_some() {
+            self.set_status(Budget::Repair, front.cons_status);
+        }
+        ConsRun { d: self, only }.drive(front.cons);
     }
 
     /// A handoff window with retry-and-backoff. A window that exhausts its
@@ -849,15 +1330,16 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
     pub(crate) fn handoff(
         &mut self,
         mut budget: u64,
-        probe: N::Probe,
+        probe: impl Into<Probe<N::OwnProbe>>,
         probe_first: bool,
-        pos_at: impl Fn(u64) -> N::Pos,
+        phase: impl Into<Phase<N::Own>>,
         at: u32,
     ) -> bool {
+        let (probe, phase) = (probe.into(), phase.into());
         let max_retries = if self.ladder.ring_attempted() { 0 } else { HANDOFF_RETRIES };
         let mut attempt = 0u32;
         loop {
-            let end = self.window(budget, probe, probe_first, &pos_at, |p| &mut p.handoff);
+            let end = self.window(budget, probe, probe_first, phase, |p| &mut p.handoff);
             if end == WindowEnd::Quiesced || !self.sim.has_faults() {
                 return true;
             }
@@ -918,7 +1400,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
             let left = self.budget_left();
             if left > 0 {
                 self.ladder.arm_fallback(self.sim.round());
-                let run = self.exec_segment(N::FALLBACK, left);
+                let run = self.exec_segment(Phase::Own(N::FALLBACK), 0, left);
                 self.phases.fallback += run;
                 self.sim.stats_mut().fallback_rounds += run;
             }
@@ -928,27 +1410,21 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
 
 /// One construction skip loop running through a [`Driver`] (see
 /// [`Driver::construct`]).
-struct ConsRun<'a, N: Pipeline, T: Topology, Q, S> {
+struct ConsRun<'a, N: Pipeline, T: Topology> {
     d: &'a mut Driver<N, T>,
-    budget: Budget,
-    probe: Q,
-    pos: S,
+    /// The ring under repair, or `None` for every ring at once.
+    only: Option<u32>,
 }
 
-impl<N, T, Q, S> ConsRun<'_, N, T, Q, S>
-where
-    N: Pipeline,
-    T: Topology,
-    Q: Fn(ConsProbe) -> N::Probe,
-    S: Fn(u64) -> N::Pos,
-{
+impl<N: Pipeline, T: Topology> ConsRun<'_, N, T> {
     /// One construction status round; `None` once the status budget or the
     /// worst-case pool is spent (the loop bails out and the cap takes over).
     fn quiet(&mut self, probe: ConsProbe) -> Option<bool> {
         if self.d.budget_left() == 0 {
             return None;
         }
-        self.d.budgeted_quiet(self.budget, (self.probe)(probe))
+        let budget = if self.only.is_some() { Budget::Repair } else { Budget::Construct };
+        self.d.budgeted_quiet(budget, Probe::Cons(self.only, probe))
     }
 
     /// The construction work of schedule rounds `start..start + len`, as one
@@ -958,13 +1434,13 @@ where
     /// beacon or echo, a blue's next iteration start or response round) is
     /// also its next act in the batch.
     fn run(&mut self, start: u64, len: u64) {
-        let (slots, count): (u64, fn(&mut Phases) -> &mut u64) = match self.budget {
-            Budget::Repair => (1, |p| &mut p.repair),
-            _ => (2, |p| &mut p.construct),
+        let (slots, count): (u64, fn(&mut Phases) -> &mut u64) = match self.only {
+            Some(_) => (1, |p| &mut p.repair),
+            None => (2, |p| &mut p.construct),
         };
         let len = (slots * len).min(self.d.budget_left());
         if len > 0 {
-            let run = self.d.exec_segment((self.pos)(slots * start), len);
+            let run = self.d.exec_segment(Phase::Construct(self.only), slots * start, len);
             *count(&mut self.d.phases) += run;
         }
     }

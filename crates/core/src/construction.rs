@@ -758,57 +758,6 @@ impl Protocol for GstConstructionNode {
     }
 }
 
-/// Wraps a protocol so it runs only in rounds `r ≡ slot (mod period)`,
-/// mapping them to consecutive inner rounds. Used to interleave the
-/// constructions of adjacent rings (Theorem 1.1 / 1.3) without interference.
-#[derive(Clone, Debug)]
-pub struct Slotted<P> {
-    inner: P,
-    slot: u64,
-    period: u64,
-}
-
-impl<P> Slotted<P> {
-    /// Runs `inner` in slot `slot` of every `period` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0` or `slot >= period`.
-    pub fn new(inner: P, slot: u64, period: u64) -> Self {
-        assert!(period > 0 && slot < period, "slot must lie within the period");
-        Slotted { inner, slot, period }
-    }
-
-    /// The wrapped protocol.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped protocol.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-}
-
-impl<P: Protocol> Protocol for Slotted<P> {
-    type Msg = P::Msg;
-    const SILENCE_IS_NOOP: bool = P::SILENCE_IS_NOOP;
-
-    fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<P::Msg> {
-        if round % self.period == self.slot {
-            self.inner.act(round / self.period, rng)
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn observe(&mut self, round: u64, obs: Observation<P::Msg>, rng: &mut SmallRng) {
-        if round % self.period == self.slot {
-            self.inner.observe(round / self.period, obs, rng);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1028,58 +977,5 @@ mod tests {
                 assert!(hinted.stats().act_skips > dense.stats().act_skips, "no act was skipped");
             }
         }
-    }
-
-    #[test]
-    fn slotted_isolates_slots() {
-        // Path 0-1-2: nodes 0 (slot 0, beacon), 1 (slot 0, listener),
-        // 2 (slot 1, beacon). Node 1 must hear node 0's slot-0 beacons and
-        // must *not* process node 2's slot-1 beacons.
-        #[derive(Debug)]
-        struct Beacon {
-            transmit: bool,
-            heard: Vec<u32>,
-        }
-        impl Protocol for Beacon {
-            type Msg = u32;
-            fn act(&mut self, _r: u64, _rng: &mut SmallRng) -> Action<u32> {
-                if self.transmit {
-                    Action::Transmit(7)
-                } else {
-                    Action::Listen
-                }
-            }
-            fn observe(&mut self, _r: u64, obs: Observation<u32>, _rng: &mut SmallRng) {
-                if let Observation::Message(m) = obs {
-                    self.heard.push(*m);
-                }
-            }
-        }
-        let g = generators::path(3);
-        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |id| {
-            let slot = u64::from(id.raw() / 2); // nodes 0,1 -> slot 0; node 2 -> slot 1
-            Slotted::new(Beacon { transmit: id.index() != 1, heard: vec![] }, slot, 2)
-        });
-        sim.run(10);
-        // Node 1 (slot 0) hears node 0 in every slot-0 round (node 2 is
-        // silent there), and never processes node 2's slot-1 transmissions.
-        assert_eq!(sim.node(NodeId::new(1)).inner().heard, vec![7, 7, 7, 7, 7]);
-        // Node 0 transmits in its own slot, so it hears nothing.
-        assert!(sim.node(NodeId::new(0)).inner().heard.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "slot must lie within the period")]
-    fn slotted_validates_slot() {
-        #[derive(Debug)]
-        struct Noop;
-        impl Protocol for Noop {
-            type Msg = u8;
-            fn act(&mut self, _r: u64, _rng: &mut SmallRng) -> Action<u8> {
-                Action::Listen
-            }
-            fn observe(&mut self, _r: u64, _o: Observation<u8>, _rng: &mut SmallRng) {}
-        }
-        let _ = Slotted::new(Noop, 3, 3);
     }
 }

@@ -8,8 +8,7 @@
 //!   knobs expose the E8 ablation (level keying) and the MMV noise stress.
 //!   The run is non-adaptive, so it lives beside the baselines in
 //!   [`crate::run`].
-//! * [`GhkMultiNode`]
-//!   ([`Workload::MultiUnknown`](crate::run::Workload::MultiUnknown)) —
+//! * [`Workload::MultiUnknown`](crate::run::Workload::MultiUnknown) —
 //!   **Theorem 1.3**, unknown topology with collision detection:
 //!   collision-wave layering → parallel per-ring distributed GST
 //!   construction → per-ring distributed virtual-distance labeling
@@ -48,12 +47,9 @@
 //! ring constructions).
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, hint_checked_act, narrow, Advance, Budget, ConsProbe,
-    Driver, LossEstimator, Pacing, Pipeline, Segment, Step, StepCell, WindowEnd,
+    self, narrow, slot, wake_at, Budget, Driver, FrontPlan, LossEstimator, Msg, Pacing, Phase,
+    Pipeline, RingCore, RingNode, Step, WindowEnd,
 };
-use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
-use crate::decay::DecaySchedule;
-use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
 use crate::run::Detail;
 use crate::schedule::{
@@ -61,7 +57,6 @@ use crate::schedule::{
 };
 use crate::virtual_labels::{VirtualLabelNode, VlMsg, VlSchedule};
 use radio_sim::graph::bfs_layering;
-use radio_sim::model::PacketBits;
 use radio_sim::{
     Action, CollisionMode, FaultPlan, NodeId, Observation, Protocol, Simulator, Topology, Wake,
 };
@@ -89,13 +84,10 @@ impl BatchMode {
     }
 }
 
-/// Messages of the Theorem 1.3 pipeline.
+/// The Theorem 1.3 pipeline's own messages (beside the wave, construction
+/// and status traffic of `adaptive::Msg`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GhkMMsg {
-    /// Collision-wave beep.
-    Wave(Beep),
-    /// GST construction traffic.
-    Gst(GstMsg),
+pub(crate) enum GhkMMsg {
     /// Virtual-labeling traffic.
     Vl(VlMsg),
     /// In-ring dissemination traffic, tagged with its batch.
@@ -112,43 +104,20 @@ pub enum GhkMMsg {
         /// A fountain packet over the batch.
         packet: CodedPacket,
     },
-    /// Content-free status beep of the adaptive termination protocol.
-    Status,
-}
-
-impl PacketBits for GhkMMsg {
-    fn packet_bits(&self) -> usize {
-        3 + match self {
-            GhkMMsg::Wave(b) => b.packet_bits(),
-            GhkMMsg::Gst(m) => m.packet_bits(),
-            GhkMMsg::Vl(m) => m.packet_bits(),
-            GhkMMsg::Sched { msg, .. } => 16 + msg.packet_bits(),
-            GhkMMsg::Fec { packet, .. } => 16 + packet.packet_bits(),
-            GhkMMsg::Status => 0,
-        }
-    }
 }
 
 /// The phase plan of the Theorem 1.3 pipeline: ring/batch geometry and the
 /// worst-case phase budgets the adaptive run is capped by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GhkMultiPlan {
-    /// Diameter bound (wave rounds).
-    pub d_bound: u32,
-    /// Ring width in layers.
-    pub ring_width: u32,
-    /// Number of rings.
-    pub ring_count: u32,
+    /// Rings, construction schedule, and the wave and construction caps.
+    pub front: FrontPlan,
     /// Number of message batches.
     pub batch_count: u32,
     /// Messages per batch (last may be short).
     pub batch_size: u32,
     /// Total messages.
     pub k: u32,
-    /// Per-ring construction schedule.
-    pub cons: ConstructionSchedule,
-    /// Rounds of the 2-slotted construction phase.
-    pub cons_rounds: u64,
     /// Per-ring virtual labeling schedule.
     pub vl: VlSchedule,
     /// Rounds of the 2-slotted labeling phase.
@@ -157,11 +126,6 @@ pub struct GhkMultiPlan {
     pub window: u64,
     /// Rounds of one (2-slotted) handoff window.
     pub handoff: u64,
-    /// Adaptive cap on the wave phase (work + status rounds).
-    pub wave_budget: u64,
-    /// Adaptive cap on construction *status* rounds (work rounds are capped
-    /// by [`GhkMultiPlan::cons_rounds`]).
-    pub cons_status: u64,
     /// Adaptive cap on labeling *status* rounds (work rounds are capped by
     /// [`GhkMultiPlan::vl_rounds`]).
     pub label_status: u64,
@@ -172,38 +136,22 @@ pub struct GhkMultiPlan {
     pub handoff_budget: u64,
 }
 
-/// Phase positions of the Theorem 1.3 pipeline. Offsets are *virtual*: they
-/// count the phase's own work rounds, excluding interleaved status rounds.
+/// The Theorem 1.3 pipeline's own phases, after the shared wave and
+/// construction. Offsets are those of the published segment (see
+/// `adaptive::Segment`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GhkMultiPhase {
-    /// Collision-wave layering.
-    Wave {
-        /// Round within the wave.
-        offset: u64,
-    },
-    /// Slotted per-ring GST construction.
-    Construct {
-        /// Round within the phase.
-        offset: u64,
-    },
-    /// Slotted per-ring virtual labeling.
-    Label {
-        /// Round within the phase.
-        offset: u64,
-    },
+pub(crate) enum GhkMultiPhase {
+    /// Per-ring virtual labeling, 2-slotted by ring parity.
+    Label,
     /// Pipelined dissemination window `w` (ring `j` works on batch `w - j`).
     Disseminate {
         /// Window index.
         window: u32,
-        /// Round within the window.
-        offset: u64,
     },
     /// Handoff slot after window `w`.
     Handoff {
         /// Window index.
         window: u32,
-        /// Round within the handoff.
-        offset: u64,
     },
     /// Rung-2 regional re-dissemination (faulted runs only): holders in the
     /// rings feeding window `w` (and the ring just behind them) flood coded
@@ -212,41 +160,12 @@ pub enum GhkMultiPhase {
     Regional {
         /// The failed window index.
         window: u32,
-        /// Round within the regional flood.
-        offset: u64,
     },
     /// No-knowledge Decay fallback (faulted runs only): every holder floods
     /// coded packets for one held batch on the Decay schedule, ignoring ring
     /// and window bookkeeping, so nodes the faults stranded outside the
     /// pipeline still decode.
-    Fallback {
-        /// Round within the fallback.
-        offset: u64,
-    },
-}
-
-impl Advance for GhkMultiPhase {
-    fn advanced(self, delta: u64) -> Self {
-        match self {
-            GhkMultiPhase::Wave { offset } => GhkMultiPhase::Wave { offset: offset + delta },
-            GhkMultiPhase::Construct { offset } => {
-                GhkMultiPhase::Construct { offset: offset + delta }
-            }
-            GhkMultiPhase::Label { offset } => GhkMultiPhase::Label { offset: offset + delta },
-            GhkMultiPhase::Disseminate { window, offset } => {
-                GhkMultiPhase::Disseminate { window, offset: offset + delta }
-            }
-            GhkMultiPhase::Handoff { window, offset } => {
-                GhkMultiPhase::Handoff { window, offset: offset + delta }
-            }
-            GhkMultiPhase::Regional { window, offset } => {
-                GhkMultiPhase::Regional { window, offset: offset + delta }
-            }
-            GhkMultiPhase::Fallback { offset } => {
-                GhkMultiPhase::Fallback { offset: offset + delta }
-            }
-        }
-    }
+    Fallback,
 }
 
 impl GhkMultiPlan {
@@ -255,34 +174,25 @@ impl GhkMultiPlan {
     /// pay-as-you-go windows and handoffs, parallel narrow-ring construction
     /// wins exactly as it does for the Theorem 1.1 pipeline.
     pub fn new(params: &Params, d_bound: u32, k: usize, mode: BatchMode) -> Self {
-        let d_bound = d_bound.max(1);
-        let ring_width = params.adaptive_ring_width(d_bound).min(d_bound + 1).max(2);
-        let ring_count = (d_bound + 1).div_ceil(ring_width);
+        let front = FrontPlan::new(params, d_bound);
+        let ring_width = front.ring_width;
         let batch_size = mode.batch_size(k);
         let batch_count = k.div_ceil(batch_size);
-        let cons = ConstructionSchedule::new(params, ring_width - 1);
         let vl = VlSchedule::new(params, ring_width.saturating_sub(1).max(1));
         let slack = u64::from(params.window_slack);
         let l = u64::from(params.log_n);
         let window = slack * (2 * u64::from(ring_width) + 2 * batch_size as u64 * l + 2 * l * l);
         let handoff = 2 * slack * l * (batch_size as u64 + 4);
         let beep = u64::from(params.beep_interval.max(1));
-        let d = u64::from(d_bound);
         GhkMultiPlan {
-            d_bound,
-            ring_width,
-            ring_count,
+            front,
             batch_count: u32::try_from(batch_count).expect("fits"),
             batch_size: u32::try_from(batch_size).expect("fits"),
             k: u32::try_from(k).expect("fits"),
-            cons,
-            cons_rounds: 2 * cons.total_rounds(),
             vl,
             vl_rounds: 2 * vl.total_rounds(),
             window,
             handoff,
-            wave_budget: d + d / beep + beep + u64::from(params.quiescence_slack) + 4,
-            cons_status: cons_status_budget(params, &cons),
             label_status: 2 * u64::from(vl.d_values()) + 4,
             // Dissemination is 2-slotted by ring parity (adjacent rings work
             // different batches in the same window; the slotting keeps their
@@ -295,7 +205,7 @@ impl GhkMultiPlan {
 
     /// Number of pipelined windows: every (ring, batch) pair is covered.
     pub fn window_count(&self) -> u32 {
-        self.ring_count + self.batch_count - 1
+        self.front.ring_count + self.batch_count - 1
     }
 
     /// The batch ring `j` works on during window `w`, if any.
@@ -315,24 +225,24 @@ impl GhkMultiPlan {
     /// budget, status-round overhead included. Still
     /// `O(D + k log n + polylog)`.
     pub fn total_rounds(&self) -> u64 {
-        self.wave_budget
-            + self.cons_rounds
-            + self.cons_status
+        self.front.total_rounds()
             + self.vl_rounds
             + self.label_status
             + u64::from(self.window_count()) * (self.window_budget + self.handoff_budget)
     }
 }
 
-/// What a Theorem 1.3 status round asks: a node transmits a beep iff the
-/// predicate holds for it (see `single_message` for the in-model status-round
-/// justification; this pipeline reuses it wholesale).
+impl AsRef<FrontPlan> for GhkMultiPlan {
+    fn as_ref(&self) -> &FrontPlan {
+        &self.front
+    }
+}
+
+/// The Theorem 1.3 pipeline's own status probes (see `single_message` for
+/// the in-model status-round justification; this pipeline reuses it
+/// wholesale).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MultiProbe {
-    /// Wave phase: "did the frontier reach you since the last status round?"
-    WaveProgress,
-    /// A construction status probe (shared with the Theorem 1.1 pipeline).
-    Cons(ConsProbe),
+pub(crate) enum MultiProbe {
     /// Labeling: "are you still missing your virtual distance?"
     Unlabelled,
     /// Labeling: "is your virtual distance exactly `d`?" — an empty frontier
@@ -353,10 +263,6 @@ pub enum MultiProbe {
         /// The window whose handoff slot is open.
         window: u32,
     },
-    /// Fallback: "are you still missing any batch?" — ring and window state
-    /// deliberately ignored so nodes the faults stranded outside the pipeline
-    /// (no ring, no labels) still answer.
-    Undecoded,
 }
 
 /// The schedule instance of the window a node is currently in.
@@ -375,24 +281,15 @@ struct BatchState {
     fec: Option<Decoder>,
 }
 
-/// One node of the Theorem 1.3 pipeline. It follows the shared
-/// [`StepCell`] cursor the adaptive driver advances.
+/// One node of the Theorem 1.3 pipeline: the shared front half (see
+/// [`RingCore`]) plus labeling, the per-batch slots and the live window.
 #[derive(Clone, Debug)]
-pub struct GhkMultiNode {
-    id: u32,
-    params: Params,
-    plan: GhkMultiPlan,
+pub(crate) struct GhkMultiNode {
+    core: RingCore<GhkMultiNode>,
     payload_bits: usize,
-    step: StepCell<GhkMultiPhase, MultiProbe>,
-    wave: CollisionWaveLayering,
-    /// Frontier reached this node since the last wave status round.
-    wave_dirty: bool,
-    ring: Option<(u32, u32)>,
-    /// Phase-2 construction state; boxed so the shell stays small, built on
-    /// demand when the wave reaches the node, and dropped (together with
-    /// `vl`) by [`GhkMultiNode::retire_construction`] once labeling ends.
-    cons: Option<Box<GstConstructionNode>>,
-    /// Phase-3 labeling state; boxed and retired like `cons`.
+    /// Phase-3 labeling state; boxed so the shell stays small, built from
+    /// the construction labels, and dropped (together with the construction
+    /// state) by [`GhkMultiNode::retire_construction`] once labeling ends.
     vl: Option<Box<VirtualLabelNode>>,
     /// The dissemination labels extracted from `vl` at retirement; windows
     /// read these instead of keeping the labeling machine alive.
@@ -410,12 +307,6 @@ pub struct GhkMultiNode {
     /// Audit counters of harvested windows.
     audit_acc: SchedAudit,
     batches: Vec<BatchState>,
-    /// Window-drop counter (batch incomplete at window end).
-    drops: u64,
-    decay: DecaySchedule,
-    /// Whether the node emits real segment wake hints ([`Pacing::Segment`])
-    /// or `Wake::Now` every round ([`Pacing::PerStep`]).
-    seg_hints: bool,
     /// Handoff FEC repair aggressiveness (see
     /// [`Scenario::fec_repair`](crate::run::Scenario::fec_repair));
     /// `0` keeps the paper's full decay-cycle gate.
@@ -423,69 +314,16 @@ pub struct GhkMultiNode {
 }
 
 impl GhkMultiNode {
-    /// A pipeline node; the source holds all `messages`. All nodes of one
-    /// run share the `step` cell (the materialized phase cursor).
-    pub fn new(
-        params: &Params,
-        plan: GhkMultiPlan,
-        step: StepCell<GhkMultiPhase, MultiProbe>,
-        id: u32,
-        payload_bits: usize,
-        messages: Option<Vec<BitVec>>,
-    ) -> Self {
-        let mut batches: Vec<BatchState> =
-            (0..plan.batch_count).map(|_| BatchState::default()).collect();
-        let is_source = messages.is_some();
-        if let Some(msgs) = messages {
-            for b in 0..plan.batch_count {
-                batches[b as usize].decoded = Some(msgs[plan.batch_range(b)].to_vec());
-            }
-        }
-        GhkMultiNode {
-            id,
-            params: params.clone(),
-            plan,
-            payload_bits,
-            step,
-            wave: CollisionWaveLayering::new(is_source),
-            wave_dirty: false,
-            ring: None,
-            cons: None,
-            vl: None,
-            sched_cache: None,
-            sched: None,
-            window_seen: None,
-            handoff_seen: None,
-            fec_pending: None,
-            audit_acc: SchedAudit::default(),
-            batches,
-            drops: 0,
-            decay: DecaySchedule::new(params.decay_phase_len()),
-            seg_hints: true,
-            fec_repair: 0,
-        }
-    }
-
-    /// Selects how the node answers [`Protocol::next_wake`] (segment hints
-    /// vs. the per-step `Wake::Now` regime of the equivalence suites).
-    pub fn with_pacing(mut self, pacing: Pacing) -> Self {
-        self.seg_hints = pacing == Pacing::Segment;
-        self
-    }
-
-    /// Sets the handoff FEC repair aggressiveness (see
-    /// [`Scenario::fec_repair`](crate::run::Scenario::fec_repair)). `0` (the
-    /// default) is bit-identical to the pre-knob pipeline.
-    pub fn with_fec_repair(mut self, fec_repair: u32) -> Self {
-        self.fec_repair = fec_repair;
-        self
+    fn plan(&self) -> &GhkMultiPlan {
+        &self.core.plan
     }
 
     /// All decoded messages in order, once every batch can be decoded — from
     /// an already-harvested slot, a full-rank FEC receiver, or a full-rank
     /// window schedule, the same sources the completion predicate counts.
-    pub fn messages(&self) -> Option<Vec<BitVec>> {
-        let mut out = Vec::with_capacity(self.plan.k as usize);
+    #[cfg(test)]
+    fn messages(&self) -> Option<Vec<BitVec>> {
+        let mut out = Vec::with_capacity(self.plan().k as usize);
         for (b, slot) in self.batches.iter().enumerate() {
             let msgs = match (&slot.decoded, &slot.fec, &self.sched) {
                 (Some(d), _, _) => d.clone(),
@@ -498,38 +336,41 @@ impl GhkMultiNode {
         Some(out)
     }
 
-    /// Batches dropped at window boundaries (restart events).
-    pub fn drops(&self) -> u64 {
-        self.drops
+    /// The batch this node hands off after `window`, if it is an
+    /// outer-boundary node of a ring with a successor and holds that batch.
+    fn outbound(&self, window: u32) -> Option<u32> {
+        let (ring, ring_level) = self.core.ring?;
+        let plan = self.plan();
+        let outer = ring_level == plan.front.ring_width - 1 && ring + 1 < plan.front.ring_count;
+        let batch = plan.batch_in_window(window, ring).filter(|_| outer)?;
+        self.batches[batch as usize].decoded.is_some().then_some(batch)
     }
 
-    fn ensure_ring(&mut self) {
-        if self.ring.is_none() {
-            if let Some(layer) = self.wave.level() {
-                self.ring = Some((layer / self.plan.ring_width, layer % self.plan.ring_width));
-            }
+    /// The batch this node receives after `window` as a root (level 0) of
+    /// ring `r > 0`: the batch ring `r - 1` hands off, which ring `r` works
+    /// on in window `window + 1`.
+    fn inbound(&self, window: u32) -> Option<u32> {
+        match self.core.ring? {
+            (ring, 0) if ring > 0 => self.plan().batch_in_window(window, ring - 1),
+            _ => None,
         }
     }
 
-    fn ensure_cons(&mut self) {
-        self.ensure_ring();
-        if self.cons.is_none() {
-            if let Some((_, ring_level)) = self.ring {
-                self.cons = Some(Box::new(GstConstructionNode::new(
-                    &self.params,
-                    self.plan.cons,
-                    self.id,
-                    ring_level,
-                )));
-            }
-        }
+    /// The batches of rung 2's region around `window` for this node's ring:
+    /// its own batch and the one inbound from the previous ring. `None` for
+    /// a ring-less node.
+    fn region(&self, window: u32) -> Option<[Option<u32>; 2]> {
+        let (ring, _) = self.core.ring?;
+        let plan = self.plan();
+        let inbound = ring.checked_sub(1).and_then(|r| plan.batch_in_window(window, r));
+        Some([plan.batch_in_window(window, ring), inbound])
     }
 
     fn ensure_vl(&mut self) {
         if self.vl.is_none() {
-            if let Some(cons) = &self.cons {
-                self.vl =
-                    Some(Box::new(VirtualLabelNode::new(self.plan.vl, self.id, cons.labels())));
+            if let Some(cons) = &self.core.cons {
+                let vl = VirtualLabelNode::new(self.plan().vl, self.core.id, cons.labels());
+                self.vl = Some(Box::new(vl));
             }
         }
     }
@@ -544,7 +385,7 @@ impl GhkMultiNode {
             level: l.level,
             rank: l.rank,
             // Unlabelled nodes (labeling failure) fall back to the cap.
-            vdist: vl.vdist().unwrap_or(2 * self.params.log_n),
+            vdist: vl.vdist().unwrap_or(2 * self.core.params.log_n),
             stretch_start: l.is_stretch_start(),
             fast_transmitter: l.has_stretch_child,
             in_stretch: l.in_stretch(),
@@ -553,24 +394,24 @@ impl GhkMultiNode {
 
     /// Starts (or reuses) the schedule node for window `w`.
     fn ensure_window(&mut self, window: u32) {
-        let Some((ring, _)) = self.ring else { return };
+        let Some((ring, _)) = self.core.ring else { return };
         self.window_seen = Some(window);
         if self.sched.as_ref().is_some_and(|a| a.window == window) {
             return;
         }
         // Harvest the previous window first.
         self.harvest_window();
-        let Some(batch) = self.plan.batch_in_window(window, ring) else {
+        let Some(batch) = self.plan().batch_in_window(window, ring) else {
             self.sched = None;
             return;
         };
         let Some(labels) = self.sched_labels() else { return };
         let cfg = ScheduleConfig {
-            log_n: self.params.log_n,
+            log_n: self.core.params.log_n,
             slow_key: SlowKey::VirtualDistance,
             empty: EmptyBehavior::Silent,
         };
-        let klen = self.plan.batch_range(batch).len();
+        let klen = self.plan().batch_range(batch).len();
         let mut node = MmvScheduleNode::new(cfg, labels, klen, self.payload_bits);
         if let Some(decoded) = &self.batches[batch as usize].decoded {
             node = node.with_messages(decoded);
@@ -578,111 +419,47 @@ impl GhkMultiNode {
         self.sched = Some(Box::new(ActiveWindow { window, batch, node }));
     }
 
-    /// Stores a completed window's batch, or counts a drop. The window's
-    /// audit counters are folded into the node total before the schedule
-    /// node is dropped.
+    /// Stores a completed window's batch. The window's audit counters are
+    /// folded into the node total before the schedule node is dropped.
     fn harvest_window(&mut self) {
         if let Some(active) = self.sched.take() {
             self.audit_acc.absorb(active.node.audit());
             let slot = &mut self.batches[active.batch as usize];
             if slot.decoded.is_none() {
-                match active.node.decoder().decode() {
-                    Some(msgs) => slot.decoded = Some(msgs),
-                    None => self.drops += 1,
-                }
+                slot.decoded = active.node.decoder().decode();
             }
         }
-    }
-
-    /// Completes FEC reception for batches whose handoff window ended.
-    fn harvest_fec(&mut self, batch: u32) {
-        let slot = &mut self.batches[batch as usize];
-        if slot.decoded.is_none() {
-            if let Some(fec) = &slot.fec {
-                if let Some(msgs) = fec.decode() {
-                    slot.decoded = Some(msgs);
-                }
-            }
-        }
-        slot.fec = None;
     }
 
     /// Harvests a pending FEC reception once its handoff window is over
     /// (i.e. the current phase is anything but that window's handoff slot).
-    /// Runs at the top of every work-round `act`, so the first round of the
+    /// Runs at the top of every own-phase `act`, so the first round of the
     /// following phase finalizes the handoff.
     fn flush_fec(&mut self, phase: GhkMultiPhase) {
         if let Some((window, batch)) = self.fec_pending {
-            let still_open =
-                matches!(phase, GhkMultiPhase::Handoff { window: w, .. } if w == window);
-            if !still_open {
-                self.harvest_fec(batch);
+            if phase != (GhkMultiPhase::Handoff { window }) {
+                let slot = &mut self.batches[batch as usize];
+                if slot.decoded.is_none() {
+                    slot.decoded = slot.fec.as_ref().and_then(Decoder::decode);
+                }
+                slot.fec = None;
                 self.fec_pending = None;
             }
-        }
-    }
-
-    /// Applies the construction epilogue once the phase is announced over
-    /// (pending recruiting-part results + the unassigned-blue fallback).
-    fn finalize_construction(&mut self) {
-        if let Some(c) = self.cons.as_mut() {
-            c.finalize();
         }
     }
 
     /// Driver echo at the end of the labeling phase: caches the
     /// dissemination labels ([`SchedLabels`]) the windows will read, then
     /// drops the construction and labeling machines. Both are inert from
-    /// here on — the driver never publishes `Construct`/`Label` segments
-    /// again — so resident state shrinks to the shell plus at most one live
-    /// window schedule per node.
+    /// here on — the driver never publishes construction or labeling
+    /// segments again — so resident state shrinks to the shell plus at most
+    /// one live window schedule per node.
     fn retire_construction(&mut self) {
         if self.sched_cache.is_none() {
             self.sched_cache = self.sched_labels();
         }
-        self.cons = None;
+        self.core.cons = None;
         self.vl = None;
-    }
-
-    /// Answers a status-round probe: `true` = transmit a beep.
-    fn answer(&mut self, probe: MultiProbe) -> bool {
-        match probe {
-            MultiProbe::WaveProgress => std::mem::take(&mut self.wave_dirty),
-            MultiProbe::Cons(p) => {
-                self.ensure_cons();
-                let Some(c) = self.cons.as_mut() else { return false };
-                answer_cons_probe(c, p)
-            }
-            MultiProbe::Unlabelled => {
-                self.ensure_vl();
-                self.vl.as_ref().is_some_and(|v| v.vdist().is_none())
-            }
-            MultiProbe::LabelFrontier { d } => {
-                self.vl.as_ref().is_some_and(|v| v.vdist() == Some(d))
-            }
-            MultiProbe::WindowUninformed { window } => {
-                self.ensure_ring();
-                let Some((ring, _)) = self.ring else { return false };
-                let Some(batch) = self.plan.batch_in_window(window, ring) else {
-                    return false;
-                };
-                let decodable_in_window =
-                    self.sched.as_ref().is_some_and(|a| a.window == window && a.node.is_complete());
-                self.batches[batch as usize].decoded.is_none() && !decodable_in_window
-            }
-            MultiProbe::HandoffPending { window } => {
-                let Some((ring, ring_level)) = self.ring else { return false };
-                if ring_level != 0 || ring == 0 {
-                    return false;
-                }
-                let Some(batch) = self.plan.batch_in_window(window, ring - 1) else {
-                    return false;
-                };
-                let slot = &self.batches[batch as usize];
-                slot.decoded.is_none() && !slot.fec.as_ref().is_some_and(Decoder::can_decode)
-            }
-            MultiProbe::Undecoded => !self.is_complete(),
-        }
     }
 
     /// Driver echo of the measured-erasure adapted handoff repair rate (see
@@ -698,398 +475,9 @@ impl GhkMultiNode {
     fn decode_ready(&mut self) {
         for slot in &mut self.batches {
             if slot.decoded.is_none() {
-                if let Some(fec) = &slot.fec {
-                    if fec.can_decode() {
-                        if let Some(msgs) = fec.decode() {
-                            slot.decoded = Some(msgs);
-                        }
-                    }
+                if let Some(fec) = slot.fec.as_ref().filter(|f| f.can_decode()) {
+                    slot.decoded = fec.decode();
                 }
-            }
-        }
-    }
-}
-
-impl GhkMultiNode {
-    /// The wake hint within a published work segment: the earliest round
-    /// `>= round` at which this node's `act` might transmit, draw from its
-    /// RNG, or make an observable state change (see `crate::adaptive`).
-    fn segment_wake(&self, seg: &Segment<GhkMultiPhase>, round: u64) -> Wake {
-        let Some(pos) = seg.pos_at(round) else {
-            // Past the segment: the driver is about to publish its next step.
-            return Wake::Now;
-        };
-        // Sleeps need no clamp to the segment end: the driver force-wakes
-        // every node (`Simulator::wake_all`) before each cursor change, so
-        // hints only have to be valid while this segment stands.
-        let clamp = |r: u64| if r <= round { Wake::Now } else { Wake::At(r) };
-        let sleep = Wake::Idle;
-        let layered = self.wave.level().is_some();
-        // Parity-slotted phases: the first in-parity round and its inner
-        // (per-ring) offset.
-        let aligned = |offset: u64, parity: u64| {
-            let first = if offset % 2 == parity { round } else { round + 1 };
-            (first, (offset + (first - round)) / 2)
-        };
-        match pos {
-            GhkMultiPhase::Wave { offset } => match self.wave.level() {
-                // Re-woken by the frontier's first signal (observation).
-                None => sleep,
-                Some(l) if u64::from(l) <= offset => Wake::Now,
-                Some(l) => clamp(round + (u64::from(l) - offset)),
-            },
-            GhkMultiPhase::Construct { offset } => {
-                let Some((ring, _)) = self.ring else {
-                    return if layered { Wake::Now } else { sleep };
-                };
-                let (first, inner) = aligned(offset, u64::from(ring % 2));
-                let Some(cons) = &self.cons else { return Wake::Now };
-                // A published segment never crosses a construction-schedule
-                // segment, so the node's next act offset in that segment is
-                // its next act in this one; in-parity rounds are two apart.
-                let next =
-                    self.plan.cons.phase(inner).and_then(|ph| {
-                        cons.next_act_offset(&ph).map(|o| first + 2 * (o - ph.offset))
-                    });
-                next.map_or(sleep, clamp)
-            }
-            GhkMultiPhase::Label { offset } => {
-                let Some((ring, _)) = self.ring else {
-                    return if layered { Wake::Now } else { sleep };
-                };
-                let parity = u64::from(ring % 2);
-                let (_, inner) = aligned(offset, parity);
-                let Some(vl) = &self.vl else { return Wake::Now };
-                match vl.next_act_round(inner) {
-                    Some(next) => clamp(round + (2 * next + parity - offset)),
-                    None => sleep,
-                }
-            }
-            GhkMultiPhase::Disseminate { window, offset } => {
-                let Some((ring, _)) = self.ring else {
-                    return if layered { Wake::Now } else { sleep };
-                };
-                if self.window_seen != Some(window) || self.fec_pending.is_some() {
-                    return Wake::Now; // entry round: setup + pending harvests
-                }
-                let parity = u64::from(ring % 2);
-                let (_, inner) = aligned(offset, parity);
-                match &self.sched {
-                    Some(a) => {
-                        let next = a.node.next_act_round(inner);
-                        clamp(round + (2 * next + parity - offset))
-                    }
-                    None => sleep,
-                }
-            }
-            GhkMultiPhase::Handoff { window, offset } => {
-                let Some((ring, ring_level)) = self.ring else {
-                    return if layered { Wake::Now } else { sleep };
-                };
-                // `act` harvests a live window schedule before it hands off,
-                // and the harvest can make this node a sender: poll on the
-                // entry round, and while a rung-1 repair's replay of the
-                // window has left a schedule behind (the retried handoff
-                // then has `handoff_seen == Some(window)` already).
-                if self.handoff_seen != Some(window) || self.sched.is_some() {
-                    return Wake::Now;
-                }
-                let sender = ring_level == self.plan.ring_width - 1
-                    && ring + 1 < self.plan.ring_count
-                    && self
-                        .plan
-                        .batch_in_window(window, ring)
-                        .is_some_and(|b| self.batches[b as usize].decoded.is_some());
-                if sender {
-                    let (first, _) = aligned(offset, u64::from(ring % 2));
-                    clamp(first)
-                } else {
-                    sleep
-                }
-            }
-            GhkMultiPhase::Regional { window, .. } => {
-                // Only region members (rings feeding window `w` plus the
-                // ring right behind them) ever transmit; everyone else —
-                // including ring-less strays — sleeps until a delivery's
-                // observation re-wakes them.
-                let Some((ring, _)) = self.ring else { return sleep };
-                let own = self.plan.batch_in_window(window, ring);
-                let inbound =
-                    ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r));
-                if (own.is_some() || inbound.is_some()) && self.holds_any() {
-                    Wake::Now
-                } else {
-                    sleep
-                }
-            }
-            // Holders (and nodes with pending decoders to finalize) act every
-            // round; everyone else sleeps until a delivery's observation
-            // re-wakes them.
-            GhkMultiPhase::Fallback { .. } if self.holds_any() => Wake::Now,
-            GhkMultiPhase::Fallback { .. } => sleep,
-        }
-    }
-}
-
-impl Protocol for GhkMultiNode {
-    type Msg = GhkMMsg;
-
-    // Every sub-protocol this node routes observations into ignores
-    // silence, and status rounds ignore everything non-transmitted.
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
-
-    /// Segment-derived wake hints (see [`crate::adaptive`]): status and idle
-    /// rounds poll everyone; work segments sleep the node through rounds in
-    /// which its phase provably keeps it inert (`tests/determinism.rs` pins
-    /// the batched trace against per-step pacing).
-    fn next_wake(&self, round: u64) -> Wake {
-        if !self.seg_hints {
-            return Wake::Now;
-        }
-        match self.step.get() {
-            Step::Idle | Step::Status(_) => Wake::Now,
-            Step::Work(seg) => self.segment_wake(&seg, round),
-        }
-    }
-
-    fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        let id = self.id;
-        hint_checked_act(self, id, round, rng, Self::act_inner)
-    }
-
-    fn observe(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {
-        let phase = match self.step.get() {
-            Step::Idle | Step::Status(_) => return,
-            Step::Work(seg) => seg.pos_at(round).expect("observation within the published segment"),
-        };
-        match phase {
-            GhkMultiPhase::Wave { offset } => {
-                let mapped = narrow(&obs, |m| match m {
-                    GhkMMsg::Wave(b) => Some(*b),
-                    _ => None,
-                });
-                let was_layered = self.wave.level().is_some();
-                self.wave.observe(offset, mapped, rng);
-                if !was_layered && self.wave.level().is_some() {
-                    self.wave_dirty = true;
-                }
-            }
-            GhkMultiPhase::Construct { offset } => {
-                let Some((ring, _)) = self.ring else { return };
-                if offset % 2 != u64::from(ring % 2) {
-                    return;
-                }
-                let mapped = narrow(&obs, |m| match m {
-                    GhkMMsg::Gst(g) => Some(*g),
-                    _ => None,
-                });
-                if let Some(c) = self.cons.as_mut() {
-                    c.observe(offset / 2, mapped, rng);
-                }
-            }
-            GhkMultiPhase::Label { offset } => {
-                let Some((ring, _)) = self.ring else { return };
-                if offset % 2 != u64::from(ring % 2) {
-                    return;
-                }
-                let mapped = narrow(&obs, |m| match m {
-                    GhkMMsg::Vl(v) => Some(*v),
-                    _ => None,
-                });
-                if let Some(v) = self.vl.as_mut() {
-                    v.observe(offset / 2, mapped, rng);
-                }
-            }
-            GhkMultiPhase::Disseminate { offset, .. } => {
-                // Mirror the act-side parity slotting of the windows.
-                let Some((ring, _)) = self.ring else { return };
-                if offset % 2 != u64::from(ring % 2) {
-                    return;
-                }
-                let Some(active) = self.sched.as_mut() else { return };
-                // Other batches' packets are noise for this node — dropped
-                // here without ever copying the payload.
-                let mapped = narrow(&obs, |m| match m {
-                    GhkMMsg::Sched { batch, msg } if *batch == active.batch => Some(msg.clone()),
-                    _ => None,
-                });
-                active.node.observe(offset / 2, mapped, rng);
-            }
-            GhkMultiPhase::Handoff { window, offset: _ } => {
-                let Some((ring, ring_level)) = self.ring else { return };
-                // Ring roots (level 0) of ring j+1 listen for batch w-(j+1)+1:
-                // the batch their predecessor ring just finished = w - (j+1) + 1
-                // = w - j ... ring j hands batch (w - j) to ring j+1, whose
-                // window for it is w+1. Roots of ring r listen for batch
-                // (window - (r - 1)) from ring r-1.
-                if ring_level != 0 || ring == 0 {
-                    return;
-                }
-                let Some(batch) = self.plan.batch_in_window(window, ring - 1) else { return };
-                if self.batches[batch as usize].decoded.is_some() {
-                    return;
-                }
-                if let Observation::Message(p) = &obs {
-                    if let GhkMMsg::Fec { batch: b, packet } = &**p {
-                        if *b != batch {
-                            return;
-                        }
-                        let klen = self.plan.batch_range(batch).len();
-                        let slot = &mut self.batches[batch as usize];
-                        let fec =
-                            slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
-                        fec.insert(packet.clone());
-                        // Harvested at the first act after this handoff
-                        // closes (see `flush_fec`).
-                        self.fec_pending = Some((window, batch));
-                    }
-                }
-            }
-            GhkMultiPhase::Regional { window, .. } => {
-                // Region-gated adoption (ring-less strays count as in-region
-                // — churn/mobility may have orphaned them mid-pipeline): a
-                // member still missing a batch collects its fountain
-                // packets, decoding at its next act (`decode_ready`).
-                let in_region = match self.ring {
-                    Some((r, _)) => {
-                        self.plan.batch_in_window(window, r).is_some()
-                            || r.checked_sub(1)
-                                .and_then(|p| self.plan.batch_in_window(window, p))
-                                .is_some()
-                    }
-                    None => true,
-                };
-                if in_region {
-                    self.collect_fec(&obs);
-                }
-            }
-            // Ring-agnostic adoption: any node still missing a batch collects
-            // fountain packets for it, decoding at its next act
-            // (`decode_ready`) so coverage spreads hop by hop.
-            GhkMultiPhase::Fallback { .. } => self.collect_fec(&obs),
-        }
-    }
-}
-
-impl GhkMultiNode {
-    fn act_inner(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        let phase = match self.step.get() {
-            Step::Idle => return Action::Listen,
-            Step::Status(p) => {
-                return if self.answer(p) {
-                    Action::Transmit(GhkMMsg::Status)
-                } else {
-                    Action::Listen
-                };
-            }
-            Step::Work(seg) => seg.pos_at(round).expect("act within the published segment"),
-        };
-        self.flush_fec(phase);
-        match phase {
-            GhkMultiPhase::Wave { offset } => match self.wave.act(offset, rng) {
-                Action::Transmit(b) => Action::Transmit(GhkMMsg::Wave(b)),
-                Action::Listen => Action::Listen,
-            },
-            GhkMultiPhase::Construct { offset } => {
-                self.ensure_cons();
-                let Some((ring, _)) = self.ring else { return Action::Listen };
-                if offset % 2 != u64::from(ring % 2) {
-                    return Action::Listen;
-                }
-                match self.cons.as_mut().expect("created").act(offset / 2, rng) {
-                    Action::Transmit(m) => Action::Transmit(GhkMMsg::Gst(m)),
-                    Action::Listen => Action::Listen,
-                }
-            }
-            GhkMultiPhase::Label { offset } => {
-                self.ensure_vl();
-                let Some((ring, _)) = self.ring else { return Action::Listen };
-                if offset % 2 != u64::from(ring % 2) {
-                    return Action::Listen;
-                }
-                match self.vl.as_mut().expect("created").act(offset / 2, rng) {
-                    Action::Transmit(m) => Action::Transmit(GhkMMsg::Vl(m)),
-                    Action::Listen => Action::Listen,
-                }
-            }
-            GhkMultiPhase::Disseminate { window, offset } => {
-                self.ensure_window(window);
-                // Windows are 2-slotted by ring parity: adjacent rings work
-                // different batches in the same window, and the slotting
-                // keeps their schedules from colliding at ring boundaries
-                // (narrow rings put e.g. a corner node's only in-ring
-                // neighbor right next to the following ring's roots, which
-                // share its slow-slot timing).
-                let Some((ring, _)) = self.ring else { return Action::Listen };
-                if offset % 2 != u64::from(ring % 2) {
-                    return Action::Listen;
-                }
-                let Some(active) = self.sched.as_mut() else { return Action::Listen };
-                let batch = active.batch;
-                match active.node.act(offset / 2, rng) {
-                    Action::Transmit(msg) => Action::Transmit(GhkMMsg::Sched { batch, msg }),
-                    Action::Listen => Action::Listen,
-                }
-            }
-            GhkMultiPhase::Handoff { window, offset } => {
-                // Finish the window before handing off.
-                self.harvest_window();
-                self.handoff_seen = Some(window);
-                let Some((ring, ring_level)) = self.ring else { return Action::Listen };
-                // Slotted by ring parity to keep adjacent handoffs apart.
-                if offset % 2 != u64::from(ring % 2) {
-                    return Action::Listen;
-                }
-                let Some(batch) = self.plan.batch_in_window(window, ring) else {
-                    return Action::Listen;
-                };
-                let outer =
-                    ring_level == self.plan.ring_width - 1 && ring + 1 < self.plan.ring_count;
-                if !outer {
-                    return Action::Listen;
-                }
-                let Some(decoded) = &self.batches[batch as usize].decoded else {
-                    return Action::Listen;
-                };
-                // With `fec_repair > 0` the decay gate is compressed to its
-                // `r` highest-probability slots, so boundary nodes emit
-                // fountain repair packets far more often — lossy-channel
-                // redundancy. Exactly one `fires` draw either way, keeping
-                // the RNG stream aligned (`0` is bit-identical to the
-                // pre-knob pipeline).
-                let gate_slot = match self.fec_repair {
-                    0 => offset / 2,
-                    r => (offset / 2) % u64::from(r),
-                };
-                if self.decay.fires(gate_slot, rng) {
-                    let src = Decoder::with_messages(decoded);
-                    if let Some(packet) = src.random_combination(rng) {
-                        return Action::Transmit(GhkMMsg::Fec { batch, packet });
-                    }
-                }
-                Action::Listen
-            }
-            GhkMultiPhase::Regional { window, offset } => {
-                // Rung-2 recovery: region holders flood the failed window's
-                // batches (their own and the one inbound from the previous
-                // ring) on the Decay schedule with fountain packets.
-                self.harvest_window();
-                self.decode_ready();
-                let Some((ring, _)) = self.ring else { return Action::Listen };
-                let region = [
-                    self.plan.batch_in_window(window, ring),
-                    ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r)),
-                ];
-                self.flood(region.into_iter().flatten(), offset, rng)
-            }
-            GhkMultiPhase::Fallback { offset } => {
-                // No-knowledge recovery: finalize whatever the pipeline left
-                // pending, then flood held batches on the Decay schedule with
-                // fountain packets — no ring, window, or label bookkeeping.
-                self.harvest_window();
-                self.decode_ready();
-                self.flood(0..self.plan.batch_count, offset, rng)
             }
         }
     }
@@ -1102,16 +490,22 @@ impl GhkMultiNode {
         batches: impl Iterator<Item = u32>,
         offset: u64,
         rng: &mut SmallRng,
-    ) -> Action<GhkMMsg> {
+    ) -> Action<Msg<GhkMMsg>> {
         let held: Vec<u32> =
             batches.filter(|&b| self.batches[b as usize].decoded.is_some()).collect();
         let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
             return Action::Listen;
         };
-        if self.decay.fires(offset, rng) {
+        self.fountain(batch, offset, rng)
+    }
+
+    /// One Decay draw at gate slot `gate` and, if it fires, one fountain
+    /// packet over held batch `batch`.
+    fn fountain(&mut self, batch: u32, gate: u64, rng: &mut SmallRng) -> Action<Msg<GhkMMsg>> {
+        if self.core.decay().fires(gate, rng) {
             let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
             if let Some(packet) = Decoder::with_messages(decoded).random_combination(rng) {
-                return Action::Transmit(GhkMMsg::Fec { batch, packet });
+                return Action::Transmit(Msg::Own(GhkMMsg::Fec { batch, packet }));
             }
         }
         Action::Listen
@@ -1119,10 +513,10 @@ impl GhkMultiNode {
 
     /// Recovery adoption: a fountain packet for a batch this node can not
     /// decode yet joins that batch's FEC receiver.
-    fn collect_fec(&mut self, obs: &Observation<GhkMMsg>) {
+    fn collect_fec(&mut self, obs: &Observation<Msg<GhkMMsg>>) {
         if let Observation::Message(p) = obs {
-            if let GhkMMsg::Fec { batch, packet } = &**p {
-                let klen = self.plan.batch_range(*batch).len();
+            if let Msg::Own(GhkMMsg::Fec { batch, packet }) = &**p {
+                let klen = self.plan().batch_range(*batch).len();
                 let slot = &mut self.batches[*batch as usize];
                 if slot.decoded.is_none() && !slot.fec.as_ref().is_some_and(Decoder::can_decode) {
                     let fec = slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
@@ -1144,6 +538,271 @@ impl GhkMultiNode {
     }
 }
 
+impl RingNode for GhkMultiNode {
+    type Plan = GhkMultiPlan;
+    type Own = GhkMultiPhase;
+    type OwnProbe = MultiProbe;
+    type OwnMsg = GhkMMsg;
+
+    fn core(&self) -> &RingCore<Self> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut RingCore<Self> {
+        &mut self.core
+    }
+
+    fn wake(&self, phase: GhkMultiPhase, offset: u64, round: u64) -> Wake {
+        match phase {
+            GhkMultiPhase::Label => {
+                let Some((ring, _)) = self.core.ring else { return self.core.unringed() };
+                let (wait, inner) = slot(ring, offset);
+                let Some(vl) = &self.vl else { return Wake::Now };
+                match vl.next_act_round(inner) {
+                    Some(next) => wake_at(round, round + wait + 2 * (next - inner)),
+                    None => Wake::Idle,
+                }
+            }
+            GhkMultiPhase::Disseminate { window } => {
+                let Some((ring, _)) = self.core.ring else { return self.core.unringed() };
+                if self.window_seen != Some(window) || self.fec_pending.is_some() {
+                    return Wake::Now; // entry round: setup + pending harvests
+                }
+                let (wait, inner) = slot(ring, offset);
+                match &self.sched {
+                    Some(a) => {
+                        let next = a.node.next_act_round(inner);
+                        wake_at(round, round + wait + 2 * (next - inner))
+                    }
+                    None => Wake::Idle,
+                }
+            }
+            GhkMultiPhase::Handoff { window } => {
+                let Some((ring, _)) = self.core.ring else { return self.core.unringed() };
+                // `act` harvests a live window schedule before it hands off,
+                // and the harvest can make this node a sender: poll on the
+                // entry round, and while a rung-1 repair's replay of the
+                // window has left a schedule behind (the retried handoff
+                // then has `handoff_seen == Some(window)` already).
+                if self.handoff_seen != Some(window) || self.sched.is_some() {
+                    return Wake::Now;
+                }
+                match self.outbound(window) {
+                    Some(_) => wake_at(round, round + slot(ring, offset).0),
+                    None => Wake::Idle,
+                }
+            }
+            // Only region members (rings feeding window `w` plus the ring
+            // right behind them) ever transmit, and in the fallback every
+            // holder (and every node with a pending decoder to finalize);
+            // everyone else — including ring-less strays — sleeps until a
+            // delivery's observation re-wakes them.
+            GhkMultiPhase::Regional { window }
+                if self.region(window).is_some_and(|r| r.iter().any(Option::is_some))
+                    && self.holds_any() =>
+            {
+                Wake::Now
+            }
+            GhkMultiPhase::Fallback if self.holds_any() => Wake::Now,
+            GhkMultiPhase::Regional { .. } | GhkMultiPhase::Fallback => Wake::Idle,
+        }
+    }
+
+    fn act_own(
+        &mut self,
+        phase: GhkMultiPhase,
+        offset: u64,
+        rng: &mut SmallRng,
+    ) -> Action<Msg<GhkMMsg>> {
+        self.flush_fec(phase);
+        match phase {
+            GhkMultiPhase::Label => {
+                self.ensure_vl();
+                let Some((ring, _)) = self.core.ring else { return Action::Listen };
+                let (0, inner) = slot(ring, offset) else { return Action::Listen };
+                match self.vl.as_mut().expect("created").act(inner, rng) {
+                    Action::Transmit(m) => Action::Transmit(Msg::Own(GhkMMsg::Vl(m))),
+                    Action::Listen => Action::Listen,
+                }
+            }
+            GhkMultiPhase::Disseminate { window } => {
+                self.ensure_window(window);
+                // Windows are 2-slotted by ring parity: adjacent rings work
+                // different batches in the same window, and the slotting
+                // keeps their schedules from colliding at ring boundaries
+                // (narrow rings put e.g. a corner node's only in-ring
+                // neighbor right next to the following ring's roots, which
+                // share its slow-slot timing).
+                let Some((ring, _)) = self.core.ring else { return Action::Listen };
+                let (0, inner) = slot(ring, offset) else { return Action::Listen };
+                let Some(active) = self.sched.as_mut() else { return Action::Listen };
+                let batch = active.batch;
+                match active.node.act(inner, rng) {
+                    Action::Transmit(msg) => {
+                        Action::Transmit(Msg::Own(GhkMMsg::Sched { batch, msg }))
+                    }
+                    Action::Listen => Action::Listen,
+                }
+            }
+            GhkMultiPhase::Handoff { window } => {
+                // Finish the window before handing off.
+                self.harvest_window();
+                self.handoff_seen = Some(window);
+                // 2-slotted by ring parity to keep adjacent handoffs apart.
+                let Some((ring, _)) = self.core.ring else { return Action::Listen };
+                let (0, inner) = slot(ring, offset) else { return Action::Listen };
+                let Some(batch) = self.outbound(window) else { return Action::Listen };
+                // With `fec_repair > 0` the decay gate is compressed to its
+                // `r` highest-probability slots, so boundary nodes emit
+                // fountain repair packets far more often — lossy-channel
+                // redundancy. Exactly one `fires` draw either way, keeping
+                // the RNG stream aligned (`0` is bit-identical to the
+                // pre-knob pipeline).
+                let gate = match self.fec_repair {
+                    0 => inner,
+                    r => inner % u64::from(r),
+                };
+                self.fountain(batch, gate, rng)
+            }
+            GhkMultiPhase::Regional { window } => {
+                // Rung-2 recovery: region holders flood the failed window's
+                // batches (their own and the one inbound from the previous
+                // ring) on the Decay schedule with fountain packets.
+                self.harvest_window();
+                self.decode_ready();
+                let Some(region) = self.region(window) else { return Action::Listen };
+                self.flood(region.into_iter().flatten(), offset, rng)
+            }
+            GhkMultiPhase::Fallback => {
+                // No-knowledge recovery: finalize whatever the pipeline left
+                // pending, then flood held batches on the Decay schedule with
+                // fountain packets — no ring, window, or label bookkeeping.
+                self.harvest_window();
+                self.decode_ready();
+                self.flood(0..self.plan().batch_count, offset, rng)
+            }
+        }
+    }
+
+    fn observe_own(
+        &mut self,
+        phase: GhkMultiPhase,
+        offset: u64,
+        obs: Observation<Msg<GhkMMsg>>,
+        rng: &mut SmallRng,
+    ) {
+        match phase {
+            GhkMultiPhase::Label => {
+                let Some((ring, _)) = self.core.ring else { return };
+                let (0, inner) = slot(ring, offset) else { return };
+                let mapped = narrow(&obs, |m| match m {
+                    Msg::Own(GhkMMsg::Vl(v)) => Some(*v),
+                    _ => None,
+                });
+                if let Some(v) = self.vl.as_mut() {
+                    v.observe(inner, mapped, rng);
+                }
+            }
+            GhkMultiPhase::Disseminate { .. } => {
+                // Mirror the act-side parity slotting of the windows.
+                let Some((ring, _)) = self.core.ring else { return };
+                let (0, inner) = slot(ring, offset) else { return };
+                let Some(active) = self.sched.as_mut() else { return };
+                // Other batches' packets are noise for this node — dropped
+                // here without ever copying the payload.
+                let mapped = narrow(&obs, |m| match m {
+                    Msg::Own(GhkMMsg::Sched { batch, msg }) if *batch == active.batch => {
+                        Some(msg.clone())
+                    }
+                    _ => None,
+                });
+                active.node.observe(inner, mapped, rng);
+            }
+            GhkMultiPhase::Handoff { window } => {
+                let Some(batch) = self.inbound(window) else { return };
+                if self.batches[batch as usize].decoded.is_some() {
+                    return;
+                }
+                if let Observation::Message(p) = &obs {
+                    if let Msg::Own(GhkMMsg::Fec { batch: b, packet }) = &**p {
+                        if *b != batch {
+                            return;
+                        }
+                        let klen = self.plan().batch_range(batch).len();
+                        let slot = &mut self.batches[batch as usize];
+                        let fec =
+                            slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
+                        fec.insert(packet.clone());
+                        // Harvested at the first act after this handoff
+                        // closes (see `flush_fec`).
+                        self.fec_pending = Some((window, batch));
+                    }
+                }
+            }
+            GhkMultiPhase::Regional { window } => {
+                // Region-gated adoption (ring-less strays count as in-region
+                // — churn/mobility may have orphaned them mid-pipeline): a
+                // member still missing a batch collects its fountain
+                // packets, decoding at its next act (`decode_ready`).
+                if self.region(window).is_none_or(|r| r.iter().any(Option::is_some)) {
+                    self.collect_fec(&obs);
+                }
+            }
+            // Ring-agnostic adoption: any node still missing a batch collects
+            // fountain packets for it, decoding at its next act
+            // (`decode_ready`) so coverage spreads hop by hop.
+            GhkMultiPhase::Fallback => self.collect_fec(&obs),
+        }
+    }
+
+    fn answer(&mut self, probe: MultiProbe) -> bool {
+        match probe {
+            MultiProbe::Unlabelled => {
+                self.ensure_vl();
+                self.vl.as_ref().is_some_and(|v| v.vdist().is_none())
+            }
+            MultiProbe::LabelFrontier { d } => {
+                self.vl.as_ref().is_some_and(|v| v.vdist() == Some(d))
+            }
+            MultiProbe::WindowUninformed { window } => {
+                let Some((ring, _)) = self.core.derived_ring() else { return false };
+                let Some(batch) = self.plan().batch_in_window(window, ring) else {
+                    return false;
+                };
+                let decodable_in_window =
+                    self.sched.as_ref().is_some_and(|a| a.window == window && a.node.is_complete());
+                self.batches[batch as usize].decoded.is_none() && !decodable_in_window
+            }
+            MultiProbe::HandoffPending { window } => {
+                let Some(batch) = self.inbound(window) else { return false };
+                let slot = &self.batches[batch as usize];
+                slot.decoded.is_none() && !slot.fec.as_ref().is_some_and(Decoder::can_decode)
+            }
+        }
+    }
+}
+
+impl Protocol for GhkMultiNode {
+    type Msg = Msg<GhkMMsg>;
+
+    const SILENCE_IS_NOOP: bool = true;
+    const WAKE_HINTS: bool = true;
+
+    /// Segment-derived wake hints (`tests/determinism.rs` pins the batched
+    /// trace against per-step pacing).
+    fn next_wake(&self, round: u64) -> Wake {
+        adaptive::next_wake(self, round)
+    }
+
+    fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<Self::Msg> {
+        adaptive::hint_checked_act(self, round, rng)
+    }
+
+    fn observe(&mut self, round: u64, obs: Observation<Self::Msg>, rng: &mut SmallRng) {
+        adaptive::observe(self, round, obs, rng);
+    }
+}
+
 /// Driver-side state of a Theorem 1.3 run: the plan, and the configured
 /// handoff repair knob the loss estimator starts from.
 #[derive(Clone, Copy, Debug)]
@@ -1152,11 +811,15 @@ pub(crate) struct MultiRun {
     fec_repair: u32,
 }
 
+impl AsRef<FrontPlan> for MultiRun {
+    fn as_ref(&self) -> &FrontPlan {
+        &self.plan.front
+    }
+}
+
 impl Pipeline for GhkMultiNode {
-    type Pos = GhkMultiPhase;
-    type Probe = MultiProbe;
-    type Plan = MultiRun;
-    const FALLBACK: GhkMultiPhase = GhkMultiPhase::Fallback { offset: 0 };
+    type Run = MultiRun;
+    const FALLBACK: GhkMultiPhase = GhkMultiPhase::Fallback;
 
     /// Whether this node can decode every batch — from an already-harvested
     /// slot, a full-rank FEC receiver, or a full-rank window schedule. The
@@ -1176,7 +839,7 @@ impl Pipeline for GhkMultiNode {
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + self.cons.is_some() as usize * size_of::<GstConstructionNode>()
+            + self.core.resident_bytes()
             + self.vl.is_some() as usize * size_of::<VirtualLabelNode>()
             + self.sched.is_some() as usize * size_of::<ActiveWindow>()
             + self.batches.capacity() * size_of::<BatchState>()
@@ -1192,46 +855,22 @@ impl Pipeline for GhkMultiNode {
         a
     }
 
-    fn votable(probe: MultiProbe) -> bool {
-        !matches!(probe, MultiProbe::WaveProgress | MultiProbe::Cons(ConsProbe::NewActivation))
-    }
-
     fn vote_budget(probe: MultiProbe) -> Option<Budget> {
         match probe {
-            MultiProbe::Cons(_) => Some(Budget::Construct),
             MultiProbe::Unlabelled | MultiProbe::LabelFrontier { .. } => Some(Budget::Label),
             _ => None,
         }
     }
 
-    /// The collision wave, the parallel per-ring construction, adaptive
-    /// labeling, then the batch pipeline: ring `j` disseminates batch
-    /// `w - j` in window `w` while ring `j + 1` receives its handoff.
-    /// Anchors recovery at the last window.
+    /// The shared front half, adaptive labeling, then the batch pipeline:
+    /// ring `j` disseminates batch `w - j` in window `w` while ring `j + 1`
+    /// receives its handoff. Anchors recovery at the last window.
     fn phases<T: Topology>(d: &mut Driver<Self, T>) -> u32 {
         let MultiRun { plan, fec_repair } = d.plan;
-        if !d.done() {
-            // Phase 1: the collision wave.
-            let _ = d.window(
-                plan.wave_budget,
-                MultiProbe::WaveProgress,
-                false,
-                |offset| GhkMultiPhase::Wave { offset },
-                |p| &mut p.wave,
-            );
-        }
-        if !d.done() {
-            // Phase 2: parallel per-ring GST construction.
-            d.construct(plan.cons, Budget::Construct, MultiProbe::Cons, |offset| {
-                GhkMultiPhase::Construct { offset }
-            });
-        }
-        // Sample before the finalize echo: every layered node's construction
-        // machine is still alive here.
-        d.sample_state();
+        d.front();
         // End-of-construction echo (the block epilogue the adaptive loop may
         // have skipped the rounds for).
-        d.echo(GhkMultiNode::finalize_construction);
+        d.echo(|n| n.core.finalize_cons());
         if !d.done() {
             // Phase 3: adaptive virtual labeling.
             label(d, plan.vl);
@@ -1254,7 +893,7 @@ impl Pipeline for GhkMultiNode {
                 plan.window_budget,
                 MultiProbe::WindowUninformed { window: w },
                 false,
-                |offset| GhkMultiPhase::Disseminate { window: w, offset },
+                GhkMultiPhase::Disseminate { window: w },
                 |p| &mut p.disseminate,
             );
             if d.done() {
@@ -1279,7 +918,7 @@ impl Pipeline for GhkMultiNode {
                 plan.handoff_budget,
                 MultiProbe::HandoffPending { window: w },
                 true,
-                |offset| GhkMultiPhase::Handoff { window: w, offset },
+                GhkMultiPhase::Handoff { window: w },
                 w,
             ) {
                 break; // both rungs failed: on to the rung-3 fallback
@@ -1302,7 +941,7 @@ impl Pipeline for GhkMultiNode {
             budget,
             MultiProbe::WindowUninformed { window },
             false,
-            |offset| GhkMultiPhase::Disseminate { window, offset },
+            GhkMultiPhase::Disseminate { window },
             |p| &mut p.repair,
         );
         if d.done() {
@@ -1313,7 +952,7 @@ impl Pipeline for GhkMultiNode {
             budget,
             MultiProbe::HandoffPending { window },
             true,
-            |offset| GhkMultiPhase::Handoff { window, offset },
+            GhkMultiPhase::Handoff { window },
             |p| &mut p.repair,
         ) == WindowEnd::Quiesced
     }
@@ -1329,7 +968,7 @@ impl Pipeline for GhkMultiNode {
             budget,
             MultiProbe::HandoffPending { window },
             false,
-            |offset| GhkMultiPhase::Regional { window, offset },
+            GhkMultiPhase::Regional { window },
             |p| &mut p.repair,
         ) == WindowEnd::Quiesced
     }
@@ -1350,9 +989,8 @@ fn label<T: Topology>(drv: &mut Driver<GhkMultiNode, T>, vl: VlSchedule) {
     // The labeling schedule rounds of frontiers `from..to`, 2-slotted by ring
     // parity, as one published segment.
     let run = |drv: &mut Driver<GhkMultiNode, T>, from: u32, to: u32| {
-        let offset = 2 * u64::from(from) * per_d;
-        let run =
-            drv.exec_segment(GhkMultiPhase::Label { offset }, 2 * u64::from(to - from) * per_d);
+        let (offset, len) = (2 * u64::from(from) * per_d, 2 * u64::from(to - from) * per_d);
+        let run = drv.exec_segment(Phase::Own(GhkMultiPhase::Label), offset, len);
         drv.phases.label += run;
     };
     for d in 0..frontiers {
@@ -1404,22 +1042,31 @@ pub(crate) fn driver<T: Topology>(
     let payload_bits = messages[0].len();
     let d = bfs_layering(&topology, &[source]).max_level();
     let plan = GhkMultiPlan::new(params, d.max(1), messages.len(), batch);
+    let (shared_params, shared_plan) = (Rc::new(params.clone()), Rc::new(plan));
     let step = Rc::new(Cell::new(Step::Idle));
     let sim = Simulator::new_with_faults(topology, mode, seed, faults.clone(), |id| {
-        GhkMultiNode::new(
-            params,
-            plan,
-            Rc::clone(&step),
-            id.raw(),
+        let is_source = id == source;
+        GhkMultiNode {
+            core: RingCore::new(&shared_params, &shared_plan, &step, id.raw(), is_source, pacing),
             payload_bits,
-            (id == source).then(|| messages.to_vec()),
-        )
-        .with_pacing(pacing)
-        .with_fec_repair(fec_repair)
+            vl: None,
+            sched_cache: None,
+            sched: None,
+            window_seen: None,
+            handoff_seen: None,
+            fec_pending: None,
+            audit_acc: SchedAudit::default(),
+            batches: (0..plan.batch_count)
+                .map(|b| BatchState {
+                    decoded: is_source.then(|| messages[plan.batch_range(b)].to_vec()),
+                    fec: None,
+                })
+                .collect(),
+            fec_repair,
+        }
     });
     let run = MultiRun { plan, fec_repair };
     let mut driver = Driver::new(sim, step, run, plan.total_rounds(), params);
-    driver.set_status(Budget::Construct, plan.cons_status);
     driver.set_status(Budget::Label, plan.label_status);
     driver
 }
@@ -1555,9 +1202,9 @@ mod tests {
         let mut params = Params::scaled(64);
         params.ring_width = Some(3);
         let plan = GhkMultiPlan::new(&params, 11, 10, BatchMode::Generations(4));
-        assert!(plan.ring_count > 1);
+        assert!(plan.front.ring_count > 1);
         assert_eq!(plan.batch_count, 3);
-        for ring in 0..plan.ring_count {
+        for ring in 0..plan.front.ring_count {
             for batch in 0..plan.batch_count {
                 let w = ring + batch;
                 assert_eq!(plan.batch_in_window(w, ring), Some(batch));

@@ -39,10 +39,6 @@ pub enum DoneCheck {
     /// Evaluate after every simulated round (the historical behavior of
     /// [`Simulator::run_until`]). Exact completion rounds, `O(n)` per round.
     EveryRound,
-    /// Evaluate every `k`-th simulated round (and on the final round of the
-    /// budget). The reported completion round may overshoot the true one by
-    /// up to `k - 1` rounds.
-    Every(u64),
     /// Evaluate only after rounds that delivered a packet or a collision to
     /// some listener — the only rounds in which *listener* state can change.
     /// Exact for predicates that depend on what nodes have received (the
@@ -798,15 +794,15 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     /// evaluation — under [`DoneCheck::EveryRound`] that makes the driver
     /// `O(n)` per round even when the engine's fast paths made the round
     /// itself `O(active)`. Use [`DoneCheck::OnDelivery`] (exact for
-    /// reception-driven predicates) or [`DoneCheck::Every`] to amortize.
+    /// reception-driven predicates) to amortize.
     ///
     /// The predicate must be pure in the node states: fully-idle rounds
     /// cannot change any node's state, so the wake-list fast path skips
     /// re-evaluating `done` across them (and fast-forwards the rounds
     /// themselves).
     ///
-    /// Returns the total round count at which the predicate first held
-    /// (subject to the policy's check granularity), or `None` on timeout.
+    /// Returns the total round count at which the predicate first held, or
+    /// `None` on timeout.
     pub fn run_until_with(
         &mut self,
         max_rounds: u64,
@@ -817,7 +813,6 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             return Some(self.round);
         }
         let mut left = max_rounds;
-        let mut since_check = 0u64;
         while left > 0 {
             if Self::WAKE_PATH {
                 self.flush_dirty(self.round);
@@ -832,19 +827,12 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             left -= 1;
             let check_now = match check {
                 DoneCheck::EveryRound => true,
-                DoneCheck::Every(k) => {
-                    since_check += 1;
-                    since_check >= k.max(1) || left == 0
-                }
                 DoneCheck::OnDelivery => {
                     rstats.deliveries > 0 || rstats.collisions > 0 || left == 0
                 }
             };
-            if check_now {
-                since_check = 0;
-                if done(&self.nodes) {
-                    return Some(self.round);
-                }
+            if check_now && done(&self.nodes) {
+                return Some(self.round);
             }
         }
         None
@@ -1376,9 +1364,6 @@ mod tests {
         }
         let exact = completion(DoneCheck::EveryRound);
         assert_eq!(completion(DoneCheck::OnDelivery), exact);
-        // Interval checking may overshoot by < k.
-        let coarse = completion(DoneCheck::Every(16)).unwrap();
-        assert!(coarse >= exact.unwrap() && coarse < exact.unwrap() + 16);
     }
 
     #[test]

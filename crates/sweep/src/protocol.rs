@@ -220,9 +220,11 @@ fn parse_scenario(value: &Json, id: u64) -> Result<Scenario, RequestError> {
         scenario = scenario.round_cap(cap);
     }
     if let Some(r) = value.get("fec_repair") {
-        let r =
-            r.as_u64().ok_or_else(|| RequestError::bad(Some(id), "'fec_repair' must be u64"))?;
-        scenario = scenario.fec_repair(r as u32);
+        let r = r
+            .as_u64()
+            .and_then(|r| u32::try_from(r).ok())
+            .ok_or_else(|| RequestError::bad(Some(id), "'fec_repair' must fit in u32"))?;
+        scenario = scenario.fec_repair(r);
     }
     if let Some(mode) = value.get("collision_mode") {
         scenario = scenario.collision_mode(match mode.as_str() {
@@ -323,7 +325,12 @@ fn parse_workload(value: &Json, id: u64) -> Result<Workload, RequestError> {
         "single" => Workload::Single { payload: payload()? },
         "decay" => Workload::Baseline(Algo::Decay { payload: payload()? }),
         "mmv_decay" => {
-            let noise = value.get("noise").and_then(Json::as_bool).unwrap_or(false);
+            let noise = match value.get("noise") {
+                None => false,
+                Some(n) => n
+                    .as_bool()
+                    .ok_or_else(|| RequestError::bad(Some(id), "'noise' must be a bool"))?,
+            };
             Workload::Baseline(Algo::MmvDecay { payload: payload()?, noise })
         }
         "multi_unknown" => {
@@ -405,9 +412,12 @@ fn parse_faults(value: &Json, id: u64) -> Result<FaultPlan, RequestError> {
                     .ok_or_else(|| RequestError::bad(Some(id), format!("jammer needs u64 '{key}'")))
             };
             let (node, period) = (get("node")?, get("period")?);
-            let offset = j.get("offset").and_then(Json::as_u64).unwrap_or(0);
+            let offset = if j.get("offset").is_some() { get("offset")? } else { 0 };
             if period == 0 {
                 return Err(RequestError::bad(Some(id), "jammer 'period' must be > 0"));
+            }
+            if offset >= period {
+                return Err(RequestError::bad(Some(id), "jammer 'offset' must be < 'period'"));
             }
             let node = u32::try_from(node)
                 .map_err(|_| RequestError::bad(Some(id), "jammer 'node' must fit in u32"))?;

@@ -223,7 +223,10 @@ fn bad_requests_are_typed_and_survivable() {
     // parser) if accepted: a source outside the topology, an empty
     // topology, churn or mobility on a streamed topology, a jammer outside
     // the topology, an edge probability outside [0, 1], a non-positive
-    // radius, and messages that do not fit their bit width.
+    // radius, and messages that do not fit their bit width. Fields of the
+    // wrong type or range are rejected, not coerced: a `fec_repair` beyond
+    // u32, a jammer `offset` that is not a u64 or not below its period, and
+    // an `mmv_decay` `noise` that is not a bool.
     let single = r#""workload":{"kind":"single","payload":7}"#;
     let path5 = r#""topology":{"kind":"path","n":5}"#;
     let grid = r#""topology":{"kind":"streamed_grid","w":4,"h":4}"#;
@@ -245,6 +248,12 @@ fn bad_requests_are_typed_and_survivable() {
             r#""topology":{{"kind":"streamed_unit_disk","n":10,"radius":-0.5,"graph_seed":1}},{single}"#
         ),
         format!(r#"{path5},"workload":{{"kind":"multi_unknown","messages":[1,2],"bits":0}}"#),
+        format!(r#"{path5},{single},"fec_repair":4294967297"#),
+        format!(
+            r#"{path5},{single},"faults":{{"jammers":[{{"node":1,"period":2,"offset":"1"}}]}}"#
+        ),
+        format!(r#"{path5},{single},"faults":{{"jammers":[{{"node":1,"period":2,"offset":2}}]}}"#),
+        format!(r#"{path5},"workload":{{"kind":"mmv_decay","payload":7,"noise":1}}"#),
     ];
     for (id, scenario) in (10u64..).zip(&scenarios) {
         session.send(&format!(

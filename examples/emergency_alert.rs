@@ -26,7 +26,7 @@ fn main() {
     println!(
         "GHK-CD (adaptive T1.1):  {ghk_rounds} rounds \
          (worst-case cap {}, {} rings, phases {:?})",
-        ghk.cap, plan.ring_count, ghk.phases,
+        ghk.cap, plan.front.ring_count, ghk.phases,
     );
 
     let decay =

@@ -28,7 +28,7 @@ fn main() {
              ({} rings, worst-case cap {}, {} in-stretch fast collisions)",
             graph.node_count(),
             round,
-            plan.ring_count,
+            plan.front.ring_count,
             outcome.cap,
             outcome.audit.fast_collisions_in_stretch,
         ),

@@ -1,13 +1,16 @@
 //! The `Scenario` facade: cap compliance across a topology × workload × seed
-//! matrix, the Decay baseline replaying a hand-rolled simulator loop on both
-//! collision modes, the emergency-alert corridor staying at exactly 677
-//! rounds, and the pacing knob reaching the drivers.
+//! matrix, one digest pinning the adaptive pipelines' traces across a
+//! topology × workload × fault-plan × collision-mode × seed matrix, the Decay
+//! baseline replaying a hand-rolled simulator loop on both collision modes,
+//! the emergency-alert corridor staying at exactly 677 rounds, and the pacing
+//! knob reaching the drivers.
 
 use broadcast::decay::{DecayBroadcast, DecayMsg};
 use broadcast::{
-    Algo, BatchMode, EmptyBehavior, Pacing, Params, Scenario, SlowKey, TopologySpec, Workload,
+    Algo, BatchMode, Detail, EmptyBehavior, Outcome, Pacing, Params, Scenario, SlowKey,
+    TopologySpec, Workload,
 };
-use radio_sim::{CollisionMode, DoneCheck, Simulator};
+use radio_sim::{CollisionMode, DoneCheck, FaultPlan, Simulator};
 use rlnc::gf2::BitVec;
 
 fn payloads(k: usize) -> Vec<BitVec> {
@@ -68,6 +71,111 @@ fn matrix_completes_within_caps() {
             }
         }
     }
+}
+
+/// FNV-1a over the little-endian bytes of `v`.
+fn fnv1a(hash: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds the trace-defining fields of an adaptive run into `hash`: the
+/// completion round, the cap, every phase count, the schedule audit, the
+/// rung-3 fallback entry and the channel statistics. Left out are the
+/// host-side wake-hint counters (`act_skips`, `idle_fastforward`), the
+/// struct-size-dependent `peak_state_bytes`, and the plan and construction
+/// fallback count of `Detail`.
+fn digest_outcome(hash: &mut u64, out: &Outcome) {
+    let opt = |r: Option<u64>| r.map_or(0, |r| r + 1);
+    let fallback_entry = match &out.detail {
+        Detail::Single { fallback_entry, .. } | Detail::MultiUnknown { fallback_entry, .. } => {
+            *fallback_entry
+        }
+        other => panic!("not an adaptive outcome: {other:?}"),
+    };
+    let p = &out.phases;
+    let a = &out.audit;
+    let s = &out.stats;
+    for v in [
+        opt(out.completion_round),
+        out.cap,
+        p.wave,
+        p.construct,
+        p.label,
+        p.disseminate,
+        p.handoff,
+        p.repair,
+        p.fallback,
+        p.status,
+        a.fast_collisions_bystander,
+        a.fast_collisions_in_stretch,
+        a.slow_collisions,
+        opt(fallback_entry),
+        s.rounds,
+        s.transmissions,
+        s.deliveries,
+        s.collisions,
+        s.observe_skips,
+        s.erased,
+        s.jammed,
+        s.churn_events,
+        s.retries,
+        s.votes_overturned,
+        s.fallback_rounds,
+        s.ring_repairs,
+        s.regional_repairs,
+    ] {
+        fnv1a(hash, v);
+    }
+}
+
+#[test]
+fn adaptive_traces_match_the_pinned_digest() {
+    // Theorems 1.1 and 1.3 over every matrix topology plus a streamed grid,
+    // clean and under each fault class, on both collision modes: one digest
+    // pins every run's round sequence, so a refactor of the adaptive
+    // pipelines that moves a single round, transmission or repair fails
+    // here (in debug builds `hint_checked_act` also checks the wake hints).
+    let messages: Vec<BitVec> =
+        (0..4u64).map(|i| BitVec::from_u64(0x9E37_79B9u64.wrapping_mul(i + 1) >> 32, 32)).collect();
+    let workloads = [
+        Workload::Single { payload: 0xFACE },
+        Workload::MultiUnknown { messages: messages.clone(), batch: BatchMode::FullK },
+        Workload::MultiUnknown { messages, batch: BatchMode::Generations(2) },
+    ];
+    let plans = [
+        FaultPlan::none(),
+        FaultPlan::none().with_erasure(0.2),
+        FaultPlan::none().with_jammer(1, 3, 0),
+        FaultPlan::none().with_mobility(0.5, 16),
+    ];
+    let mut topologies = matrix_topologies();
+    topologies.push(TopologySpec::StreamedGrid { w: 12, h: 10 });
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut runs = 0;
+    for spec in &topologies {
+        for workload in &workloads {
+            for plan in &plans {
+                for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
+                    for seed in 0..2 {
+                        let scenario = Scenario::new(spec.clone(), workload.clone())
+                            .faults(plan.clone())
+                            .collision_mode(mode)
+                            .seed(seed);
+                        if scenario.validate().is_err() {
+                            continue;
+                        }
+                        digest_outcome(&mut hash, &scenario.run());
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 372, "the matrix lost or gained cells");
+    assert_eq!(hash, 0xba21_ee88_83b2_e040, "an adaptive trace changed");
 }
 
 #[test]
