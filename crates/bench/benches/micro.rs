@@ -5,7 +5,7 @@ use radio_sim::graph::generators;
 use radio_sim::{Action, CollisionMode, Observation, Protocol, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rlnc::gf2::{BitMatrix, BitVec};
+use rlnc::gf2::BitVec;
 use rlnc::Decoder;
 
 fn gf2_benches(c: &mut Criterion) {
@@ -20,13 +20,6 @@ fn gf2_benches(c: &mut Criterion) {
         })
     });
     c.bench_function("gf2_dot_4096", |bench| bench.iter(|| a.dot(&b)));
-    c.bench_function("gf2_rank_64x64", |bench| {
-        let mut m = BitMatrix::new(64);
-        for _ in 0..64 {
-            m.push_row(BitVec::random(64, &mut rng));
-        }
-        bench.iter(|| m.rank())
-    });
     c.bench_function("rlnc_decode_32", |bench| {
         let msgs: Vec<BitVec> = (0..32).map(|i| BitVec::from_u64(i, 64)).collect();
         let src = Decoder::with_messages(&msgs);

@@ -43,7 +43,7 @@
 //! shared cursor cell and calling `Simulator::step` once per round, it
 //! publishes a whole segment — the simulator round it starts at, its length,
 //! its phase, and the phase offset of its first round — and executes it with
-//! `Simulator::run_segment`, which runs on the engine's wake-list fast path
+//! `Simulator::run_until`, which runs on the engine's wake-list fast path
 //! (acts cost `O(awake)`; fully-idle stretches fast-forward in `O(1)`).
 //! Nodes read the phase of simulator round `r` off the published segment and
 //! its offset as the base offset plus `r - start`. Their `next_wake` hints
@@ -52,12 +52,12 @@
 //! change, and arbitrary driver decisions (probe outcomes, block skips,
 //! early phase closure) stay safe under wake hints.
 //!
-//! Mid-segment completion detection stays exact: `run_segment` stops after
-//! any round that delivered a packet (the only rounds in which a
-//! reception-driven completion predicate can flip), the driver re-scans, and
-//! resumes the remainder. The executed round sequence is bit-identical to
-//! per-round stepping — [`Pacing::PerStep`] keeps the old regime available
-//! for the equivalence suites.
+//! Mid-segment completion detection stays exact: `run_until` re-scans the
+//! completion predicate after any round that delivered a packet or a
+//! collision (the only rounds in which a reception-driven predicate can
+//! flip) and stops the segment there. The executed round sequence is
+//! bit-identical to per-round stepping — [`Pacing::PerStep`] keeps the old
+//! regime available for the equivalence suites.
 
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
@@ -1161,22 +1161,15 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
 
     /// Publishes `len` consecutive work rounds of `phase`, starting at phase
     /// offset `offset`, as one [`Segment`] and runs them through the engine's
-    /// wake fast path. Stops after any round that delivered a packet to
-    /// re-evaluate completion (exactly the per-step driver's delivery-gated
-    /// scan), then resumes the remainder; aborts once complete. Returns the
-    /// number of rounds actually executed.
+    /// wake fast path, stopping early once every node is complete. Returns
+    /// the number of rounds actually executed.
     pub(crate) fn exec_segment(&mut self, phase: Phase<N::Own>, offset: u64, len: u64) -> u64 {
         let start = self.sim.round();
         self.publish(Step::Work(Segment { start, len, phase, offset }));
-        let mut run = 0u64;
-        while run < len && !self.done() {
-            let seg = self.sim.run_segment(len - run, true);
-            run += seg.rounds;
-            if seg.stopped_on_delivery && self.all_complete() {
-                self.completion = Some(self.sim.round());
-            }
+        if !self.done() {
+            self.completion = self.sim.run_until(len, |ns| ns.iter().all(N::is_complete));
         }
-        run
+        self.sim.round() - start
     }
 
     /// Runs one status round for `probe`.
@@ -1193,17 +1186,14 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
 
     /// Runs one status round; `true` iff the probe quiesced.
     ///
-    /// On a fault-free run the verdict is the single-round channel census
-    /// ("did anybody transmit?"). With faults armed, a fault-touched read is
-    /// demoted to the channel's listener-side rendering and majority-voted
-    /// over a small window of re-probes (see [`vote_quiet`]); consuming
-    /// probes are never re-probed.
+    /// A fault-clean read (every read of a fault-free run) keeps the
+    /// single-round channel census ("did anybody transmit?"). A
+    /// fault-touched read is demoted to the channel's listener-side
+    /// rendering and majority-voted over a small window of re-probes (see
+    /// [`vote_quiet`]); consuming probes are never re-probed.
     fn quiet(&mut self, probe: Probe<N::OwnProbe>) -> bool {
         self.phases.status += 1;
         let first = self.status_round(probe);
-        if !self.sim.has_faults() {
-            return first.transmitters == 0;
-        }
         let budget = match probe {
             Probe::WaveProgress => None,
             Probe::Cons(None, _) => Some(Budget::Construct),
@@ -1384,7 +1374,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
     /// adopts ring-agnostically, bounded by what remains of the worst-case
     /// cap. True to the no-knowledge regime, there are no status beeps in
     /// rung 3: a vote the faults corrupt must not silence the last-resort
-    /// phase, so only the delivery-gated completion scan (or the cap) ends
+    /// phase, so only the reception-gated completion scan (or the cap) ends
     /// it.
     fn recover(&mut self, frontier: u32) {
         if !self.sim.has_faults() || self.done() {

@@ -30,6 +30,7 @@
 //! failures surface as counted *fallback assignments* (a blue that ends its
 //! rank block unassigned adopts the last red it ever heard), never panics.
 
+use crate::decay::DecaySchedule;
 use crate::params::Params;
 use crate::recruiting::{CountClass, RecruitConfig, RecruitMsg, RecruitingBlue, RecruitingRed};
 use radio_sim::model::PacketBits;
@@ -492,11 +493,9 @@ impl GstConstructionNode {
         self.is_blue(ph) && self.rank == Some(ph.rank) && self.parent.is_none()
     }
 
-    /// Decay firing at `offset` with the schedule's phase length
-    /// (`2^{-(offset mod L)}`, starting at probability 1).
+    /// Decay firing at `offset` with the schedule's phase length.
     fn decay_fires(&self, offset: u64, rng: &mut SmallRng) -> bool {
-        let i = (offset % u64::from(self.sched.phase_len())) as i32;
-        rng.gen_bool(0.5f64.powi(i))
+        DecaySchedule::new(self.sched.phase_len()).fires(offset, rng)
     }
 
     /// Handles all state transitions implied by moving to phase `ph`.

@@ -346,6 +346,31 @@ mod tests {
     }
 
     #[test]
+    fn run_until_is_exact_for_decay_in_both_modes() {
+        let g = generators::cluster_chain(6, 6);
+        let params = Params::scaled(g.node_count());
+        let informed = |ns: &[DecayBroadcast]| ns.iter().all(DecayBroadcast::is_informed);
+        for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
+            for seed in 0..4u64 {
+                let decay = || {
+                    Simulator::new(g.clone(), mode, seed, |id| {
+                        DecayBroadcast::new(&params, (id.index() == 0).then_some(DecayMsg(3)))
+                    })
+                };
+                let mut gated = decay();
+                let done = gated.run_until(200_000, informed);
+                // The reference checks the predicate after every round.
+                let mut stepped = decay();
+                while !informed(stepped.nodes()) {
+                    stepped.step();
+                }
+                assert_eq!(done, Some(stepped.round()), "{mode:?}, seed {seed}");
+                assert_eq!(gated.stats(), stepped.stats(), "{mode:?}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn decay_rounds_scale_with_diameter() {
         let short = run_decay(generators::path(8), 4).unwrap();
         let long = run_decay(generators::path(64), 4).unwrap();

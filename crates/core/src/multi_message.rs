@@ -899,20 +899,17 @@ impl Pipeline for GhkMultiNode {
             if d.done() {
                 break;
             }
-            // Faulted runs drive the handoff repair rate from the *measured*
-            // per-copy erasure rate over a sliding window of recent
-            // per-window deltas (see [`LossEstimator`]) instead of the
-            // configured knob, echoing it to the nodes only when it changes
-            // (never on clean channels, where the estimator is the
-            // identity). The windowing lets repair relax once a bursty loss
-            // interval ages out of the window.
-            if d.sim.has_faults() {
-                let s = d.sim.stats();
-                let eff = loss.observe(s.erased, s.deliveries);
-                if eff != fec_echoed {
-                    fec_echoed = eff;
-                    d.echo(|n| n.set_fec_repair(eff));
-                }
+            // The handoff repair rate follows the *measured* per-copy erasure
+            // rate over a sliding window of recent per-window deltas (see
+            // [`LossEstimator`]) instead of the configured knob, echoed to
+            // the nodes only when it changes (never on clean channels, where
+            // the estimator is the identity). The windowing lets repair relax
+            // once a bursty loss interval ages out of the window.
+            let s = d.sim.stats();
+            let eff = loss.observe(s.erased, s.deliveries);
+            if eff != fec_echoed {
+                fec_echoed = eff;
+                d.echo(|n| n.set_fec_repair(eff));
             }
             if !d.handoff(
                 plan.handoff_budget,

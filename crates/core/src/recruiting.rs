@@ -33,6 +33,7 @@
 //! numbers; [`standalone`] wraps them into a self-contained
 //! [`radio_sim::Protocol`] for direct validation (experiment E5).
 
+use crate::decay::DecaySchedule;
 use crate::params::Params;
 use radio_sim::model::PacketBits;
 use rand::Rng;
@@ -289,13 +290,6 @@ impl RecruitingBlue {
         RecruitingBlue { cfg, id, participating, beacon_heard: None, recruited: None }
     }
 
-    /// Pre-seeds an existing parent so later echoes can refresh its
-    /// multiplicity (stale-belief repair across recruiting runs).
-    pub fn with_existing_parent(mut self, parent: Recruited) -> Self {
-        self.recruited = Some(parent);
-        self
-    }
-
     /// Property (a)/(c): the recruitment outcome.
     pub fn result(&self) -> Option<Recruited> {
         self.recruited
@@ -317,7 +311,7 @@ impl RecruitingBlue {
                 return None;
             }
             if let Some(v) = self.beacon_heard {
-                if rng.gen_bool(0.5f64.powi(offset as i32 - 1)) {
+                if DecaySchedule::new(self.cfg.phase_len).fires(u64::from(offset - 1), rng) {
                     return Some(RecruitMsg::Response { blue: self.id, red: v });
                 }
             }

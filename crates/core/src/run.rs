@@ -47,8 +47,7 @@ use radio_sim::graph::{bfs_layering, generators};
 use radio_sim::rng::stream_rng;
 use radio_sim::trace::RunStats;
 use radio_sim::{
-    CollisionMode, DoneCheck, FaultPlan, Graph, ImplicitGraph, NodeId, Protocol, Simulator,
-    Topology,
+    CollisionMode, FaultPlan, Graph, ImplicitGraph, NodeId, Protocol, Simulator, Topology,
 };
 use rlnc::gf2::BitVec;
 use std::sync::Arc;
@@ -1032,20 +1031,20 @@ impl Scenario {
 
 /// Runs a non-adaptive simulation — Theorem 1.2 or a baseline — until every
 /// node is `done` or `cap` rounds elapse. Completion only advances when a
-/// node receives a packet, so the delivery-gated check is exact and skips
-/// the `O(n)` predicate scan in silent rounds. These runs have no setup
-/// phases, so every executed round counts as dissemination
-/// (`phases.total() == stats.rounds` holds across all workloads), and their
-/// nodes carry full state for the whole run, so the peak is the steady
-/// state: the topology plus one node shell each. The audit is left empty.
+/// node receives a packet, so [`Simulator::run_until`]'s reception-gated
+/// check is exact and skips the `O(n)` predicate scan in silent rounds.
+/// These runs have no setup phases, so every executed round counts as
+/// dissemination (`phases.total() == stats.rounds` holds across all
+/// workloads), and their nodes carry full state for the whole run, so the
+/// peak is the steady state: the topology plus one node shell each. The
+/// audit is left empty.
 fn run_flat<P: Protocol, T: Topology>(
     sim: &mut Simulator<P, T>,
     cap: u64,
     done: impl Fn(&P) -> bool,
     detail: Detail,
 ) -> Outcome {
-    let completion_round =
-        sim.run_until_with(cap, DoneCheck::OnDelivery, |nodes| nodes.iter().all(&done));
+    let completion_round = sim.run_until(cap, |nodes| nodes.iter().all(&done));
     let stats = sim.stats().clone();
     Outcome {
         completion_round,

@@ -23,11 +23,11 @@
 //! the tests bound the excess.
 
 use crate::construction::GstLabels;
+use crate::decay::DecaySchedule;
 use crate::params::Params;
 use radio_sim::model::PacketBits;
 use radio_sim::{Action, Observation, Protocol};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Messages of the labeling protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,7 +187,9 @@ impl Protocol for VirtualLabelNode {
             }
             VlPhase::Spread { d, offset } => {
                 // Only S_d — nodes labelled exactly d — spread.
-                if self.vdist == Some(d) && self.decay_fires(offset, rng) {
+                if self.vdist == Some(d)
+                    && DecaySchedule::new(self.sched.log_n.max(1)).fires(offset, rng)
+                {
                     return Action::Transmit(VlMsg::Spread);
                 }
             }
@@ -219,12 +221,6 @@ impl Protocol for VirtualLabelNode {
 }
 
 impl VirtualLabelNode {
-    /// Decay firing for stage-2 spreads.
-    fn decay_fires(&self, offset: u64, rng: &mut SmallRng) -> bool {
-        let i = (offset % u64::from(self.sched.log_n.max(1))) as i32;
-        rng.gen_bool(0.5f64.powi(i))
-    }
-
     /// Wake helper for enclosing pipelines: the first schedule round
     /// `>= from` in which this node's `act` might transmit or draw from its
     /// RNG, or `None` if no such round remains for its *current* state

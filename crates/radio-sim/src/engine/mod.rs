@@ -28,25 +28,6 @@ pub enum Wake {
     Idle,
 }
 
-/// How often [`Simulator::run_until_with`] evaluates its `done` predicate.
-///
-/// The predicate receives all node states, so a typical "is everyone
-/// finished?" closure is an `O(n)` scan — calling it every round makes the
-/// *driver* cost `O(n)` per round even when the round itself was cheap
-/// (sparse/wake fast paths). The policy bounds that overhead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DoneCheck {
-    /// Evaluate after every simulated round (the historical behavior of
-    /// [`Simulator::run_until`]). Exact completion rounds, `O(n)` per round.
-    EveryRound,
-    /// Evaluate only after rounds that delivered a packet or a collision to
-    /// some listener — the only rounds in which *listener* state can change.
-    /// Exact for predicates that depend on what nodes have received (the
-    /// common "all informed/decoded" shape); a predicate that can flip when a
-    /// node merely *transmits* needs [`DoneCheck::EveryRound`] instead.
-    OnDelivery,
-}
-
 /// A per-node protocol state machine.
 ///
 /// The engine calls [`Protocol::act`] on every node at the start of each
@@ -152,26 +133,6 @@ impl<P: Protocol> Protocol for DenseWrap<P> {
     }
 }
 
-/// A per-round audit callback: receives the round number and the list of
-/// `(transmitter, packet)` pairs, before channel resolution.
-///
-/// Used by experiments that must attribute collisions to schedule phases
-/// (e.g. the Lemma 3.5 fast-transmission collision audit). Packets arrive as
-/// shared [`Packet`] handles into the round's packet store.
-pub type Probe<M> = Box<dyn FnMut(u64, &[(NodeId, Packet<M>)])>;
-
-/// Outcome of one [`Simulator::run_segment`] call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SegmentRun {
-    /// Rounds simulated by this call, including fast-forwarded idle rounds.
-    pub rounds: u64,
-    /// Packets delivered across those rounds.
-    pub deliveries: u64,
-    /// `true` iff the call returned early because its last simulated round
-    /// delivered a packet (see [`Simulator::run_segment`]'s `stop_on_delivery`).
-    pub stopped_on_delivery: bool,
-}
-
 /// Deterministic synchronous simulator of the radio network model.
 ///
 /// Generic over its [`Topology`]: the default `T = Graph` simulates a
@@ -189,7 +150,6 @@ pub struct Simulator<P: Protocol, T: Topology = Graph> {
     rngs: Vec<SmallRng>,
     round: u64,
     stats: RunStats,
-    probe: Option<Probe<P::Msg>>,
     // Scratch buffers, kept across rounds to avoid per-round allocation.
     tx_count: Vec<u32>,
     tx_from: Vec<u32>,
@@ -290,7 +250,6 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             rngs,
             round: 0,
             stats: RunStats::default(),
-            probe: None,
             tx_count: vec![0; n],
             tx_from: vec![0; n],
             transmitted: vec![false; n],
@@ -469,10 +428,8 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
 
     /// Number of fully-idle rounds (at most `max`) that can be skipped
     /// without simulating them; `None` when the next round must be stepped.
-    /// Fast-forwarding is disabled while an audit probe is installed (the
-    /// probe must see every round).
     fn idle_gap(&self, max: u64) -> Option<u64> {
-        if !Self::WAKE_PATH || self.probe.is_some() || max == 0 {
+        if !Self::WAKE_PATH || max == 0 {
             return None;
         }
         let mut next = self.next_wake_round();
@@ -493,15 +450,6 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     fn fast_forward(&mut self, gap: u64) {
         self.round += gap;
         self.stats.absorb_idle(gap, self.nodes.len());
-    }
-
-    /// Installs a per-round audit probe (replacing any previous one).
-    ///
-    /// While a probe is installed, the wake-list fast-forward is disabled
-    /// (the probe must see every round); `act` calls are still skipped per
-    /// the wake hints.
-    pub fn set_probe(&mut self, probe: Probe<P::Msg>) {
-        self.probe = Some(probe);
     }
 
     /// Simulates one round; returns its statistics.
@@ -540,8 +488,8 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             // every other node is guaranteed (by the `next_wake` contract) to
             // listen without touching its RNG or state.
             self.drain_wakeable(round);
-            // Index order keeps the transmit list (and thus probe output and
-            // observe order) identical to the dense sweep.
+            // Index order keeps the transmit list (and thus the observe
+            // order) identical to the dense sweep.
             self.awake.sort_unstable();
             act_skips = n - self.awake.len();
             for idx in 0..self.awake.len() {
@@ -564,10 +512,6 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
                     Action::Listen => {}
                 }
             }
-        }
-
-        if let Some(probe) = &mut self.probe {
-            probe(round, &self.txs);
         }
 
         // Resolve the channel: count transmitting neighbors per node,
@@ -720,93 +664,33 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         rstats
     }
 
-    /// Simulates `rounds` rounds.
-    ///
-    /// On the wake-list fast path (see [`Protocol::WAKE_HINTS`]), runs of
-    /// rounds in which every node is asleep are skipped in `O(1)` instead of
-    /// being stepped; `round` and the semantic statistics advance exactly as
-    /// if each round had been simulated.
+    /// Simulates `rounds` rounds: [`Simulator::run_until`] with a predicate
+    /// that never holds.
     pub fn run(&mut self, rounds: u64) {
-        self.run_segment(rounds, false);
-    }
-
-    /// Simulates up to `rounds` rounds as one *work segment*, on the same
-    /// fast paths as [`Simulator::run`] (acts cost `O(awake)`, fully-idle
-    /// stretches fast-forward in `O(1)`).
-    ///
-    /// With `stop_on_delivery`, the call returns right after the first round
-    /// that delivered a packet — the only kind of round in which *listener*
-    /// state can change — so an external driver can batch long stretches of
-    /// rounds through the wake fast path and still re-evaluate a
-    /// reception-driven completion predicate exactly as if it had stepped
-    /// every round (collisions and transmissions never flip such a
-    /// predicate; see [`DoneCheck::OnDelivery`] for the analogous policy).
-    /// The caller resumes the remainder of the segment with another call.
-    ///
-    /// The executed round sequence, statistics and per-node RNG streams are
-    /// bit-identical to calling [`Simulator::step`] `rounds` times.
-    pub fn run_segment(&mut self, rounds: u64, stop_on_delivery: bool) -> SegmentRun {
-        let mut out = SegmentRun::default();
-        let mut left = rounds;
-        while left > 0 {
-            if Self::WAKE_PATH {
-                self.flush_dirty(self.round);
-            }
-            if let Some(gap) = self.idle_gap(left) {
-                // Idle rounds deliver nothing, so they never trigger a stop.
-                self.fast_forward(gap);
-                out.rounds += gap;
-                left -= gap;
-                continue;
-            }
-            let rstats = self.step();
-            out.rounds += 1;
-            out.deliveries += rstats.deliveries as u64;
-            left -= 1;
-            if stop_on_delivery && rstats.deliveries > 0 {
-                out.stopped_on_delivery = true;
-                break;
-            }
-        }
-        out
-    }
-
-    /// Runs until `done` holds (checked after every round) or `max_rounds`
-    /// rounds have elapsed *in this call*.
-    ///
-    /// Equivalent to [`Simulator::run_until_with`] under
-    /// [`DoneCheck::EveryRound`]; see there for the predicate-cost
-    /// discussion.
-    ///
-    /// Returns the total round count (i.e. [`Simulator::round`]) at which the
-    /// predicate first held, or `None` on timeout.
-    pub fn run_until(&mut self, max_rounds: u64, done: impl FnMut(&[P]) -> bool) -> Option<u64> {
-        self.run_until_with(max_rounds, DoneCheck::EveryRound, done)
+        self.run_until(rounds, |_| false);
     }
 
     /// Runs until `done` holds or `max_rounds` rounds have elapsed *in this
-    /// call*, evaluating the predicate per the [`DoneCheck`] policy.
+    /// call*. Returns the total round count (i.e. [`Simulator::round`]) at
+    /// which the predicate first held, or `None` on timeout.
     ///
-    /// # Predicate cost
+    /// On the wake-list fast path (see [`Protocol::WAKE_HINTS`]), runs of
+    /// rounds in which every node is asleep are skipped in `O(1)` instead of
+    /// being stepped; `round`, the statistics and every per-node RNG stream
+    /// advance exactly as if each round had been simulated.
     ///
     /// `done` receives every node state, so the usual
-    /// `nodes.iter().all(...)` completion predicate costs `O(n)` per
-    /// evaluation — under [`DoneCheck::EveryRound`] that makes the driver
-    /// `O(n)` per round even when the engine's fast paths made the round
-    /// itself `O(active)`. Use [`DoneCheck::OnDelivery`] (exact for
-    /// reception-driven predicates) to amortize.
-    ///
-    /// The predicate must be pure in the node states: fully-idle rounds
-    /// cannot change any node's state, so the wake-list fast path skips
-    /// re-evaluating `done` across them (and fast-forwards the rounds
-    /// themselves).
-    ///
-    /// Returns the total round count at which the predicate first held, or
-    /// `None` on timeout.
-    pub fn run_until_with(
+    /// `nodes.iter().all(...)` predicate costs `O(n)` per evaluation. It is
+    /// therefore evaluated on entry, after every stepped round that
+    /// delivered a packet or a collision to some listener (the only rounds
+    /// in which listener state can change), and once more when the budget
+    /// runs out on a stepped round — never across fast-forwarded idle
+    /// rounds. That is exact for any predicate that flips only when a node
+    /// receives something (the "all informed/decoded" shape); a predicate
+    /// that can flip when a node merely transmits is seen late.
+    pub fn run_until(
         &mut self,
         max_rounds: u64,
-        check: DoneCheck,
         mut done: impl FnMut(&[P]) -> bool,
     ) -> Option<u64> {
         if done(&self.nodes) {
@@ -825,13 +709,8 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             }
             let rstats = self.step();
             left -= 1;
-            let check_now = match check {
-                DoneCheck::EveryRound => true,
-                DoneCheck::OnDelivery => {
-                    rstats.deliveries > 0 || rstats.collisions > 0 || left == 0
-                }
-            };
-            if check_now && done(&self.nodes) {
+            let heard = rstats.deliveries > 0 || rstats.collisions > 0;
+            if (heard || left == 0) && done(&self.nodes) {
                 return Some(self.round);
             }
         }
@@ -842,11 +721,6 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     /// type parameter).
     pub fn graph(&self) -> &T {
         &self.graph
-    }
-
-    /// The collision-detection mode.
-    pub fn mode(&self) -> CollisionMode {
-        self.mode
     }
 
     /// Number of rounds simulated so far.
@@ -920,8 +794,6 @@ impl<P: Protocol + fmt::Debug, T: Topology + fmt::Debug> fmt::Debug for Simulato
 mod tests {
     use super::*;
     use crate::graph::generators;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     /// Transmits `payload` every round if `active`; records observations.
     #[derive(Debug)]
@@ -1041,20 +913,6 @@ mod tests {
         assert_eq!(sim.stats().rounds, 3);
         assert_eq!(sim.stats().transmissions, 3);
         assert_eq!(sim.stats().deliveries, 3 * 4);
-    }
-
-    #[test]
-    fn probe_sees_transmitters() {
-        let g = generators::path(3);
-        let count = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&count);
-        let mut sim =
-            Simulator::new(g, CollisionMode::Detection, 0, |id| Beacon::new(id.index() == 0, 7));
-        sim.set_probe(Box::new(move |_round, txs| {
-            c2.fetch_add(txs.len(), Ordering::SeqCst);
-        }));
-        sim.run(4);
-        assert_eq!(count.load(Ordering::SeqCst), 4);
     }
 
     /// A protocol whose behaviour depends on its RNG, to check determinism.
@@ -1353,17 +1211,27 @@ mod tests {
     }
 
     #[test]
-    fn run_until_with_on_delivery_is_exact_for_reception() {
-        fn completion(check: DoneCheck) -> Option<u64> {
-            let g = generators::path(8);
-            let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |id| Relay::<true> {
+    fn run_until_is_exact_when_a_collision_completes_the_run() {
+        // Cycle 0..8 from node 0: the two relay waves meet at node 4 in a
+        // collision-only round, which activates it under detection.
+        let relay = || {
+            Simulator::new(generators::cycle(8), CollisionMode::Detection, 0, |id| Relay::<true> {
                 active: id.index() == 0,
                 informed_at: None,
-            });
-            sim.run_until_with(100, check, |ns| ns.iter().all(|n| n.active))
+            })
+        };
+        let all_active = |ns: &[Relay<true>]| ns.iter().all(|n| n.active);
+        let mut gated = relay();
+        let done = gated.run_until(100, all_active);
+        // The reference checks the predicate after every round.
+        let mut stepped = relay();
+        let mut last = RoundStats::default();
+        while !all_active(stepped.nodes()) {
+            last = stepped.step();
         }
-        let exact = completion(DoneCheck::EveryRound);
-        assert_eq!(completion(DoneCheck::OnDelivery), exact);
+        assert_eq!(done, Some(stepped.round()));
+        assert_eq!(gated.stats(), stepped.stats());
+        assert!(last.collisions > 0 && last.deliveries == 0, "completing round: {last:?}");
     }
 
     #[test]

@@ -82,46 +82,6 @@ pub fn grid(w: usize, h: usize) -> Graph {
     b.build()
 }
 
-/// `w × h` torus (grid with wraparound). Requires `w >= 3 && h >= 3`.
-///
-/// # Panics
-///
-/// Panics if `w < 3 || h < 3`.
-pub fn torus(w: usize, h: usize) -> Graph {
-    assert!(w >= 3 && h >= 3, "torus requires dimensions of at least 3");
-    let mut b = GraphBuilder::new(w * h);
-    for y in 0..h {
-        for x in 0..w {
-            let v = y * w + x;
-            let right = y * w + (x + 1) % w;
-            let down = ((y + 1) % h) * w + x;
-            b.add_edge_raw(v, right).expect("valid torus edge");
-            b.add_edge_raw(v, down).expect("valid torus edge");
-        }
-    }
-    b.build()
-}
-
-/// Hypercube of dimension `dim` (so `2^dim` nodes). Diameter `dim`.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `dim >= 30`.
-pub fn hypercube(dim: u32) -> Graph {
-    assert!((1..30).contains(&dim), "hypercube dimension must be in 1..30");
-    let n = 1usize << dim;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for bit in 0..dim {
-            let u = v ^ (1 << bit);
-            if u > v {
-                b.add_edge_raw(v, u).expect("valid hypercube edge");
-            }
-        }
-    }
-    b.build()
-}
-
 /// Balanced binary tree with `n` nodes; node `i` has children `2i+1`, `2i+2`.
 ///
 /// # Panics
@@ -185,21 +145,6 @@ mod tests {
         assert_eq!(g.node_count(), 12);
         assert_eq!(g.edge_count(), 4 * 2 + 3 * 3); // vertical rows + horizontal cols
         assert_eq!(g.diameter(), Some(5));
-    }
-
-    #[test]
-    fn torus_is_regular() {
-        let g = torus(4, 4);
-        assert!(g.node_ids().all(|v| g.degree(v) == 4));
-        assert!(g.is_connected());
-    }
-
-    #[test]
-    fn hypercube_shape() {
-        let g = hypercube(4);
-        assert_eq!(g.node_count(), 16);
-        assert!(g.node_ids().all(|v| g.degree(v) == 4));
-        assert_eq!(g.diameter(), Some(4));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! * [`cluster_chain`] — a chain of cliques: diameter `Θ(clusters)` with heavy
 //!   local contention; the canonical graph where `O(D + polylog)` algorithms
 //!   separate from `O(D · log)` ones;
-//! * [`barbell`] / [`lollipop`] — cliques joined by long paths;
 //! * [`caterpillar`] — a path with leaf bundles: large diameter, bursty
 //!   degree.
 
@@ -40,55 +39,6 @@ pub fn cluster_chain(clusters: usize, cluster_size: usize) -> Graph {
             b.add_edge_raw(base + cluster_size - 1, base + cluster_size)
                 .expect("valid bridge edge");
         }
-    }
-    b.build()
-}
-
-/// Two cliques of size `clique` joined by a path of `path_len` extra nodes.
-///
-/// # Panics
-///
-/// Panics if `clique < 2`.
-pub fn barbell(clique: usize, path_len: usize) -> Graph {
-    assert!(clique >= 2, "barbell cliques need at least two nodes");
-    let n = 2 * clique + path_len;
-    let mut b = GraphBuilder::new(n);
-    for i in 0..clique {
-        for j in (i + 1)..clique {
-            b.add_edge_raw(i, j).expect("valid clique edge");
-            b.add_edge_raw(clique + path_len + i, clique + path_len + j)
-                .expect("valid clique edge");
-        }
-    }
-    // Path from node (clique-1) through the middle nodes to node (clique+path_len).
-    let mut prev = clique - 1;
-    for k in 0..path_len {
-        b.add_edge_raw(prev, clique + k).expect("valid path edge");
-        prev = clique + k;
-    }
-    b.add_edge_raw(prev, clique + path_len).expect("valid path edge");
-    b.build()
-}
-
-/// A clique of size `clique` with a pendant path of `path_len` nodes
-/// ("lollipop"): node `clique - 1` starts the path.
-///
-/// # Panics
-///
-/// Panics if `clique < 2`.
-pub fn lollipop(clique: usize, path_len: usize) -> Graph {
-    assert!(clique >= 2, "lollipop clique needs at least two nodes");
-    let n = clique + path_len;
-    let mut b = GraphBuilder::new(n);
-    for i in 0..clique {
-        for j in (i + 1)..clique {
-            b.add_edge_raw(i, j).expect("valid clique edge");
-        }
-    }
-    let mut prev = clique - 1;
-    for k in 0..path_len {
-        b.add_edge_raw(prev, clique + k).expect("valid path edge");
-        prev = clique + k;
     }
     b.build()
 }
@@ -143,31 +93,6 @@ mod tests {
         let g = cluster_chain(6, 1);
         assert_eq!(g.edge_count(), 5);
         assert_eq!(g.diameter(), Some(5));
-    }
-
-    #[test]
-    fn barbell_shape() {
-        let g = barbell(4, 3);
-        assert_eq!(g.node_count(), 11);
-        assert!(g.is_connected());
-        // Ends of the path sit 1 hop from their cliques: D = 3 path hops + 1
-        // to reach the far side of each clique.
-        assert_eq!(g.diameter(), Some(3 + 1 + 1 + 1));
-    }
-
-    #[test]
-    fn barbell_zero_path_glues_cliques() {
-        let g = barbell(3, 0);
-        assert!(g.is_connected());
-        assert_eq!(g.node_count(), 6);
-    }
-
-    #[test]
-    fn lollipop_shape() {
-        let g = lollipop(5, 4);
-        assert_eq!(g.node_count(), 9);
-        assert_eq!(g.diameter(), Some(5));
-        assert!(g.is_connected());
     }
 
     #[test]

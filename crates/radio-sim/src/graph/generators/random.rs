@@ -59,16 +59,6 @@ pub struct Bipartite {
 }
 
 impl Bipartite {
-    /// Ids of the red side.
-    pub fn red_ids(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone {
-        (0..self.reds as u32).map(NodeId::from)
-    }
-
-    /// Ids of the blue side.
-    pub fn blue_ids(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone {
-        (self.reds as u32..(self.reds + self.blues) as u32).map(NodeId::from)
-    }
-
     /// Whether `v` is red.
     pub fn is_red(&self, v: NodeId) -> bool {
         v.index() < self.reds
@@ -202,7 +192,7 @@ mod tests {
         for seed in 0..5 {
             let mut rng = stream_rng(seed, 1);
             let bp = random_bipartite(10, 40, 0.05, &mut rng);
-            for blue in bp.blue_ids() {
+            for blue in bp.graph.node_ids().filter(|&v| !bp.is_red(v)) {
                 assert!(
                     bp.graph.neighbors(blue).iter().any(|&r| bp.is_red(r)),
                     "blue {blue} isolated at seed {seed}"
@@ -221,11 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn bipartite_side_iterators() {
+    fn bipartite_sides_split_at_reds() {
         let mut rng = stream_rng(0, 3);
         let bp = random_bipartite(3, 4, 0.5, &mut rng);
-        assert_eq!(bp.red_ids().len(), 3);
-        assert_eq!(bp.blue_ids().len(), 4);
+        assert_eq!((bp.reds, bp.blues, bp.graph.node_count()), (3, 4, 7));
         assert!(bp.is_red(NodeId::new(2)));
         assert!(!bp.is_red(NodeId::new(3)));
     }

@@ -115,22 +115,6 @@ impl Graph {
     pub fn max_degree(&self) -> usize {
         self.node_ids().map(|v| self.degree(v)).max().unwrap_or(0)
     }
-
-    /// Average degree `2m / n`.
-    pub fn avg_degree(&self) -> f64 {
-        if self.node_count() == 0 {
-            return 0.0;
-        }
-        2.0 * self.edge_count() as f64 / self.node_count() as f64
-    }
-
-    /// `⌈log2 n⌉` for this graph's node count, with a floor of 1.
-    ///
-    /// This is the quantity the paper writes `log n` in all round bounds and
-    /// schedule periods.
-    pub fn log2_n(&self) -> u32 {
-        ceil_log2(self.node_count().max(2))
-    }
 }
 
 /// `⌈log2 x⌉` for `x ≥ 1`.
@@ -194,7 +178,6 @@ mod tests {
     fn degree_stats() {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
         assert_eq!(g.max_degree(), 3);
-        assert!((g.avg_degree() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -206,12 +189,6 @@ mod tests {
         assert_eq!(ceil_log2(5), 3);
         assert_eq!(ceil_log2(1024), 10);
         assert_eq!(ceil_log2(1025), 11);
-    }
-
-    #[test]
-    fn log2_n_has_floor_one() {
-        let g = Graph::from_edges(2, [(0, 1)]).unwrap();
-        assert_eq!(g.log2_n(), 1);
     }
 
     #[test]

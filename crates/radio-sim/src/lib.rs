@@ -72,7 +72,7 @@ pub mod rng;
 pub mod trace;
 
 pub use engine::faults::{Churn, FaultPlan, Jammer, Mobility};
-pub use engine::{DenseWrap, DoneCheck, Protocol, SegmentRun, Simulator, Wake};
+pub use engine::{DenseWrap, Protocol, Simulator, Wake};
 pub use graph::{Graph, ImplicitGraph, Topology};
 pub use ids::NodeId;
 pub use model::{Action, CollisionMode, Observation, Packet};

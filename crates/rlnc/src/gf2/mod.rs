@@ -3,8 +3,6 @@
 //! Vectors are bit-packed into `u64` limbs; addition is XOR and the inner
 //! product is the parity of the bitwise AND — both are word-parallel.
 
-mod matrix;
 mod vector;
 
-pub use matrix::BitMatrix;
 pub use vector::BitVec;

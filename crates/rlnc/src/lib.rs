@@ -4,16 +4,14 @@
 //! multi-message broadcast algorithms of Ghaffari–Haeupler–Khabbazian
 //! (Section 3.3 of the paper):
 //!
-//! * [`gf2`] — bit-packed vectors and matrices over the two-element field,
-//!   with Gaussian elimination;
+//! * [`gf2`] — bit-packed vectors over the two-element field;
 //! * [`CodedPacket`] / [`Decoder`] — network-coded packets (coefficient
 //!   vector + payload) and the incremental receiver that decodes once its
-//!   coefficient space reaches full rank (Section 3.3.1);
-//! * [`fec`] — the random-linear fountain used as forward error correction
-//!   across ring boundaries (Section 3.4);
-//! * [`generation`] — batching messages into generations of `Θ(log n)` so the
-//!   coefficient-vector overhead stays at `O(log n)` bits per packet
-//!   (Section 3.4).
+//!   coefficient space reaches full rank (Section 3.3.1).
+//!
+//! The Section 3.4 generations and the random-linear fountain across ring
+//! boundaries are both built on [`Decoder`] by the Theorem 1.3 pipeline
+//! (`broadcast::multi_message`).
 //!
 //! ## Example
 //!
@@ -38,8 +36,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fec;
-pub mod generation;
 pub mod gf2;
 mod packet;
 

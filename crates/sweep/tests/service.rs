@@ -179,6 +179,30 @@ fn submit_streams_outcomes_and_a_matching_summary() {
     assert_eq!(digest.get("mean_rounds").and_then(Json::as_f64), serial.mean_rounds());
 }
 
+/// Seeds at and above 2^63 are valid u64 seeds: the sweep is admitted and
+/// every outcome line carries its seed exactly.
+#[test]
+fn seeds_above_i64_max_round_trip_exactly() {
+    let session = Session::start(SweepPool::new().workers(1));
+    session.send(
+        r#"{"type":"submit_sweep","id":7,"scenario":{"topology":{"kind":"path","n":8},"workload":{"kind":"decay","payload":7}},"seeds":[9223372036854775808,18446744073709551615]}"#,
+    );
+    let first = session.recv();
+    assert_eq!(kind(&first), "submit_ok", "{first}");
+    assert_eq!(first.get("jobs").and_then(Json::as_u64), Some(2));
+    let (done, outcomes) = session.recv_until("sweep_done");
+    let mut seeds: Vec<u64> = outcomes
+        .iter()
+        .map(|o| {
+            assert_eq!(kind(o), "outcome");
+            o.get("seed").and_then(Json::as_u64).expect("outcome without an exact seed")
+        })
+        .collect();
+    seeds.sort_unstable();
+    assert_eq!(seeds, [1 << 63, u64::MAX]);
+    assert_eq!(done.get("completed").and_then(Json::as_u64), Some(2));
+}
+
 /// A malformed line produces a typed `malformed_json` error and the loop
 /// keeps serving: the very next request round-trips normally.
 #[test]

@@ -11,7 +11,7 @@ use baselines::routing::RoutingNode;
 use broadcast::schedule::{SchedLabels, ScheduleConfig};
 use broadcast::{EmptyBehavior, Params, Scenario, SlowKey, TopologySpec, Workload};
 use radio_sim::rng::stream_rng;
-use radio_sim::{CollisionMode, DoneCheck, NodeId, Simulator};
+use radio_sim::{CollisionMode, NodeId, Simulator};
 use rlnc::gf2::BitVec;
 
 fn main() {
@@ -55,13 +55,11 @@ fn main() {
             node
         }
     });
-    // Routing completion only advances on packet receptions, so the
-    // delivery-gated policy is exact and skips the O(n) predicate scan in
-    // silent rounds.
+    // Routing completion only advances on packet receptions, so
+    // `run_until`'s reception-gated check is exact and skips the O(n)
+    // predicate scan in silent rounds.
     let routing = sim
-        .run_until_with(4_000_000, DoneCheck::OnDelivery, |ns| {
-            ns.iter().all(RoutingNode::is_complete)
-        })
+        .run_until(4_000_000, |ns| ns.iter().all(RoutingNode::is_complete))
         .expect("routing completes");
     println!("plain routing, same schedule: {routing} rounds");
 }

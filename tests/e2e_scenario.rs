@@ -10,7 +10,7 @@ use broadcast::{
     Algo, BatchMode, Detail, EmptyBehavior, Outcome, Pacing, Params, Scenario, SlowKey,
     TopologySpec, Workload,
 };
-use radio_sim::{CollisionMode, DoneCheck, FaultPlan, Simulator};
+use radio_sim::{CollisionMode, FaultPlan, Simulator};
 use rlnc::gf2::BitVec;
 
 fn payloads(k: usize) -> Vec<BitVec> {
@@ -188,9 +188,7 @@ fn baseline_decay_matches_hand_rolled_loop_on_both_modes() {
             let mut sim = Simulator::new(g.clone(), mode, seed, |id| {
                 DecayBroadcast::new(&params, (id.index() == 0).then_some(DecayMsg(3)))
             });
-            let legacy = sim.run_until_with(5_000_000, DoneCheck::OnDelivery, |ns| {
-                ns.iter().all(DecayBroadcast::is_informed)
-            });
+            let legacy = sim.run_until(5_000_000, |ns| ns.iter().all(DecayBroadcast::is_informed));
             let facade =
                 Scenario::new(spec.clone(), Workload::Baseline(Algo::Decay { payload: 3 }))
                     .collision_mode(mode)

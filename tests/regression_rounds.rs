@@ -188,10 +188,10 @@ fn firmware_grid_multi_budget() {
 
 #[test]
 fn fallback_rounds_stay_on_the_wake_fast_path() {
-    // The rung-3 Decay fallback runs with DoneCheck::OnDelivery: its
-    // completion scan is gated on a delivery having happened in the
-    // segment, so fallback rounds ride the same wake-hint fast path as the
-    // clean pipeline rather than polling every node every round. Pin a
+    // The rung-3 Decay fallback runs as one `run_until` segment: its
+    // completion scan is gated on a reception having happened, so fallback
+    // rounds ride the same wake-hint fast path as the clean pipeline rather
+    // than polling every node every round. Pin a
     // fallback-heavy faulted run (corridor churn, seed 1 spends ~470 rounds
     // in rung 3) and require the segment scheduler to keep skipping acts
     // while the ladder and fallback execute.
