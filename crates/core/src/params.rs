@@ -146,12 +146,6 @@ impl Params {
         self.max_rank() * self.rank_rounds()
     }
 
-    /// The period of the MMV schedule's fast-transmission pattern:
-    /// `6·⌈log2 n⌉`.
-    pub fn schedule_period(&self) -> u32 {
-        6 * self.log_n
-    }
-
     /// The ring width for the decomposition of the adaptive Theorem 1.1 and
     /// 1.3 pipelines, honoring the override.
     ///
@@ -186,7 +180,6 @@ mod tests {
         assert_eq!(p.log_n, 10);
         assert_eq!(p.max_rank(), 10);
         assert_eq!(p.decay_phase_len(), 10);
-        assert_eq!(p.schedule_period(), 60);
     }
 
     #[test]

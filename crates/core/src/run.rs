@@ -451,7 +451,7 @@ pub struct SeedRun {
     /// sweep tags each run with its serial position, and
     /// [`SeedMatrix::merge`] restores serial order from it — so a merged
     /// matrix is identical to the serial sweep regardless of shard count or
-    /// steal order.
+    /// of which worker ran which run.
     pub order: u64,
     /// The master seed of this run.
     pub seed: u64,
@@ -466,8 +466,8 @@ pub struct SeedRun {
 /// shard folding its own matrix, and [`SeedMatrix::merge`] recombines the
 /// shards into the serial result. Merging is associative and commutative
 /// (runs carry their serial [`SeedRun::order`]), which is what makes a
-/// work-stealing executor's output independent of worker count and steal
-/// order.
+/// parallel executor's output independent of worker count and of how the
+/// workers' jobs interleave.
 #[derive(Clone, Debug)]
 pub struct SeedMatrix {
     /// The scenario's label (`topology/workload`).
@@ -487,8 +487,7 @@ impl SeedMatrix {
     /// serial sweep order (ascending [`SeedRun::order`]). Associative and
     /// commutative: any parenthesization of any shard permutation yields
     /// the same matrix, so shard-merged results are bit-identical to the
-    /// serial sweep no matter how a parallel executor split or stole the
-    /// work.
+    /// serial sweep no matter how a parallel executor split the work.
     ///
     /// # Panics
     ///
@@ -497,8 +496,8 @@ impl SeedMatrix {
     /// must partition the sweep.
     pub fn merge(&mut self, other: SeedMatrix) {
         assert_eq!(self.label, other.label, "SeedMatrix::merge: shards of different scenarios");
-        // Shards arrive in whatever order their worker executed (a stolen
-        // chunk runs out of sequence), so sort unconditionally rather than
+        // A shard holds whichever jobs its worker claimed, interleaved with
+        // the other shards' positions, so sort unconditionally rather than
         // assume anything about either side.
         self.runs.extend(other.runs);
         self.runs.sort_by_key(|r| r.order);
@@ -1089,8 +1088,8 @@ impl std::fmt::Debug for PreparedTopology {
 /// One unit of sweep work: run scenario number `scenario` (an index into
 /// the executor's scenario list) under `seed`, and file the outcome at
 /// serial position `order` of that scenario's [`SeedMatrix`]. The job
-/// descriptor a work-stealing executor enqueues, steals and executes —
-/// plain data, so chunks of jobs move freely between worker deques.
+/// descriptor a parallel executor hands to a worker and reports with the
+/// job's outcome — plain data, copied freely between threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepJob {
     /// Index of the scenario in the sweep's scenario list.

@@ -74,18 +74,6 @@ impl ScheduleConfig {
         }
     }
 
-    /// Switches the slow keying (for the E8 ablation).
-    pub fn with_slow_key(mut self, key: SlowKey) -> Self {
-        self.slow_key = key;
-        self
-    }
-
-    /// Switches the empty-decoder behavior.
-    pub fn with_empty(mut self, empty: EmptyBehavior) -> Self {
-        self.empty = empty;
-        self
-    }
-
     /// Whether round `t` is the fast slot of a node at level `l`, rank `r`.
     pub fn fast_slot(&self, t: u64, l: u32, r: u32) -> bool {
         let period = u64::from(6 * self.log_n);
@@ -389,7 +377,7 @@ mod tests {
         max_rounds: u64,
     ) -> (Option<u64>, SchedAudit) {
         let params = Params::scaled(g.node_count());
-        let cfg = ScheduleConfig::from_params(&params).with_slow_key(key);
+        let cfg = ScheduleConfig { slow_key: key, ..ScheduleConfig::from_params(&params) };
         let labels = labels_for(g, seed);
         let messages: Vec<BitVec> =
             (0..k as u64).map(|i| BitVec::from_u64(i * 3 + 1, 32)).collect();
@@ -514,7 +502,8 @@ mod tests {
     #[test]
     fn noise_mode_transmits_on_empty_decoder() {
         let params = Params::scaled(16);
-        let cfg = ScheduleConfig::from_params(&params).with_empty(EmptyBehavior::Noise);
+        let cfg =
+            ScheduleConfig { empty: EmptyBehavior::Noise, ..ScheduleConfig::from_params(&params) };
         let labels = SchedLabels {
             level: 1,
             rank: 1,

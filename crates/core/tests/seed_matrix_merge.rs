@@ -1,10 +1,10 @@
 //! Property tests for [`SeedMatrix::merge`] — the algebra the parallel
 //! sweep executor stands on.
 //!
-//! A work-stealing pool shards a sweep arbitrarily: any worker count, any
-//! chunk boundaries, any steal interleaving. Its result equals the serial
-//! sweep *iff* merge is (1) associative, (2) commutative, and (3) invariant
-//! under how the run set is partitioned into shards. Each property is
+//! A parallel pool shards a sweep arbitrarily: any worker count, and any
+//! interleaving of which worker claims which job. Its result equals the
+//! serial sweep *iff* merge is (1) associative, (2) commutative, and (3)
+//! invariant under how the run set is partitioned into shards. Each property is
 //! checked against full `Debug` equality, which covers every field of every
 //! outcome transitively.
 //!
@@ -22,8 +22,8 @@ fn sweep(n: usize, seeds: u64) -> SeedMatrix {
 }
 
 /// Deals `matrix`'s runs round-robin onto `shards` shard matrices, then
-/// rotates each shard's run order by `rot` — shards arrive from workers in
-/// execution order, which under stealing is not serial order.
+/// rotates each shard's run order by `rot` — merge must not rely on a
+/// shard's runs arriving in serial order.
 fn deal(matrix: &SeedMatrix, shards: usize, rot: usize) -> Vec<SeedMatrix> {
     let mut out: Vec<SeedMatrix> =
         (0..shards).map(|_| SeedMatrix::empty(matrix.label.clone())).collect();

@@ -78,19 +78,9 @@ impl Stretch {
         false
     }
 
-    /// Whether the stretch is a single node.
-    pub fn is_trivial(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
     /// The first (topmost) node.
     pub fn head(&self) -> NodeId {
         self.nodes[0]
-    }
-
-    /// The last (deepest) node.
-    pub fn tail(&self) -> NodeId {
-        *self.nodes.last().expect("stretch is non-empty")
     }
 }
 
@@ -192,12 +182,6 @@ impl Gst {
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
         &self.children[v.index()]
-    }
-
-    /// Whether `v` is a root (level 0, no parent).
-    #[inline]
-    pub fn is_root(&self, v: NodeId) -> bool {
-        self.parent[v.index()].is_none()
     }
 
     /// The roots, in id order.
@@ -337,8 +321,6 @@ mod tests {
         assert_eq!(total, 5);
         let big = stretches.iter().find(|s| s.head() == NodeId::new(2)).unwrap();
         assert_eq!(big.nodes, vec![NodeId::new(2), NodeId::new(4)]);
-        assert_eq!(big.tail(), NodeId::new(4));
-        assert!(!big.is_trivial());
     }
 
     #[test]
@@ -357,9 +339,7 @@ mod tests {
         let parent = vec![None, None, Some(0), Some(1)];
         let rank = crate::ranking::compute_ranks(&parent);
         let g = Gst::new(level, rank, parent).unwrap();
-        assert_eq!(g.roots().len(), 2);
-        assert!(g.is_root(NodeId::new(1)));
-        assert!(!g.is_root(NodeId::new(2)));
+        assert_eq!(g.roots(), vec![NodeId::new(0), NodeId::new(1)]);
     }
 
     #[test]

@@ -30,13 +30,14 @@ pub fn cycle(n: usize) -> Graph {
     b.build()
 }
 
-/// Star: node 0 is the hub, nodes `1..n` are leaves. Diameter 2.
+/// Star: node 0 is the hub, nodes `1..n` are leaves. Diameter 2 (`star(1)`
+/// is the lone hub, `star(2)` one edge).
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
+/// Panics if `n == 0`.
 pub fn star(n: usize) -> Graph {
-    assert!(n >= 2, "star requires at least two nodes");
+    assert!(n >= 1, "star requires at least one node");
     let mut b = GraphBuilder::new(n);
     for i in 1..n {
         b.add_edge_raw(0, i).expect("valid star edge");
@@ -113,6 +114,13 @@ mod tests {
     #[test]
     fn single_node_path() {
         let g = path(1);
+        assert_eq!(g.node_count(), 1);
+        assert_eq!(g.edge_count(), 0);
+    }
+
+    #[test]
+    fn single_node_star_is_the_lone_hub() {
+        let g = star(1);
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.edge_count(), 0);
     }

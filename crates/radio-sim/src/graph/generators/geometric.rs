@@ -23,12 +23,11 @@ pub fn unit_disk(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
     let points: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
 
     // Grid-bucket the points so neighbor scans are near-linear.
-    let cell = radius.max(1e-9);
-    let cells_per_axis = ((1.0 / cell).ceil() as usize).max(1);
+    let cells_per_axis = grid_cells_per_axis(n, radius);
     let key = |x: f64, y: f64| -> (usize, usize) {
         (
-            ((x / cell) as usize).min(cells_per_axis - 1),
-            ((y / cell) as usize).min(cells_per_axis - 1),
+            ((x * cells_per_axis as f64) as usize).min(cells_per_axis - 1),
+            ((y * cells_per_axis as f64) as usize).min(cells_per_axis - 1),
         )
     };
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); cells_per_axis * cells_per_axis];
@@ -67,11 +66,22 @@ pub fn unit_disk(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
     connect_components(b, rng)
 }
 
+/// Cells per axis of a unit-disk bucket grid over the unit square, for
+/// [`unit_disk`] and the streamed `ImplicitGraph::unit_disk`. At most
+/// `1 / radius`, so the cell side `1 / cells` of at least `radius` keeps the
+/// 3x3 neighbor scan sound; at most `⌈√n⌉ + 1`, so the grid stays `O(n)`
+/// cells however small the radius.
+pub(crate) fn grid_cells_per_axis(n: usize, radius: f64) -> usize {
+    let max_axis = (n as f64).sqrt().ceil() as usize + 1;
+    ((1.0 / radius) as usize).clamp(1, max_axis)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Traversal;
     use crate::rng::stream_rng;
+    use crate::NodeId;
 
     #[test]
     fn udg_connected_across_radii() {
@@ -118,5 +128,35 @@ mod tests {
             }
         }
         assert_eq!(g.edge_count(), expected);
+    }
+
+    #[test]
+    fn udg_with_capped_grid_keeps_every_pair_and_stitches_components() {
+        // Radii below 1/(⌈√n⌉ + 1): the grid is capped, so its cells are
+        // wider than the radius.
+        for (seed, n, radius) in [(3u64, 400, 0.02), (4, 64, 1e-9)] {
+            let mut rng = stream_rng(seed, 0);
+            let points: Vec<(f64, f64)> =
+                (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+            let g = unit_disk(n, radius, &mut stream_rng(seed, 0));
+            let mut component: Vec<usize> = (0..n).collect();
+            let (mut pairs, mut components) = (0, n);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let (dx, dy) = (points[i].0 - points[j].0, points[i].1 - points[j].1);
+                    if dx * dx + dy * dy <= radius * radius {
+                        assert!(g.has_edge(NodeId::new(i), NodeId::new(j)), "missed {i}-{j}");
+                        pairs += 1;
+                        let (ci, cj) = (component[i], component[j]);
+                        if ci != cj {
+                            components -= 1;
+                            component.iter_mut().filter(|c| **c == cj).for_each(|c| *c = ci);
+                        }
+                    }
+                }
+            }
+            assert_eq!(g.edge_count(), pairs + components - 1, "({n}, {radius})");
+            assert!(g.is_connected());
+        }
     }
 }

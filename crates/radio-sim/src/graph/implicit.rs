@@ -146,10 +146,7 @@ impl ImplicitGraph {
     pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Self {
         assert!(n >= 1, "unit-disk graph requires at least one node");
         assert!(radius > 0.0, "radius must be positive");
-        // Cell side >= radius keeps the 3x3 scan sound; capping the axis at
-        // ~sqrt(n) bounds the index at O(n) cells for tiny radii.
-        let max_axis = (n as f64).sqrt().ceil() as usize + 1;
-        let cells_per_axis = ((1.0 / radius) as usize).clamp(1, max_axis);
+        let cells_per_axis = generators::geometric::grid_cells_per_axis(n, radius);
         let cell_of = |x: f64, y: f64| -> usize {
             let cx = ((x * cells_per_axis as f64) as usize).min(cells_per_axis - 1);
             let cy = ((y * cells_per_axis as f64) as usize).min(cells_per_axis - 1);

@@ -43,16 +43,6 @@ impl BfsLayering {
         &self.dist
     }
 
-    /// All nodes at exactly level `l`, in id order.
-    pub fn nodes_at_level(&self, l: u32) -> Vec<NodeId> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == l)
-            .map(|(i, _)| NodeId::new(i))
-            .collect()
-    }
-
     /// Groups nodes by level: `result[l]` lists the nodes at level `l`.
     pub fn layers(&self) -> Vec<Vec<NodeId>> {
         let mut layers = vec![Vec::new(); self.max_level as usize + 1];
@@ -170,7 +160,6 @@ mod tests {
         assert_eq!(l.levels(), &[0, 1, 2, 3, 4]);
         assert_eq!(l.max_level(), 4);
         assert!(l.is_reachable(NodeId(4)));
-        assert_eq!(l.nodes_at_level(2), vec![NodeId(2)]);
     }
 
     #[test]

@@ -1,25 +1,25 @@
-//! Layer 1: the work-stealing seed-matrix executor.
+//! Layer 1: the seed-matrix executor.
 //!
 //! A [`SweepProduct`] is a static job set — every `(scenario, seed)` pair,
-//! each an independent deterministic [`Scenario`] run. [`SweepPool`] splits
-//! the jobs into chunks, deals the chunks round-robin onto per-worker
-//! deques, and lets idle workers steal from the back of a victim's deque
-//! (owners pop from the front), so a straggling shard never idles the rest
-//! of the pool. No work is ever *produced* at runtime, which keeps
-//! termination trivial: a worker exits when every deque is empty.
+//! each an independent deterministic [`Scenario`] run. [`SweepPool`] hands
+//! the jobs out one at a time from one shared cursor over the product's
+//! index space: job `i` is scenario `i / seeds` at serial position
+//! `i % seeds`. A worker that finishes a job claims the next unclaimed
+//! index, so no worker idles while a job is left to start, and a worker
+//! exits once the cursor has passed the last job (no work is ever
+//! *produced* at runtime). The calling thread is worker 0; a run spawns
+//! only the other `workers − 1`.
 //!
 //! Determinism: each job's [`Outcome`] depends only on `(scenario, seed)`,
 //! never on which worker ran it or when; workers fold outcomes into
 //! shard-local [`SeedMatrix`]es tagged with serial positions, and
 //! [`SeedMatrix::merge`] is order-invariant — so the merged result is
 //! bit-identical to [`Scenario::seeds`] run serially, at every worker count
-//! and under every steal interleaving. `tests/sweep_parallel.rs` pins this.
+//! and however the workers' claims interleave. `tests/sweep_parallel.rs`
+//! pins this.
 
-use broadcast::{Outcome, Scenario, SeedMatrix, SeedRun, SweepJob, TopologySpec, Workload};
-use radio_sim::FaultPlan;
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::Mutex;
+use broadcast::{Outcome, Scenario, SeedMatrix, SeedRun, SweepJob};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The executor's input: a list of scenarios (each already binding a
 /// topology, workload, params and fault plan) crossed with one seed
@@ -43,7 +43,7 @@ impl SweepProduct {
         self
     }
 
-    /// Adds several scenarios (e.g. the output of [`cross`]).
+    /// Adds several scenarios.
     pub fn scenarios(mut self, scenarios: impl IntoIterator<Item = Scenario>) -> Self {
         self.scenarios.extend(scenarios);
         self
@@ -70,49 +70,15 @@ impl SweepProduct {
     pub fn job_count(&self) -> usize {
         self.scenarios.len() * self.seeds.len()
     }
-
-    /// Whether the product has no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.job_count() == 0
-    }
-
-    /// Materializes the job list, scenario-major: all seeds of scenario 0,
-    /// then all seeds of scenario 1, … — the order a serial sweep would run.
-    pub fn jobs(&self) -> Vec<SweepJob> {
-        let mut jobs = Vec::with_capacity(self.job_count());
-        for scenario in 0..self.scenarios.len() {
-            for (order, &seed) in self.seeds.iter().enumerate() {
-                jobs.push(SweepJob { scenario, order: order as u64, seed });
-            }
-        }
-        jobs
-    }
 }
 
-/// Expands a `topologies × workloads × fault plans` cross product into the
-/// scenario list of a [`SweepProduct`] — the bake-off shape: every
-/// algorithm on every topology under every channel.
-pub fn cross(
-    topologies: &[TopologySpec],
-    workloads: &[Workload],
-    faults: &[FaultPlan],
-) -> Vec<Scenario> {
-    let mut out = Vec::with_capacity(topologies.len() * workloads.len() * faults.len());
-    for topo in topologies {
-        for workload in workloads {
-            for plan in faults {
-                out.push(Scenario::new(topo.clone(), workload.clone()).faults(plan.clone()));
-            }
-        }
-    }
-    out
-}
-
-/// Hooks into a running sweep. All methods are called from worker threads.
+/// Hooks into a running sweep. All methods are called from worker threads,
+/// the calling thread (worker 0) included.
 pub trait SweepObserver: Sync {
     /// Called once per completed job, with the job's outcome. Outcomes
-    /// arrive in execution order (arbitrary under stealing), tagged with
-    /// their serial position via [`SweepJob::order`].
+    /// arrive in completion order, which interleaves the workers' jobs and
+    /// is not serial order; each is tagged with its serial position via
+    /// [`SweepJob::order`].
     fn outcome(&self, job: SweepJob, scenario: &Scenario, outcome: &Outcome) {
         let _ = (job, scenario, outcome);
     }
@@ -128,10 +94,11 @@ pub trait SweepObserver: Sync {
 /// The no-op observer ([`SweepPool::run`]).
 impl SweepObserver for () {}
 
-/// A work-stealing sweep pool over `std::thread`. Worker count defaults to
+/// A sweep pool over `std::thread`. Worker count defaults to
 /// [`std::thread::available_parallelism`]; override with
 /// [`SweepPool::workers`]. The pool holds no threads between runs — each
-/// [`SweepPool::run`] spawns a scoped crew and joins it before returning.
+/// [`SweepPool::run`] works on the calling thread as worker 0, spawns
+/// `workers − 1` scoped helpers, and joins them before returning.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepPool {
     workers: Option<usize>,
@@ -149,9 +116,8 @@ impl SweepPool {
         SweepPool { workers: None }
     }
 
-    /// Overrides the worker count (the knob; clamped to at least 1). At one
-    /// worker the pool runs the jobs inline on the calling thread — no
-    /// spawning, same fold path, same result.
+    /// Overrides the worker count (the knob; clamped to at least 1). The
+    /// calling thread is always worker 0, so one worker spawns no thread.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -179,30 +145,20 @@ impl SweepPool {
         product: &SweepProduct,
         observer: &(impl SweepObserver + ?Sized),
     ) -> Vec<SeedMatrix> {
-        let jobs = product.jobs();
-        let workers = self.worker_count().min(jobs.len().max(1));
-        let queues = deal_chunks(&jobs, workers);
-        let shards: Vec<Vec<SeedMatrix>> = if workers <= 1 {
-            vec![run_worker(0, product, &jobs, &queues, observer)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let (jobs, queues) = (&jobs, &queues);
-                        scope.spawn(move || run_worker(w, product, jobs, queues, observer))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(shard) => shard,
-                        // A worker panicking means a scenario run panicked;
-                        // re-raise on the caller rather than return a hole.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            })
-        };
+        let workers = self.worker_count().min(product.job_count().max(1));
+        let next = AtomicUsize::new(0);
+        let work = || run_worker(product, &next, observer);
+        let shards: Vec<Vec<SeedMatrix>> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut shards = vec![work()];
+            shards.extend(helpers.into_iter().map(|h| match h.join() {
+                Ok(shard) => shard,
+                // A worker panicking means a scenario run panicked;
+                // re-raise on the caller rather than return a hole.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }));
+            shards
+        });
         let mut merged: Vec<SeedMatrix> =
             product.scenarios.iter().map(|s| SeedMatrix::empty(s.label())).collect();
         for shard in shards {
@@ -214,37 +170,15 @@ impl SweepPool {
     }
 }
 
-/// A contiguous slice of the job list — the unit that moves between deques.
-type Chunk = Range<usize>;
-
-/// Splits the job list into chunks and deals them round-robin onto one
-/// deque per worker. Chunk size balances steal traffic (bigger chunks,
-/// fewer lock hits) against balance (smaller chunks steal finer); with a
-/// static job set, jobs/(workers·4) capped at 32 keeps several steals'
-/// worth available even for short sweeps.
-fn deal_chunks(jobs: &[SweepJob], workers: usize) -> Vec<Mutex<VecDeque<Chunk>>> {
-    let chunk_size = (jobs.len() / (workers * 4)).clamp(1, 32);
-    let queues: Vec<Mutex<VecDeque<Chunk>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, start) in (0..jobs.len()).step_by(chunk_size).enumerate() {
-        let chunk = start..(start + chunk_size).min(jobs.len());
-        queues[i % workers].lock().expect("sweep queue poisoned").push_back(chunk);
-    }
-    queues
-}
-
-/// One worker: drain the own deque from the front, then steal from the
-/// back of the next non-empty victim's; exit when every deque is empty
-/// (the job set is static — no new work ever appears) or the observer
-/// cancels. Outcomes fold into shard-local matrices, one per scenario.
+/// One worker: claim the next job index from the shared cursor until the
+/// cursor passes the last job or the observer cancels. Outcomes fold into
+/// shard-local matrices, one per scenario.
 fn run_worker(
-    me: usize,
     product: &SweepProduct,
-    jobs: &[SweepJob],
-    queues: &[Mutex<VecDeque<Chunk>>],
+    next: &AtomicUsize,
     observer: &(impl SweepObserver + ?Sized),
 ) -> Vec<SeedMatrix> {
-    let scenarios = &product.scenarios;
+    let SweepProduct { scenarios, seeds } = product;
     let mut shard: Vec<SeedMatrix> =
         scenarios.iter().map(|s| SeedMatrix::empty(s.label())).collect();
     // Worker-local prepared topologies, built lazily on first use: builds
@@ -253,43 +187,28 @@ fn run_worker(
     let mut prepared: Vec<Option<broadcast::PreparedTopology>> = Vec::new();
     prepared.resize_with(scenarios.len(), || None);
 
-    'drain: while !observer.cancelled() {
-        let chunk = take_chunk(me, queues);
-        let Some(chunk) = chunk else { break };
-        for idx in chunk {
-            if observer.cancelled() {
-                break 'drain;
-            }
-            let job = jobs[idx];
-            let scenario = &scenarios[job.scenario];
-            let topo = prepared[job.scenario].get_or_insert_with(|| scenario.prepare());
-            let outcome = scenario.run_seed(topo, job.seed);
-            observer.outcome(job, scenario, &outcome);
-            shard[job.scenario].runs.push(SeedRun { order: job.order, seed: job.seed, outcome });
+    while !observer.cancelled() {
+        // The cursor only hands out distinct indices; it publishes no data
+        // (the product is shared read-only, shards return through `join`).
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= product.job_count() {
+            break;
         }
+        let order = i % seeds.len();
+        let job = SweepJob { scenario: i / seeds.len(), order: order as u64, seed: seeds[order] };
+        let scenario = &scenarios[job.scenario];
+        let topo = prepared[job.scenario].get_or_insert_with(|| scenario.prepare());
+        let outcome = scenario.run_seed(topo, job.seed);
+        observer.outcome(job, scenario, &outcome);
+        shard[job.scenario].runs.push(SeedRun { order: job.order, seed: job.seed, outcome });
     }
     shard
-}
-
-/// Pops the next chunk: front of the own deque, else the back of the first
-/// non-empty victim deque scanning from `me + 1` — the steal.
-fn take_chunk(me: usize, queues: &[Mutex<VecDeque<Chunk>>]) -> Option<Chunk> {
-    if let Some(chunk) = queues[me].lock().expect("sweep queue poisoned").pop_front() {
-        return Some(chunk);
-    }
-    for offset in 1..queues.len() {
-        let victim = (me + offset) % queues.len();
-        if let Some(chunk) = queues[victim].lock().expect("sweep queue poisoned").pop_back() {
-            return Some(chunk);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use broadcast::Algo;
+    use broadcast::{Algo, TopologySpec, Workload};
 
     fn decay_path(n: usize) -> Scenario {
         Scenario::new(TopologySpec::Path { n }, Workload::Baseline(Algo::Decay { payload: 7 }))
@@ -304,14 +223,40 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_across_worker_counts() {
-        let product =
+        let wide =
             SweepProduct::new().scenario(decay_path(10)).scenario(decay_path(17)).seeds(0..12);
-        let serial: Vec<SeedMatrix> =
-            product.scenario_list().iter().map(|s| s.seeds(0..12)).collect();
-        for workers in [1, 2, 3, 8] {
-            let parallel = SweepPool::new().workers(workers).run(&product);
+        // More workers than jobs: the surplus helpers find the cursor spent.
+        let narrow = SweepProduct::new().scenario(decay_path(9)).seeds(0..3);
+        for (product, workers) in [(&wide, 1), (&wide, 2), (&wide, 3), (&wide, 8), (&narrow, 8)] {
+            let serial: Vec<SeedMatrix> = product
+                .scenario_list()
+                .iter()
+                .map(|s| s.seeds(product.seed_list().iter().copied()))
+                .collect();
+            let parallel = SweepPool::new().workers(workers).run(product);
             assert_identical(&parallel, &serial);
         }
+    }
+
+    #[test]
+    fn the_calling_thread_is_worker_zero() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        struct Threads(Mutex<HashSet<ThreadId>>);
+        impl SweepObserver for Threads {
+            fn outcome(&self, _: SweepJob, _: &Scenario, _: &Outcome) {
+                self.0.lock().expect("thread set poisoned").insert(std::thread::current().id());
+            }
+        }
+        // 32 jobs of over a millisecond each (~1.5 ms in release): the caller
+        // claims its first job long before one helper could drain them all.
+        let product = SweepProduct::new().scenario(decay_path(120)).seeds(0..32);
+        let threads = Threads(Mutex::new(HashSet::new()));
+        SweepPool::new().workers(2).run_observed(&product, &threads);
+        let threads = threads.0.into_inner().expect("thread set poisoned");
+        assert!(threads.len() <= 2, "{} threads ran jobs", threads.len());
+        assert!(threads.contains(&std::thread::current().id()), "the calling thread ran no job");
     }
 
     #[test]
@@ -326,19 +271,6 @@ mod tests {
             seeds.to_vec(),
             "runs must land in sweep order, not sorted-seed order"
         );
-    }
-
-    #[test]
-    fn cross_expands_the_product() {
-        let scenarios = cross(
-            &[TopologySpec::Path { n: 6 }, TopologySpec::Star { n: 5 }],
-            &[Workload::Baseline(Algo::Decay { payload: 1 }), Workload::Single { payload: 1 }],
-            &[FaultPlan::none()],
-        );
-        assert_eq!(scenarios.len(), 4);
-        let labels: Vec<String> = scenarios.iter().map(|s| s.label()).collect();
-        assert!(labels.contains(&"path(6)/decay".to_string()));
-        assert!(labels.contains(&"star(5)/single".to_string()));
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! this crate they ran serially on one core. `sweep` turns the repo from a
 //! batch reproduction into a serving system, in two layers:
 //!
-//! * **Layer 1 — [`executor`]:** a work-stealing pool on
-//!   `std::thread`/`std::sync` ([`SweepPool`]) that fans a
+//! * **Layer 1 — [`executor`]:** a pool on `std::thread`/`std::sync`
+//!   ([`SweepPool`]) that fans a
 //!   `(TopologySpec × Params × Workload × FaultPlan) × seeds` product
-//!   ([`SweepProduct`]) out as independent `Scenario` runs. Each worker
-//!   folds its outcomes into shard-local [`SeedMatrix`]es;
+//!   ([`SweepProduct`]) out as independent `Scenario` runs, one job at a
+//!   time from a shared cursor, with the calling thread as worker 0. Each
+//!   worker folds its outcomes into shard-local [`SeedMatrix`]es;
 //!   [`SeedMatrix::merge`] recombines the shards into a result
 //!   **bit-identical to the serial sweep** regardless of worker count or
-//!   steal order.
+//!   which worker ran which job.
 //! * **Layer 2 — [`service`]:** a long-running line-oriented JSON
 //!   request/response loop over any reader/writer pair (stdin/stdout in
 //!   production) in the maelstrom style: tagged requests
@@ -45,6 +46,6 @@ pub mod protocol;
 pub mod service;
 
 pub use broadcast::{SeedMatrix, SweepJob};
-pub use executor::{cross, SweepObserver, SweepPool, SweepProduct};
+pub use executor::{SweepObserver, SweepPool, SweepProduct};
 pub use protocol::{Request, RequestError};
 pub use service::serve;

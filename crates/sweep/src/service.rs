@@ -2,10 +2,11 @@
 //!
 //! [`serve`] reads one request per line from a reader, answers one tagged
 //! JSON object per line on a writer, and runs sweeps on a [`SweepPool`] —
-//! each `submit_sweep` on its own scoped thread, so the request loop stays
-//! responsive to `status`/`cancel`/`results` (and further submits) while
-//! sweeps run. Production wires stdin/stdout; tests wire byte buffers and
-//! pipes.
+//! each `submit_sweep` on its own scoped runner thread, which is its
+//! sweep's worker 0, so the request loop stays responsive to
+//! `status`/`cancel`/`results` (and further submits) while sweeps run. An
+//! in-flight sweep holds the pool's worker count in threads. Production
+//! wires stdin/stdout; tests wire byte buffers and pipes.
 //!
 //! Response lines, all tagged with `type`:
 //!
@@ -13,8 +14,8 @@
 //!   the first outcome so a client can always correlate the stream.
 //! * `outcome {sweep, scenario, label, order, seed, completed,
 //!   completion_round, cap, rounds, deliveries, collisions}` — one per
-//!   finished job, in execution order (arbitrary under stealing; `order`
-//!   is the serial position).
+//!   finished job, in completion order, which interleaves the workers'
+//!   jobs (`order` is the serial position).
 //! * `sweep_done {sweep, cancelled, completed, total, summary}` — the end
 //!   of a sweep's stream; `summary` holds one merged-matrix digest per
 //!   scenario, computed from the shard-merged [`SeedMatrix`]es (so its

@@ -294,6 +294,38 @@ fn bad_requests_are_typed_and_survivable() {
     session.recv_until("sweep_done");
 }
 
+/// Scenarios that pass validation but used to panic inside the topology
+/// generators (a one-node star; a unit disk, or a mobility re-sample, whose
+/// tiny radius sized the bucket grid past memory) run to their
+/// `sweep_done` like any other sweep.
+#[test]
+fn degenerate_topologies_run_to_sweep_done() {
+    let session = Session::start(SweepPool::new().workers(2));
+    let single = r#""workload":{"kind":"single","payload":7}"#;
+    let scenarios = [
+        format!(r#""topology":{{"kind":"star","n":1}},{single}"#),
+        format!(
+            r#""topology":{{"kind":"unit_disk","n":20,"radius":1e-9,"graph_seed":1}},{single}"#
+        ),
+        format!(
+            r#""topology":{{"kind":"path","n":5}},{single},"faults":{{"mobility":{{"radius":1e-9,"epoch":4}}}}"#
+        ),
+    ];
+    for (id, scenario) in (1u64..).zip(&scenarios) {
+        session.send(&format!(
+            r#"{{"type":"submit_sweep","id":{id},"scenario":{{{scenario}}},"seeds":[1,2]}}"#
+        ));
+        let ok = session.recv();
+        assert_eq!(kind(&ok), "submit_ok", "{scenario}: {ok}");
+        assert_eq!(ok.get("id").and_then(Json::as_u64), Some(id));
+        let (done, outcomes) = session.recv_until("sweep_done");
+        assert_eq!(outcomes.len(), 2, "{scenario}");
+        assert!(outcomes.iter().all(|o| kind(o) == "outcome"), "{scenario}");
+        assert_eq!(done.get("cancelled").and_then(Json::as_bool), Some(false));
+        assert_eq!(done.get("completed").and_then(Json::as_u64), Some(2), "{scenario}");
+    }
+}
+
 /// Cancelling a running sweep drains it cleanly: cancel_ok answers, the
 /// stream stops early, and sweep_done reports `cancelled: true` with
 /// exactly as many completions as outcome lines were streamed.

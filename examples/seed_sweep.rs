@@ -1,5 +1,5 @@
 //! Seed sweep: declarative scenarios, aggregated over a seed range — now
-//! fanned out on the work-stealing [`sweep::SweepPool`]. One `SweepProduct`
+//! fanned out on the [`sweep::SweepPool`]. One `SweepProduct`
 //! carries every scenario; the pool shards the jobs across workers and
 //! merges the shard matrices back into exactly the serial `SeedMatrix`es
 //! (the example asserts that, recomputing one sweep serially).
@@ -10,8 +10,8 @@
 //! SWEEP_WORKERS=1 cargo run --release --example seed_sweep   # serial
 //! ```
 //!
-//! At `--workers 1` the pool runs the jobs inline on the calling thread —
-//! same fold path, same matrices, no spawning.
+//! The calling thread is always the pool's worker 0, so `--workers 1`
+//! spawns no helper thread — same claim loop, same matrices.
 
 use broadcast::{Algo, Scenario, SeedMatrix, TopologySpec, Workload};
 use radio_sim::FaultPlan;
