@@ -43,8 +43,8 @@
 //! shared cursor cell and calling `Simulator::step` once per round, it
 //! publishes a whole segment — the simulator round it starts at, its length,
 //! its phase, and the phase offset of its first round — and executes it with
-//! `Simulator::run_until`, which runs on the engine's wake-list fast path
-//! (acts cost `O(awake)`; fully-idle stretches fast-forward in `O(1)`).
+//! `Simulator::run_until`, which polls only the nodes whose wake hints are
+//! due (acts cost `O(awake)`; fully-idle stretches fast-forward in `O(1)`).
 //! Nodes read the phase of simulator round `r` off the published segment and
 //! its offset as the base offset plus `r - start`. Their `next_wake` hints
 //! only have to hold while the segment stands: every publish force-wakes all
@@ -76,7 +76,7 @@ use std::rc::Rc;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Pacing {
     /// Publish batched work segments and run them through the engine's
-    /// wake-list fast path (the default; rounds cost `O(awake)`).
+    /// wake queue (the default; rounds cost `O(awake)`).
     #[default]
     Segment,
     /// Poll every node every round (nodes answer `Wake::Now`), reproducing
@@ -226,7 +226,7 @@ pub(crate) fn wake_at(round: u64, next: u64) -> Wake {
 
 /// Narrows a pipeline observation to one sub-protocol: a message `pick`
 /// recognizes becomes that sub-protocol's packet, any other message reads as
-/// silence, and collisions and self-transmits pass through.
+/// silence, and collisions and silence pass through.
 pub(crate) fn narrow<M, N>(
     obs: &Observation<M>,
     pick: impl FnOnce(&M) -> Option<N>,
@@ -234,7 +234,6 @@ pub(crate) fn narrow<M, N>(
     match obs {
         Observation::Message(p) => pick(p).map_or(Observation::Silence, Observation::packet),
         Observation::Collision => Observation::Collision,
-        Observation::SelfTransmit => Observation::SelfTransmit,
         Observation::Silence => Observation::Silence,
     }
 }
@@ -1161,7 +1160,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
 
     /// Publishes `len` consecutive work rounds of `phase`, starting at phase
     /// offset `offset`, as one [`Segment`] and runs them through the engine's
-    /// wake fast path, stopping early once every node is complete. Returns
+    /// wake queue, stopping early once every node is complete. Returns
     /// the number of rounds actually executed.
     pub(crate) fn exec_segment(&mut self, phase: Phase<N::Own>, offset: u64, len: u64) -> u64 {
         let start = self.sim.round();

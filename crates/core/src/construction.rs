@@ -34,7 +34,7 @@ use crate::decay::DecaySchedule;
 use crate::params::Params;
 use crate::recruiting::{CountClass, RecruitConfig, RecruitMsg, RecruitingBlue, RecruitingRed};
 use radio_sim::model::PacketBits;
-use radio_sim::{Action, Observation, Protocol};
+use radio_sim::{Action, Observation, Protocol, Wake};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -632,8 +632,20 @@ impl GstConstructionNode {
 
 impl Protocol for GstConstructionNode {
     type Msg = GstMsg;
-    // `observe` ignores silence and never draws from the RNG.
-    const SILENCE_IS_NOOP: bool = true;
+
+    /// Sleeps until [`GstConstructionNode::next_act_offset`], clamped to the
+    /// end of the schedule segment, where `sync` must run.
+    fn next_wake(&self, round: u64) -> Wake {
+        let Some(ph) = self.sched.phase(round) else { return Wake::Idle };
+        let len = match ph.segment {
+            Segment::StageIa => 1,
+            Segment::Part(_) => self.sched.recruit_rounds(),
+            Segment::Identify | Segment::StageIb | Segment::StageIii => self.sched.decay_step(),
+        };
+        let end = round + (len - ph.offset);
+        let next = self.next_act_offset(&ph).map_or(end, |o| round + (o - ph.offset));
+        Wake::At(next.min(end))
+    }
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GstMsg> {
         let Some(ph) = self.sched.phase(round) else {
@@ -911,39 +923,6 @@ mod tests {
         assert!(sched.phase(sched.total_rounds()).is_none());
     }
 
-    /// A construction node paced by [`GstConstructionNode::next_act_offset`],
-    /// each hint clamped to the end of its schedule segment (where `sync`
-    /// must run) — the pipelines' construction hints without their driver.
-    #[derive(Debug)]
-    struct Hinted(GstConstructionNode);
-
-    impl Protocol for Hinted {
-        type Msg = GstMsg;
-        const SILENCE_IS_NOOP: bool = true;
-        const WAKE_HINTS: bool = true;
-
-        fn next_wake(&self, round: u64) -> radio_sim::Wake {
-            let sched = &self.0.sched;
-            let Some(ph) = sched.phase(round) else { return radio_sim::Wake::Idle };
-            let len = match ph.segment {
-                Segment::StageIa => 1,
-                Segment::Part(_) => sched.recruit_rounds(),
-                Segment::Identify | Segment::StageIb | Segment::StageIii => sched.decay_step(),
-            };
-            let end = round + (len - ph.offset);
-            let next = self.0.next_act_offset(&ph).map_or(end, |o| round + (o - ph.offset));
-            radio_sim::Wake::At(next.min(end))
-        }
-
-        fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GstMsg> {
-            self.0.act(round, rng)
-        }
-
-        fn observe(&mut self, round: u64, obs: Observation<GstMsg>, rng: &mut SmallRng) {
-            self.0.observe(round, obs, rng);
-        }
-    }
-
     #[test]
     fn next_act_offset_hints_replay_the_dense_run() {
         // Sleeping every node up to its next act offset (a recruiting red
@@ -958,17 +937,14 @@ mod tests {
             let node =
                 |id: NodeId| GstConstructionNode::new(&params, sched, id.raw(), layering.level(id));
             for seed in 0..3 {
-                let mut hinted =
-                    Simulator::new(g.clone(), CollisionMode::NoDetection, seed, |id| {
-                        Hinted(node(id))
-                    });
+                let mut hinted = Simulator::new(g.clone(), CollisionMode::NoDetection, seed, node);
                 let mut dense = Simulator::new(g.clone(), CollisionMode::NoDetection, seed, |id| {
                     radio_sim::DenseWrap(node(id))
                 });
                 hinted.run(sched.total_rounds() + 1);
                 dense.run(sched.total_rounds() + 1);
                 let of = |n: &GstConstructionNode| (n.labels(), n.stats());
-                let h: Vec<_> = hinted.nodes().iter().map(|n| of(&n.0)).collect();
+                let h: Vec<_> = hinted.nodes().iter().map(of).collect();
                 let d: Vec<_> = dense.nodes().iter().map(|n| of(&n.0)).collect();
                 assert_eq!(h, d, "labels diverged (n = {}, seed {seed})", g.node_count());
                 let trace = |s: &radio_sim::RunStats| (s.transmissions, s.deliveries, s.collisions);

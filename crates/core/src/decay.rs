@@ -122,9 +122,6 @@ impl DecayBroadcast {
 
 impl Protocol for DecayBroadcast {
     type Msg = DecayMsg;
-    // `observe` reacts to received packets only and never touches the RNG.
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<DecayMsg> {
         match self.message {
@@ -242,8 +239,6 @@ impl MmvDecayBroadcast {
 
 impl Protocol for MmvDecayBroadcast {
     type Msg = MmvDecayMsg;
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
 
     /// Wakes only in prompted rounds (one in three): unprompted rounds
     /// neither transmit nor draw from the RNG.

@@ -55,9 +55,6 @@ impl CollisionWaveLayering {
 
 impl Protocol for CollisionWaveLayering {
     type Msg = Beep;
-    // Only signals (messages/collisions) matter; silence is a no-op.
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
 
     /// Unlayered nodes are inert until the wave's first signal reaches them
     /// (which re-wakes them); a node layered `l` beeps from round `l` on.
@@ -135,8 +132,6 @@ impl DecayLayering {
 
 impl Protocol for DecayLayering {
     type Msg = WaveToken;
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
 
     /// A node samples the Decay pattern from the first round of its joining
     /// epoch on; before that (or before the token arrives) it is inert.

@@ -785,9 +785,6 @@ impl RingNode for GhkMultiNode {
 impl Protocol for GhkMultiNode {
     type Msg = Msg<GhkMMsg>;
 
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
-
     /// Segment-derived wake hints (`tests/determinism.rs` pins the batched
     /// trace against per-step pacing).
     fn next_wake(&self, round: u64) -> Wake {

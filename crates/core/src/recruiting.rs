@@ -423,9 +423,6 @@ pub mod standalone {
 
     impl Protocol for RecruitNode {
         type Msg = RecruitMsg;
-        // `observe` reacts to received packets only.
-        const SILENCE_IS_NOOP: bool = true;
-        const WAKE_HINTS: bool = true;
 
         /// Sleeps through the rounds its side of the exchange provably sits
         /// out (a red between beacon and echo, a blue with no pending

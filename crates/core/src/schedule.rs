@@ -270,9 +270,6 @@ impl MmvScheduleNode {
 
 impl Protocol for MmvScheduleNode {
     type Msg = SchedMsg;
-    // Silence/self-transmit observations are explicit no-ops in `observe`.
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
 
     /// Sleeps between the node's schedule slots: rounds that are neither its
     /// fast slot nor its slow-prompt slot neither transmit nor draw.
@@ -347,7 +344,7 @@ impl Protocol for MmvScheduleNode {
                     self.audit.slow_collisions += 1;
                 }
             }
-            Observation::Silence | Observation::SelfTransmit => {}
+            Observation::Silence => {}
         }
     }
 }

@@ -505,9 +505,6 @@ impl RingNode for Ghk1Node {
 impl Protocol for Ghk1Node {
     type Msg = Msg<Ghk1Msg>;
 
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
-
     fn next_wake(&self, round: u64) -> Wake {
         adaptive::next_wake(self, round)
     }

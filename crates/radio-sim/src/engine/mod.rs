@@ -30,10 +30,11 @@ pub enum Wake {
 
 /// A per-node protocol state machine.
 ///
-/// The engine calls [`Protocol::act`] on every node at the start of each
-/// round, resolves the radio channel, then calls [`Protocol::observe`] on
-/// every node with the outcome. Both calls receive the node's private RNG
-/// stream, so runs are deterministic in the master seed.
+/// Each round the engine calls [`Protocol::act`] on every node whose wake
+/// hint ([`Protocol::next_wake`]) is due, resolves the radio channel, then
+/// calls [`Protocol::observe`] on every listener that a transmission (or a
+/// jam) reached. Both calls receive the node's private RNG stream, so runs
+/// are deterministic in the master seed.
 ///
 /// A node knows only what a real radio node would: its own state, its id (if
 /// the implementation stores it at construction), and the observations it has
@@ -42,57 +43,26 @@ pub trait Protocol {
     /// Packet type carried on the channel.
     type Msg: Clone;
 
-    /// Declares that [`Protocol::observe`] is a no-op for
-    /// [`Observation::Silence`] and [`Observation::SelfTransmit`]: it neither
-    /// changes state nor draws from the RNG for those observations.
-    ///
-    /// When `true`, the engine takes a *sparse* fast path that resolves the
-    /// channel by iterating only the active transmitters' out-edges and skips
-    /// the `O(n)` per-round observe sweep — nodes that would have observed
-    /// silence (and transmitters, which would observe `SelfTransmit`) are not
-    /// called at all. Rounds where almost everyone is silent then cost
-    /// `O(active)` instead of `O(n)` on the observe side, which dominates the
-    /// near-silent tail rounds of adaptive broadcast runs.
-    ///
-    /// [`RoundStats`]/[`RunStats`] are identical on both paths; the skipped
-    /// calls are reported in [`RoundStats::observe_skips`].
-    const SILENCE_IS_NOOP: bool = false;
-
-    /// Declares that [`Protocol::next_wake`] returns meaningful hints.
-    ///
-    /// When `true` **and** [`Protocol::SILENCE_IS_NOOP`] is `true`, the
-    /// engine keeps a bucketed wake-queue and calls [`Protocol::act`] only on
-    /// nodes whose wake round has arrived; runs of rounds in which *every*
-    /// node is asleep are fast-forwarded in `O(1)` by
-    /// [`Simulator::run`]/[`Simulator::run_until`]. Skipped `act` calls are
-    /// reported in [`RoundStats::act_skips`], fast-forwarded rounds in
-    /// [`RunStats::idle_fastforward`]; `round`, the semantic
-    /// [`RoundStats`]/[`RunStats`] fields and every per-node RNG stream stay
-    /// bit-identical to the dense path.
-    ///
-    /// `SILENCE_IS_NOOP` is required because a sleeping node still receives
-    /// its (skippable) silence observations conceptually; only a protocol
-    /// that ignores them can be left untouched for a whole sleep interval.
-    const WAKE_HINTS: bool = false;
-
     /// The wake hint: the earliest round `>= round` in which this node's
     /// [`Protocol::act`] might transmit, draw from its RNG, or change state.
     ///
-    /// # Contract (with [`Protocol::WAKE_HINTS`] enabled)
+    /// # Contract
     ///
     /// The engine calls this after any event that may have changed the
-    /// node's state — construction, an `act` call, or a delivered
-    /// message/collision observation — with `round` being the next round to
-    /// be simulated. Returning [`Wake::At(r)`](Wake::At) with `r > round`
-    /// (or [`Wake::Idle`]) promises that for every round `t` in
-    /// `round..r` (resp. every future round), `act(t)` would return
-    /// [`Action::Listen`] **without** drawing from the RNG and **without**
-    /// mutating any state. The engine then skips those `act` calls entirely.
+    /// node's state — construction, an `act` call, or an `observe` call —
+    /// with `round` being the next round to be simulated. Returning
+    /// [`Wake::At(r)`](Wake::At) with `r > round` (or [`Wake::Idle`])
+    /// promises that for every round `t` in `round..r` (resp. every future
+    /// round), `act(t)` would return [`Action::Listen`] **without** drawing
+    /// from the RNG and **without** mutating any state. The engine then skips
+    /// those `act` calls entirely (counted in [`RoundStats::act_skips`]), and
+    /// [`Simulator::run_until`] fast-forwards runs of rounds in which every
+    /// node sleeps in `O(1)` ([`RunStats::idle_fastforward`]).
     ///
     /// The promise only covers the node's current state: as soon as the node
-    /// observes a message or collision, the engine re-queries the hint, so
-    /// hints never need to anticipate future receptions. Returning
-    /// [`Wake::Now`] is always safe (it degenerates to the dense path).
+    /// observes something, the engine re-queries the hint, so hints never
+    /// need to anticipate future receptions. The default, [`Wake::Now`], is
+    /// always safe: the node is polled every round.
     fn next_wake(&self, round: u64) -> Wake {
         let _ = round;
         Wake::Now
@@ -101,28 +71,30 @@ pub trait Protocol {
     /// Chooses this node's action for `round` (0-based).
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<Self::Msg>;
 
-    /// Delivers the channel observation for `round`.
+    /// Delivers the channel observation for `round` to a listener that at
+    /// least one transmission (or jam) reached: an [`Observation::Message`]
+    /// from exactly one, an [`Observation::Collision`] from two or more under
+    /// [`CollisionMode::Detection`], and [`Observation::Silence`] for that
+    /// collision without detection.
     ///
-    /// If [`Protocol::SILENCE_IS_NOOP`] is `true`, this may not be called for
-    /// `Silence`/`SelfTransmit` observations — implementations opting in must
-    /// not rely on seeing them.
+    /// Listeners that nothing reached and transmitters are not called
+    /// (counted in [`RoundStats::observe_skips`]). An implementation must
+    /// therefore treat `Silence` as nothing heard — no state change, no RNG
+    /// draw — or it could tell a collision from silence without detection.
     fn observe(&mut self, round: u64, obs: Observation<Self::Msg>, rng: &mut SmallRng);
 }
 
-/// Wraps a protocol with its wake hints disabled: behavior, RNG usage and
-/// statistics-relevant output are unchanged, but the engine runs the dense
-/// `O(n)`-acts-per-round sweep.
+/// Wraps a protocol with its wake hints hidden: behavior, RNG usage and
+/// channel statistics are unchanged, but the engine polls every node every
+/// round.
 ///
-/// Exists to A/B the wake-list fast path against the dense path — the
-/// equivalence suites run every protocol both ways and assert bit-identical
-/// traces.
+/// The reference for the wake suites: they run every hinted protocol both
+/// ways and assert bit-identical traces.
 #[derive(Clone, Debug)]
 pub struct DenseWrap<P>(pub P);
 
 impl<P: Protocol> Protocol for DenseWrap<P> {
     type Msg = P::Msg;
-    const SILENCE_IS_NOOP: bool = P::SILENCE_IS_NOOP;
-    // WAKE_HINTS deliberately left at the default `false`.
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<Self::Msg> {
         self.0.act(round, rng)
@@ -157,9 +129,8 @@ pub struct Simulator<P: Protocol, T: Topology = Graph> {
     /// This round's packet store: each transmission is wrapped in a shared
     /// [`Packet`] once, and every delivery hands out an `O(1)` handle clone.
     txs: Vec<(NodeId, Packet<P::Msg>)>,
-    /// Nodes whose channel counter was touched this round (sparse path).
+    /// Nodes whose channel counter was touched this round.
     touched: Vec<u32>,
-    // Wake-list state (used only when `P::WAKE_HINTS && P::SILENCE_IS_NOOP`).
     /// Per-node scheduled wake round; `WAKE_IDLE` while unscheduled.
     wake_at: Vec<u64>,
     /// Near wake-queue: a timer wheel of [`WHEEL`] slots whose buckets are
@@ -255,28 +226,20 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             transmitted: vec![false; n],
             txs: Vec::new(),
             touched: Vec::new(),
-            wake_at: Vec::new(),
-            wheel: Vec::new(),
+            wake_at: vec![WAKE_IDLE; n],
+            wheel: (0..WHEEL).map(|_| Vec::new()).collect(),
             far_wakes: BTreeMap::new(),
             forced_wake: WAKE_IDLE,
             awake: Vec::new(),
             dirty: Vec::new(),
-            is_dirty: Vec::new(),
+            is_dirty: vec![false; n],
             faults,
         };
-        if Self::WAKE_PATH {
-            sim.wake_at = vec![WAKE_IDLE; n];
-            sim.wheel = (0..WHEEL).map(|_| Vec::new()).collect();
-            sim.is_dirty = vec![false; n];
-            for i in 0..n {
-                sim.schedule(i, 0);
-            }
+        for i in 0..n {
+            sim.schedule(i, 0);
         }
         sim
     }
-
-    /// Whether this protocol engages the wake-list fast path.
-    const WAKE_PATH: bool = P::WAKE_HINTS && P::SILENCE_IS_NOOP;
 
     /// Recomputes node `i`'s wake hint for `next_round` and queues it.
     fn schedule(&mut self, i: usize, next_round: u64) {
@@ -310,11 +273,9 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     /// shared state restores the [`Protocol::next_wake`] contract — hints
     /// never have to anticipate the driver's next move, and sleepers can
     /// answer [`Wake::Idle`] instead of conservatively re-waking at every
-    /// boundary. No-op on the dense path.
+    /// boundary.
     pub fn wake_all(&mut self) {
-        if Self::WAKE_PATH {
-            self.forced_wake = self.round;
-        }
+        self.forced_wake = self.round;
     }
 
     /// Pops every node scheduled to wake at `round` (wheel slot plus due far
@@ -426,18 +387,16 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         far
     }
 
-    /// Number of fully-idle rounds (at most `max`) that can be skipped
-    /// without simulating them; `None` when the next round must be stepped.
+    /// Number of fully-idle rounds (at most `max`, which is positive) that
+    /// can be skipped without simulating them; `None` when the next round
+    /// must be stepped.
     fn idle_gap(&self, max: u64) -> Option<u64> {
-        if !Self::WAKE_PATH || max == 0 {
-            return None;
-        }
         let mut next = self.next_wake_round();
         if let Some(f) = &self.faults {
             // Scheduled fault events (jams, churn, mobility) must be stepped,
             // never fast-forwarded over; erasure needs no clamp because
             // fully-idle rounds carry no packets to erase (and hence draw no
-            // fault randomness) on any path.
+            // fault randomness).
             next = next.min(f.next_event_round(self.round));
         }
         if next <= self.round {
@@ -472,45 +431,29 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             }
         }
 
-        if Self::WAKE_PATH {
-            // Deferred wake-hint recomputation for last round's dirty nodes.
-            self.flush_dirty(round);
-        }
+        // Deferred wake-hint recomputation for last round's dirty nodes.
+        self.flush_dirty(round);
 
         // Reset the previous round's transmit flags (O(active), not O(n)).
         for k in 0..self.txs.len() {
             self.transmitted[self.txs[k].0.index()] = false;
         }
         self.txs.clear();
-        let mut act_skips = 0usize;
-        if Self::WAKE_PATH {
-            // Wake-list fast path: poll only nodes whose wake round arrived;
-            // every other node is guaranteed (by the `next_wake` contract) to
-            // listen without touching its RNG or state.
-            self.drain_wakeable(round);
-            // Index order keeps the transmit list (and thus the observe
-            // order) identical to the dense sweep.
-            self.awake.sort_unstable();
-            act_skips = n - self.awake.len();
-            for idx in 0..self.awake.len() {
-                let i = self.awake[idx] as usize;
-                match self.nodes[i].act(round, &mut self.rngs[i]) {
-                    Action::Transmit(m) => {
-                        self.transmitted[i] = true;
-                        self.txs.push((NodeId::new(i), Packet::new(m)));
-                    }
-                    Action::Listen => {}
+        // Poll only nodes whose wake round arrived; every other node is
+        // guaranteed (by the `next_wake` contract) to listen without
+        // touching its RNG or state.
+        self.drain_wakeable(round);
+        // Index order keeps the transmit list, and with it the erasure draw
+        // order, independent of how the wake queue was filled.
+        self.awake.sort_unstable();
+        for idx in 0..self.awake.len() {
+            let i = self.awake[idx] as usize;
+            match self.nodes[i].act(round, &mut self.rngs[i]) {
+                Action::Transmit(m) => {
+                    self.transmitted[i] = true;
+                    self.txs.push((NodeId::new(i), Packet::new(m)));
                 }
-            }
-        } else {
-            for i in 0..n {
-                match self.nodes[i].act(round, &mut self.rngs[i]) {
-                    Action::Transmit(m) => {
-                        self.transmitted[i] = true;
-                        self.txs.push((NodeId::new(i), Packet::new(m)));
-                    }
-                    Action::Listen => {}
-                }
+                Action::Listen => {}
             }
         }
 
@@ -519,8 +462,7 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         // With erasure enabled, each packet copy is dropped independently per
         // receiving edge before it can contribute a delivery or a collision;
         // the Bernoulli draws come from the dedicated erasure stream in a
-        // fixed order (transmit list x adjacency), identical on every engine
-        // path.
+        // fixed order (transmit list x adjacency).
         self.touched.clear();
         let mut erased = 0usize;
         let mut jammed = 0usize;
@@ -580,75 +522,43 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
 
         let mut rstats = RoundStats {
             transmitters: self.txs.len(),
-            act_skips,
+            act_skips: n - self.awake.len(),
             erased,
             jammed,
             churn_events,
             ..RoundStats::default()
         };
 
-        if P::SILENCE_IS_NOOP {
-            // Sparse fast path: only nodes with a transmitting neighbor can
-            // observe anything that matters; everyone else (silent listeners,
-            // and transmitters with their `SelfTransmit`) is skipped. The
-            // protocol has declared those observations no-ops.
-            let mut heard = 0usize;
-            for idx in 0..self.touched.len() {
-                let i = self.touched[idx] as usize;
-                if self.transmitted[i] {
-                    continue;
-                }
-                heard += 1;
-                let obs = match self.tx_count[i] {
-                    1 => {
-                        rstats.deliveries += 1;
-                        Observation::Message(self.txs[self.tx_from[i] as usize].1.clone())
-                    }
-                    _ => {
-                        rstats.collisions += 1;
-                        if self.mode.has_detection() {
-                            Observation::Collision
-                        } else {
-                            Observation::Silence
-                        }
-                    }
-                };
-                self.nodes[i].observe(round, obs, &mut self.rngs[i]);
-                if Self::WAKE_PATH {
-                    // The observation may have changed this node's state, so
-                    // its wake hint must be recomputed.
-                    self.mark_dirty(i);
-                }
+        // Only listeners that a transmission or a jam reached observe
+        // anything; silent listeners and transmitters are not called.
+        let mut heard = 0usize;
+        for idx in 0..self.touched.len() {
+            let i = self.touched[idx] as usize;
+            if self.transmitted[i] {
+                continue;
             }
-            rstats.silent = n - self.txs.len() - heard;
-            rstats.observe_skips = n - heard;
-        } else {
-            for i in 0..n {
-                let obs = if self.transmitted[i] {
-                    Observation::SelfTransmit
-                } else {
-                    match self.tx_count[i] {
-                        0 => {
-                            rstats.silent += 1;
-                            Observation::Silence
-                        }
-                        1 => {
-                            rstats.deliveries += 1;
-                            Observation::Message(self.txs[self.tx_from[i] as usize].1.clone())
-                        }
-                        _ => {
-                            rstats.collisions += 1;
-                            if self.mode.has_detection() {
-                                Observation::Collision
-                            } else {
-                                Observation::Silence
-                            }
-                        }
+            heard += 1;
+            let obs = match self.tx_count[i] {
+                1 => {
+                    rstats.deliveries += 1;
+                    Observation::Message(self.txs[self.tx_from[i] as usize].1.clone())
+                }
+                _ => {
+                    rstats.collisions += 1;
+                    if self.mode.has_detection() {
+                        Observation::Collision
+                    } else {
+                        Observation::Silence
                     }
-                };
-                self.nodes[i].observe(round, obs, &mut self.rngs[i]);
-            }
+                }
+            };
+            self.nodes[i].observe(round, obs, &mut self.rngs[i]);
+            // The observation may have changed this node's state, so its
+            // wake hint must be recomputed.
+            self.mark_dirty(i);
         }
+        rstats.silent = n - self.txs.len() - heard;
+        rstats.observe_skips = n - heard;
 
         // Sparse reset of the counters touched this round.
         for &v in &self.touched {
@@ -674,10 +584,10 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     /// call*. Returns the total round count (i.e. [`Simulator::round`]) at
     /// which the predicate first held, or `None` on timeout.
     ///
-    /// On the wake-list fast path (see [`Protocol::WAKE_HINTS`]), runs of
-    /// rounds in which every node is asleep are skipped in `O(1)` instead of
-    /// being stepped; `round`, the statistics and every per-node RNG stream
-    /// advance exactly as if each round had been simulated.
+    /// Runs of rounds in which every node is asleep (see
+    /// [`Protocol::next_wake`]) are skipped in `O(1)` instead of being
+    /// stepped; `round`, the statistics and every per-node RNG stream advance
+    /// exactly as if each round had been simulated.
     ///
     /// `done` receives every node state, so the usual
     /// `nodes.iter().all(...)` predicate costs `O(n)` per evaluation. It is
@@ -698,9 +608,7 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         }
         let mut left = max_rounds;
         while left > 0 {
-            if Self::WAKE_PATH {
-                self.flush_dirty(self.round);
-            }
+            self.flush_dirty(self.round);
             if let Some(gap) = self.idle_gap(left) {
                 // Idle rounds change no state, hence never the predicate.
                 self.fast_forward(gap);
@@ -759,18 +667,16 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
     /// Mutable access to node `v` — for injecting work mid-run (e.g. handing
     /// a new message batch to the source).
     ///
-    /// On the wake-list fast path the node is conservatively re-woken for
-    /// the next round, since external mutation invalidates its wake hint.
+    /// The node is conservatively re-woken for the next round, since
+    /// external mutation invalidates its wake hint.
     pub fn node_mut(&mut self, v: NodeId) -> &mut P {
-        if Self::WAKE_PATH {
-            let i = v.index();
-            let at = self.round;
-            if self.wake_at[i] != at {
-                self.wake_at[i] = at;
-                self.wheel[(at % WHEEL) as usize].push(i as u32);
-            }
+        let i = v.index();
+        let at = self.round;
+        if self.wake_at[i] != at {
+            self.wake_at[i] = at;
+            self.wheel[(at % WHEEL) as usize].push(i as u32);
         }
-        &mut self.nodes[v.index()]
+        &mut self.nodes[i]
     }
 
     /// Consumes the simulator, returning the node states.
@@ -831,9 +737,12 @@ mod tests {
         let stats = sim.step();
         assert_eq!(stats.transmitters, 1);
         assert_eq!(stats.deliveries, 1);
+        assert_eq!(stats.silent, 1);
+        // Neither the silent listener nor the transmitter is called.
+        assert_eq!(stats.observe_skips, 2);
         assert_eq!(sim.node(NodeId::new(1)).seen, vec![Observation::packet(7)]);
-        assert_eq!(sim.node(NodeId::new(2)).seen, vec![Observation::Silence]);
-        assert_eq!(sim.node(NodeId::new(0)).seen, vec![Observation::SelfTransmit]);
+        assert!(sim.node(NodeId::new(2)).seen.is_empty());
+        assert!(sim.node(NodeId::new(0)).seen.is_empty());
     }
 
     #[test]
@@ -864,18 +773,19 @@ mod tests {
         let mut sim =
             Simulator::new(g, CollisionMode::Detection, 0, |id| Beacon::new(id.index() == 0, 1));
         sim.step();
-        assert_eq!(sim.node(NodeId::new(2)).seen, vec![Observation::Silence]);
-        assert_eq!(sim.node(NodeId::new(3)).seen, vec![Observation::Silence]);
+        assert!(sim.node(NodeId::new(2)).seen.is_empty());
+        assert!(sim.node(NodeId::new(3)).seen.is_empty());
     }
 
     #[test]
     fn transmitter_does_not_hear_neighbor() {
-        // Both endpoints of an edge transmit: each observes only SelfTransmit.
+        // Both endpoints of an edge transmit: half duplex, so neither is
+        // called.
         let g = generators::path(2);
         let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |_| Beacon::new(true, 3));
         sim.step();
         for v in 0..2 {
-            assert_eq!(sim.node(NodeId::new(v)).seen, vec![Observation::SelfTransmit]);
+            assert!(sim.node(NodeId::new(v)).seen.is_empty());
         }
     }
 
@@ -948,100 +858,25 @@ mod tests {
         assert_ne!(run(123), run(124));
     }
 
-    /// A decay-ish transmitter that records every packet/collision it hears;
-    /// generic over the sparse-path opt-in so both engine paths can run the
-    /// same logic and be compared.
-    #[derive(Debug)]
-    struct NoisyListener<const SPARSE: bool> {
-        rate_num: u32,
-        heard: Vec<(u64, Option<u8>)>, // (round, Some(packet) | None = collision)
-    }
-
-    impl<const SPARSE: bool> Protocol for NoisyListener<SPARSE> {
-        type Msg = u8;
-        const SILENCE_IS_NOOP: bool = SPARSE;
-        fn act(&mut self, _round: u64, rng: &mut SmallRng) -> Action<u8> {
-            use rand::Rng;
-            if rng.gen_bool(f64::from(self.rate_num) / 10.0) {
-                Action::Transmit(self.rate_num as u8)
-            } else {
-                Action::Listen
-            }
-        }
-        fn observe(&mut self, round: u64, obs: Observation<u8>, _rng: &mut SmallRng) {
-            match obs {
-                Observation::Message(m) => self.heard.push((round, Some(*m))),
-                Observation::Collision => self.heard.push((round, None)),
-                Observation::Silence | Observation::SelfTransmit => {}
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_path_matches_dense_path() {
-        type Heard = Vec<Vec<(u64, Option<u8>)>>;
-        fn run<const SPARSE: bool>(mode: CollisionMode) -> (Heard, RunStats) {
-            let g = generators::cluster_chain(5, 4);
-            let mut sim = Simulator::new(g, mode, 99, |id| NoisyListener::<SPARSE> {
-                rate_num: id.raw() % 4,
-                heard: vec![],
-            });
-            sim.run(200);
-            let stats = sim.stats().clone();
-            (sim.into_nodes().into_iter().map(|n| n.heard).collect(), stats)
-        }
-        for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-            let (dense_heard, dense_stats) = run::<false>(mode);
-            let (sparse_heard, sparse_stats) = run::<true>(mode);
-            assert_eq!(dense_heard, sparse_heard, "observations diverge under {mode:?}");
-            assert_eq!(
-                (dense_stats.rounds, dense_stats.transmissions, dense_stats.deliveries),
-                (sparse_stats.rounds, sparse_stats.transmissions, sparse_stats.deliveries),
-            );
-            assert_eq!(dense_stats.collisions, sparse_stats.collisions);
-            assert_eq!(dense_stats.observe_skips, 0, "dense path must not skip");
-            assert!(sparse_stats.observe_skips > 0, "sparse path never engaged");
-        }
-    }
-
-    #[test]
-    fn sparse_round_stats_match_dense() {
-        // Per-round stats (incl. `silent`) must be identical on both paths.
-        let g = generators::star(8);
-        let mut dense = Simulator::new(g.clone(), CollisionMode::Detection, 7, |id| {
-            NoisyListener::<false> { rate_num: id.raw() % 3, heard: vec![] }
-        });
-        let mut sparse =
-            Simulator::new(g, CollisionMode::Detection, 7, |id| NoisyListener::<true> {
-                rate_num: id.raw() % 3,
-                heard: vec![],
-            });
-        for _ in 0..100 {
-            let d = dense.step();
-            let s = sparse.step();
-            assert_eq!(
-                (d.transmitters, d.deliveries, d.collisions, d.silent),
-                (s.transmitters, s.deliveries, s.collisions, s.silent)
-            );
-            assert_eq!(s.observe_skips, 8 - d.deliveries - d.collisions);
-        }
-    }
-
     /// Beacons every `period` rounds when active; sleeps otherwise. Records
-    /// every RNG draw and every reception so the wake and dense paths can be
-    /// compared draw-for-draw. Generic over the wake-hint opt-in.
+    /// every RNG draw and every reception so a hinted run can be compared
+    /// draw-for-draw with [`DenseWrap`] of itself.
     #[derive(Debug)]
-    struct Periodic<const WAKE: bool> {
+    struct Periodic {
         period: u64,
         active: bool,
         draws: Vec<u64>,
         heard: Vec<(u64, Option<u8>)>,
     }
 
-    impl<const WAKE: bool> Protocol for Periodic<WAKE> {
+    impl Periodic {
+        fn new(period: u64, active: bool) -> Self {
+            Periodic { period, active, draws: vec![], heard: vec![] }
+        }
+    }
+
+    impl Protocol for Periodic {
         type Msg = u8;
-        const SILENCE_IS_NOOP: bool = true;
-        const WAKE_HINTS: bool = WAKE;
 
         fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<u8> {
             if self.active && round % self.period == 0 {
@@ -1057,7 +892,7 @@ mod tests {
             match obs {
                 Observation::Message(m) => self.heard.push((round, Some(*m))),
                 Observation::Collision => self.heard.push((round, None)),
-                Observation::Silence | Observation::SelfTransmit => {}
+                Observation::Silence => {}
             }
         }
 
@@ -1072,33 +907,63 @@ mod tests {
         }
     }
 
+    /// Runs `make`'s nodes for `rounds` over `plan` twice: on their own
+    /// hints and under [`DenseWrap`], which polls every node every round.
+    /// Returns each run's per-node extracts and statistics.
+    fn both_paths<P: Protocol, S>(
+        g: &Graph,
+        mode: CollisionMode,
+        seed: u64,
+        plan: &FaultPlan,
+        rounds: u64,
+        make: impl Fn(NodeId) -> P,
+        extract: impl Fn(&P) -> S,
+    ) -> ((Vec<S>, RunStats), (Vec<S>, RunStats)) {
+        let mut wake = Simulator::new_with_faults(g.clone(), mode, seed, plan.clone(), &make);
+        wake.run(rounds);
+        let mut dense = Simulator::new_with_faults(g.clone(), mode, seed, plan.clone(), |id| {
+            DenseWrap(make(id))
+        });
+        dense.run(rounds);
+        (
+            (wake.nodes().iter().map(&extract).collect(), wake.stats().clone()),
+            (dense.nodes().iter().map(|n| extract(&n.0)).collect(), dense.stats().clone()),
+        )
+    }
+
+    type Trace = Vec<(Vec<u64>, Vec<(u64, Option<u8>)>)>;
+
+    /// [`both_paths`] for a mix of `Periodic` beacons and sleepers on a
+    /// cluster chain, extracting every draw and reception.
+    fn periodic_both_paths(
+        mode: CollisionMode,
+        seed: u64,
+        plan: &FaultPlan,
+    ) -> ((Trace, RunStats), (Trace, RunStats)) {
+        both_paths(
+            &generators::cluster_chain(4, 4),
+            mode,
+            seed,
+            plan,
+            300,
+            |id| Periodic::new(1 + u64::from(id.raw() % 5) * 3, id.index() % 3 != 1),
+            |n| (n.draws.clone(), n.heard.clone()),
+        )
+    }
+
     #[test]
     fn wake_path_matches_dense_path() {
-        type Trace = Vec<(Vec<u64>, Vec<(u64, Option<u8>)>)>;
-        fn run<const WAKE: bool>(mode: CollisionMode, seed: u64) -> (Trace, RunStats) {
-            let g = generators::cluster_chain(4, 4);
-            let mut sim = Simulator::new(g, mode, seed, |id| Periodic::<WAKE> {
-                period: 1 + u64::from(id.raw() % 5) * 3,
-                active: id.index() % 3 != 1,
-                draws: vec![],
-                heard: vec![],
-            });
-            sim.run(300);
-            let stats = sim.stats().clone();
-            (sim.into_nodes().into_iter().map(|n| (n.draws, n.heard)).collect(), stats)
-        }
         for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
             for seed in [3u64, 17] {
-                let (dense, ds) = run::<false>(mode, seed);
-                let (wake, ws) = run::<true>(mode, seed);
+                let ((wake, ws), (dense, ds)) = periodic_both_paths(mode, seed, &FaultPlan::none());
                 assert_eq!(dense, wake, "trace diverged ({mode:?}, seed {seed})");
                 assert_eq!(
                     (ds.rounds, ds.transmissions, ds.deliveries, ds.collisions),
                     (ws.rounds, ws.transmissions, ws.deliveries, ws.collisions),
                     "stats diverged ({mode:?}, seed {seed})"
                 );
-                assert_eq!(ds.act_skips, 0, "dense path must not skip acts");
-                assert!(ws.act_skips > 0, "wake path never skipped an act");
+                assert_eq!(ds.act_skips, 0, "DenseWrap must not skip acts");
+                assert!(ws.act_skips > 0, "hints never skipped an act");
             }
         }
     }
@@ -1106,12 +971,7 @@ mod tests {
     #[test]
     fn fully_idle_run_is_fast_forwarded() {
         let g = generators::path(64);
-        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |_| Periodic::<true> {
-            period: 1,
-            active: false,
-            draws: vec![],
-            heard: vec![],
-        });
+        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |_| Periodic::new(1, false));
         sim.run(1_000_000);
         assert_eq!(sim.round(), 1_000_000);
         assert_eq!(sim.stats().rounds, 1_000_000);
@@ -1123,13 +983,10 @@ mod tests {
     #[test]
     fn fast_forward_lands_on_the_next_wake() {
         // One beacon with a long period: every gap is skipped, every beacon
-        // round is simulated, and deliveries match the dense path.
+        // round is simulated, and every beacon is delivered.
         let g = generators::path(3);
-        let mut sim = Simulator::new(g, CollisionMode::Detection, 1, |id| Periodic::<true> {
-            period: 1000,
-            active: id.index() == 0,
-            draws: vec![],
-            heard: vec![],
+        let mut sim = Simulator::new(g, CollisionMode::Detection, 1, |id| {
+            Periodic::new(1000, id.index() == 0)
         });
         sim.run(10_000);
         assert_eq!(sim.stats().transmissions, 10);
@@ -1144,15 +1001,19 @@ mod tests {
     /// Sleeps until it hears anything, then beacons every round — checks
     /// that observations re-wake sleeping nodes.
     #[derive(Debug)]
-    struct Relay<const WAKE: bool> {
+    struct Relay {
         active: bool,
         informed_at: Option<u64>,
     }
 
-    impl<const WAKE: bool> Protocol for Relay<WAKE> {
+    impl Relay {
+        fn new(active: bool) -> Self {
+            Relay { active, informed_at: None }
+        }
+    }
+
+    impl Protocol for Relay {
         type Msg = u8;
-        const SILENCE_IS_NOOP: bool = true;
-        const WAKE_HINTS: bool = WAKE;
         fn act(&mut self, _round: u64, _rng: &mut SmallRng) -> Action<u8> {
             if self.active {
                 Action::Transmit(1)
@@ -1177,17 +1038,15 @@ mod tests {
 
     #[test]
     fn observation_rewakes_sleeping_nodes() {
-        fn informed<const WAKE: bool>() -> Vec<Option<u64>> {
-            let g = generators::path(12);
-            let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |id| Relay::<WAKE> {
-                active: id.index() == 0,
-                informed_at: None,
-            });
-            sim.run(40);
-            sim.into_nodes().into_iter().map(|n| n.informed_at).collect()
-        }
-        let dense = informed::<false>();
-        let wake = informed::<true>();
+        let ((wake, _), (dense, _)) = both_paths(
+            &generators::path(12),
+            CollisionMode::Detection,
+            0,
+            &FaultPlan::none(),
+            40,
+            |id| Relay::new(id.index() == 0),
+            |n| n.informed_at,
+        );
         assert_eq!(dense, wake);
         // The wave must actually have propagated.
         assert_eq!(wake[11], Some(10));
@@ -1196,10 +1055,7 @@ mod tests {
     #[test]
     fn node_mut_rewakes_a_sleeper() {
         let g = generators::path(2);
-        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |_| Relay::<true> {
-            active: false,
-            informed_at: None,
-        });
+        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |_| Relay::new(false));
         sim.run(100);
         assert_eq!(sim.stats().transmissions, 0);
         sim.node_mut(NodeId::new(0)).active = true;
@@ -1215,12 +1071,11 @@ mod tests {
         // Cycle 0..8 from node 0: the two relay waves meet at node 4 in a
         // collision-only round, which activates it under detection.
         let relay = || {
-            Simulator::new(generators::cycle(8), CollisionMode::Detection, 0, |id| Relay::<true> {
-                active: id.index() == 0,
-                informed_at: None,
+            Simulator::new(generators::cycle(8), CollisionMode::Detection, 0, |id| {
+                Relay::new(id.index() == 0)
             })
         };
-        let all_active = |ns: &[Relay<true>]| ns.iter().all(|n| n.active);
+        let all_active = |ns: &[Relay]| ns.iter().all(|n| n.active);
         let mut gated = relay();
         let done = gated.run_until(100, all_active);
         // The reference checks the predicate after every round.
@@ -1239,12 +1094,8 @@ mod tests {
         // All nodes informed after 3 rounds; predicate never true -> the
         // remaining budget must be fast-forwarded, not stepped.
         let g = generators::path(4);
-        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |id| Periodic::<true> {
-            period: 1,
-            active: id.index() == 0,
-            draws: vec![],
-            heard: vec![],
-        });
+        let mut sim =
+            Simulator::new(g, CollisionMode::Detection, 0, |id| Periodic::new(1, id.index() == 0));
         sim.node_mut(NodeId::new(0)).active = false;
         let res = sim.run_until(50_000, |_| false);
         assert_eq!(res, None);
@@ -1255,28 +1106,31 @@ mod tests {
 
     #[test]
     fn sparse_reset_leaves_no_residue() {
-        // Alternate transmitting/silent rounds; silent rounds must see clean
-        // counters (all Silence, no stale deliveries).
+        // Node 0 beacons on even rounds only: each even round must count
+        // five fresh deliveries (no stale counter), and on the odd rounds
+        // nobody is called and all six nodes read silent.
         #[derive(Debug)]
-        struct EvenTx;
+        struct EvenTx(bool);
         impl Protocol for EvenTx {
             type Msg = u8;
             fn act(&mut self, round: u64, _rng: &mut SmallRng) -> Action<u8> {
-                if round % 2 == 0 {
+                if self.0 && round % 2 == 0 {
                     Action::Transmit(1)
                 } else {
                     Action::Listen
                 }
             }
-            fn observe(&mut self, round: u64, obs: Observation<u8>, _rng: &mut SmallRng) {
-                if round % 2 == 1 {
-                    assert_eq!(obs, Observation::Silence, "stale counter at round {round}");
-                }
+            fn observe(&mut self, round: u64, _obs: Observation<u8>, _rng: &mut SmallRng) {
+                assert_eq!(round % 2, 0, "called on silent round {round}");
             }
         }
         let g = generators::complete(6);
-        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |_| EvenTx);
-        sim.run(10);
+        let mut sim = Simulator::new(g, CollisionMode::Detection, 0, |id| EvenTx(id.index() == 0));
+        for round in 0..10 {
+            let s = sim.step();
+            let expect = if round % 2 == 0 { (5, 0, 0) } else { (0, 0, 6) };
+            assert_eq!((s.deliveries, s.collisions, s.silent), expect, "round {round}");
+        }
     }
 
     // ---- adversarial fault layer ----
@@ -1319,14 +1173,14 @@ mod tests {
         assert_eq!(stats.transmitters, 1);
         assert_eq!(stats.deliveries, 0);
         assert_eq!(stats.erased, 1, "one copy to one neighbor, erased");
-        assert_eq!(sim.node(NodeId::new(1)).seen, vec![Observation::Silence]);
+        assert!(sim.node(NodeId::new(1)).seen.is_empty());
     }
 
     #[test]
     fn jammer_collides_its_neighborhood() {
         // path 0-1-2 with a jammer at node 1 and nobody transmitting: both
         // neighbors observe a collision (with detection) or silence (without);
-        // the host node itself is unaffected.
+        // the host node itself is not called.
         for (mode, expect) in [
             (CollisionMode::Detection, Observation::Collision),
             (CollisionMode::NoDetection, Observation::Silence),
@@ -1340,7 +1194,7 @@ mod tests {
             assert_eq!(stats.collisions, 2);
             assert_eq!(sim.node(NodeId::new(0)).seen, vec![expect.clone()]);
             assert_eq!(sim.node(NodeId::new(2)).seen, vec![expect.clone()]);
-            assert_eq!(sim.node(NodeId::new(1)).seen, vec![Observation::Silence]);
+            assert!(sim.node(NodeId::new(1)).seen.is_empty());
         }
     }
 
@@ -1370,26 +1224,9 @@ mod tests {
 
     #[test]
     fn wake_path_matches_dense_path_under_faults() {
-        // The wake-vs-dense bit-identity must survive every fault class: the
+        // The wake-vs-`DenseWrap` identity must survive every fault class: the
         // idle-gap clamp steps all scheduled fault rounds, and erasure draws
-        // happen only in rounds both paths step.
-        type Trace = Vec<(Vec<u64>, Vec<(u64, Option<u8>)>)>;
-        fn run<const WAKE: bool>(
-            mode: CollisionMode,
-            seed: u64,
-            plan: FaultPlan,
-        ) -> (Trace, RunStats) {
-            let g = generators::cluster_chain(4, 4);
-            let mut sim = Simulator::new_with_faults(g, mode, seed, plan, |id| Periodic::<WAKE> {
-                period: 1 + u64::from(id.raw() % 5) * 3,
-                active: id.index() % 3 != 1,
-                draws: vec![],
-                heard: vec![],
-            });
-            sim.run(300);
-            let stats = sim.stats().clone();
-            (sim.into_nodes().into_iter().map(|n| (n.draws, n.heard)).collect(), stats)
-        }
+        // happen only in rounds both runs step.
         let plans = [
             FaultPlan::none().with_erasure(0.2),
             FaultPlan::none().with_jammer(5, 13, 4),
@@ -1398,11 +1235,10 @@ mod tests {
         ];
         for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
             for plan in &plans {
-                let (dense, ds) = run::<false>(mode, 17, plan.clone());
-                let (wake, ws) = run::<true>(mode, 17, plan.clone());
+                let ((wake, ws), (dense, ds)) = periodic_both_paths(mode, 17, plan);
                 assert_eq!(dense, wake, "trace diverged ({mode:?}, {})", plan.label());
                 // `act_skips`/`idle_fastforward` legitimately differ between
-                // the paths; every semantic field must not.
+                // the runs; every semantic field must not.
                 assert_eq!(
                     (ds.rounds, ds.transmissions, ds.deliveries, ds.collisions),
                     (ws.rounds, ws.transmissions, ws.deliveries, ws.collisions),
@@ -1415,34 +1251,26 @@ mod tests {
                     "fault counters diverged ({mode:?}, {})",
                     plan.label()
                 );
-                assert!(ws.act_skips > 0, "wake path never skipped ({})", plan.label());
+                assert!(ws.act_skips > 0, "hints never skipped ({})", plan.label());
             }
         }
     }
 
     #[test]
     fn jam_rounds_are_stepped_and_rewake_sleepers() {
-        // All nodes idle except the jam schedule: the wake path must step
+        // All nodes idle except the jam schedule: the hinted run must step
         // every jam round (not fast-forward over it), and the induced
-        // collision must re-wake a sleeping Relay exactly as on the dense
-        // path.
-        fn informed<const WAKE: bool>() -> (Vec<Option<u64>>, RunStats) {
-            let g = generators::path(4);
-            let plan = FaultPlan::none().with_jammer(0, 100, 50);
-            let mut sim =
-                Simulator::new_with_faults(
-                    g,
-                    CollisionMode::Detection,
-                    0,
-                    plan,
-                    |_| Relay::<WAKE> { active: false, informed_at: None },
-                );
-            sim.run(500);
-            let stats = sim.stats().clone();
-            (sim.into_nodes().into_iter().map(|n| n.informed_at).collect(), stats)
-        }
-        let (dense, ds) = informed::<false>();
-        let (wake, ws) = informed::<true>();
+        // collision must re-wake a sleeping Relay exactly as under
+        // `DenseWrap`.
+        let ((wake, ws), (dense, ds)) = both_paths(
+            &generators::path(4),
+            CollisionMode::Detection,
+            0,
+            &FaultPlan::none().with_jammer(0, 100, 50),
+            500,
+            |_| Relay::new(false),
+            |n| n.informed_at,
+        );
         assert_eq!(dense, wake);
         assert_eq!(ds.jammed, ws.jammed);
         // The jam at round 50 wakes node 1 (node 0's only neighbor), which

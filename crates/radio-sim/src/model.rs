@@ -1,16 +1,18 @@
 //! The radio channel model: actions, observations and collision semantics.
 //!
 //! In every synchronous round each node chooses an [`Action`]: transmit one
-//! packet or listen. The engine then derives one [`Observation`] per node:
+//! packet or listen. The engine then calls [`crate::Protocol::observe`] with
+//! one [`Observation`] on each listener that something reached:
 //!
 //! | situation (for a listener)           | with CD                    | without CD |
 //! |---------------------------------------|----------------------------|------------|
-//! | no neighbor transmits                 | [`Observation::Silence`]   | `Silence`  |
-//! | exactly one neighbor transmits        | [`Observation::Message`]   | `Message`  |
-//! | two or more neighbors transmit        | [`Observation::Collision`] | `Silence`  |
+//! | no neighbor's packet arrives          | not called                 | not called |
+//! | exactly one arrives                   | [`Observation::Message`]   | `Message`  |
+//! | two or more arrive, or a jam          | [`Observation::Collision`] | [`Observation::Silence`] |
 //!
-//! A transmitter always observes [`Observation::SelfTransmit`]: the model is
-//! half-duplex, so a transmitting node learns nothing about the channel.
+//! A transmitter is not called either: the model is half-duplex, so a
+//! transmitting node learns nothing about the channel. A node that is not
+//! called has observed silence.
 //!
 //! Received packets are handed over as [`Packet`] handles into the engine's
 //! per-round packet store: delivering a transmission to its listeners costs
@@ -123,11 +125,9 @@ pub enum Observation<M> {
     /// Two or more neighbors transmitted (only under
     /// [`CollisionMode::Detection`]).
     Collision,
-    /// No neighbor transmitted — or a collision occurred without collision
-    /// detection.
+    /// Nothing intelligible: a collision without collision detection, which
+    /// a listener cannot tell from a silent neighborhood.
     Silence,
-    /// This node transmitted and therefore sensed nothing.
-    SelfTransmit,
 }
 
 impl<M> Observation<M> {
@@ -226,7 +226,6 @@ mod tests {
         assert_eq!(Observation::packet(5u8).message(), Some(5));
         assert_eq!(Observation::<u8>::Collision.message(), None);
         assert_eq!(Observation::<u8>::Silence.message(), None);
-        assert_eq!(Observation::<u8>::SelfTransmit.message(), None);
     }
 
     #[test]
@@ -234,7 +233,6 @@ mod tests {
         assert!(Observation::packet(0u8).is_signal());
         assert!(Observation::<u8>::Collision.is_signal());
         assert!(!Observation::<u8>::Silence.is_signal());
-        assert!(!Observation::<u8>::SelfTransmit.is_signal());
     }
 
     #[test]

@@ -14,11 +14,11 @@ pub struct RoundStats {
     pub collisions: usize,
     /// Listeners that heard silence.
     pub silent: usize,
-    /// Observe calls skipped by the sparse fast path
-    /// (see `Protocol::SILENCE_IS_NOOP`); 0 on the dense path.
+    /// Nodes not called in `Protocol::observe`: listeners that no
+    /// transmission or jam reached, and transmitters.
     pub observe_skips: usize,
-    /// Act calls skipped by the wake-list fast path
-    /// (see `Protocol::WAKE_HINTS`); 0 on the dense path.
+    /// Nodes not polled in `Protocol::act`: their wake hint
+    /// (`Protocol::next_wake`) was not due.
     pub act_skips: usize,
     /// Packet copies erased by the fault layer (per receiving edge); 0
     /// without a fault plan.
@@ -42,9 +42,11 @@ pub struct RunStats {
     pub deliveries: u64,
     /// Total collision observations (pre-mode mapping).
     pub collisions: u64,
-    /// Total observe calls skipped by the sparse fast path.
+    /// Total nodes not called in `Protocol::observe` (see
+    /// [`RoundStats::observe_skips`]).
     pub observe_skips: u64,
-    /// Total act calls skipped by the wake-list fast path.
+    /// Total nodes not polled in `Protocol::act` (see
+    /// [`RoundStats::act_skips`]).
     pub act_skips: u64,
     /// Fully-idle rounds fast-forwarded in `O(1)` (no `act`/`observe` call at
     /// all; the rounds are still counted in [`RunStats::rounds`] and in the
@@ -92,7 +94,7 @@ impl RunStats {
     }
 
     /// Folds `rounds` fully-idle rounds (of an `n`-node network) into the
-    /// totals in one step — the bulk accounting of the wake-list
+    /// totals in one step — the bulk accounting of the engine's
     /// fast-forward. Every skipped round contributes exactly what stepping it
     /// would have: `n` skipped observes and `n` skipped acts.
     pub fn absorb_idle(&mut self, rounds: u64, n: usize) {

@@ -51,7 +51,7 @@ impl Protocol for Chatter {
         match obs {
             Observation::Message(_) => self.heard.push((round, true)),
             Observation::Collision => self.heard.push((round, false)),
-            Observation::Silence | Observation::SelfTransmit => {}
+            Observation::Silence => {}
         }
     }
 }

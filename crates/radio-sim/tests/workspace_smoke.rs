@@ -34,7 +34,6 @@ impl Protocol for Gossip {
             }
             Observation::Collision => 1,
             Observation::Silence => 2,
-            Observation::SelfTransmit => 3,
         };
         self.digest = self.digest.rotate_left(7) ^ tag ^ round;
     }

@@ -166,11 +166,12 @@ fn status_json(id: u64, sweep: u64, state: &SweepState) -> Json {
     ])
 }
 
-/// Serves requests from `reader` until EOF, answering on `writer`, running
-/// sweeps on `pool`. Returns once intake has ended **and** every in-flight
-/// sweep has drained to its `sweep_done` line. See the module docs for the
-/// wire protocol.
-pub fn serve<R: BufRead, W: Write + Send>(reader: R, writer: W, pool: SweepPool) {
+/// Serves requests from `reader` until EOF (or a failing read), answering
+/// on `writer`, running sweeps on `pool`. A line that is not UTF-8 is
+/// answered as `malformed_json`, like any other unparseable line. Returns
+/// once intake has ended **and** every in-flight sweep has drained to its
+/// `sweep_done` line. See the module docs for the wire protocol.
+pub fn serve<R: BufRead, W: Write + Send>(mut reader: R, writer: W, pool: SweepPool) {
     let writer = Mutex::new(writer);
     // Only the request loop touches the registry; runner threads hold their
     // own `Arc` into it.
@@ -178,15 +179,26 @@ pub fn serve<R: BufRead, W: Write + Send>(reader: R, writer: W, pool: SweepPool)
     let mut next_sweep: u64 = 1;
 
     std::thread::scope(|scope| {
-        for line in reader.lines() {
-            let line = match line {
-                Ok(line) => line,
-                Err(_) => break, // reader died: treat as EOF
-            };
-            if line.trim().is_empty() {
-                continue;
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            match reader.read_until(b'\n', &mut line) {
+                Ok(0) | Err(_) => break, // EOF, or the reader died
+                Ok(_) => {}
             }
-            match parse_request(&line) {
+            // Without its line ending, as `BufRead::lines` yields it, so
+            // parse-error offsets count within the line.
+            let text = std::str::from_utf8(&line).map(|t| t.trim_end_matches(['\n', '\r']));
+            let request = match text {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text),
+                Err(e) => Err(RequestError {
+                    code: "malformed_json",
+                    text: format!("line is not UTF-8: {e}"),
+                    id: None,
+                }),
+            };
+            match request {
                 Err(err) => send(&writer, &err.to_response()),
                 Ok(Request::SubmitSweep { id, product }) => {
                     let sweep = next_sweep;

@@ -5,7 +5,7 @@
 //! interleave under correct handles.
 
 use mini_json::Json;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Cursor, Read, Write};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 use sweep::SweepPool;
@@ -204,20 +204,44 @@ fn seeds_above_i64_max_round_trip_exactly() {
 }
 
 /// A malformed line produces a typed `malformed_json` error and the loop
-/// keeps serving: the very next request round-trips normally.
+/// keeps serving: the very next request round-trips normally. That holds
+/// for a line nested 100,000 levels deep too, which a parser recursing once
+/// per level would answer by overflowing its stack.
 #[test]
 fn malformed_json_is_survivable() {
     let session = Session::start(SweepPool::new().workers(1));
-    session.send("{this is not json");
-    let err = session.recv();
-    assert_eq!(kind(&err), "error");
-    assert_eq!(err.get("code").and_then(Json::as_str), Some("malformed_json"));
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    for line in ["{this is not json", &deep] {
+        session.send(line);
+        let err = session.recv();
+        assert_eq!(kind(&err), "error");
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("malformed_json"));
+    }
 
     session.send(TINY_SUBMIT);
     let ok = session.recv();
     assert_eq!(kind(&ok), "submit_ok");
     let (done, _) = session.recv_until("sweep_done");
     assert_eq!(done.get("completed").and_then(Json::as_u64), Some(6));
+}
+
+/// A line that is not UTF-8 is answered as `malformed_json`, and intake goes
+/// on: the submit after it runs to its `sweep_done`.
+#[test]
+fn non_utf8_line_is_answered_and_intake_continues() {
+    let mut input = b"{\"type\":\"status\",\"id\":1,\"sweep\":\xff}\n".to_vec();
+    input.extend_from_slice(TINY_SUBMIT.as_bytes());
+    input.push(b'\n');
+    let mut out = Vec::new();
+    sweep::serve(Cursor::new(input), &mut out, SweepPool::new().workers(1));
+    let out = String::from_utf8(out).expect("server wrote non-UTF-8");
+    let lines: Vec<Json> = out.lines().map(|l| Json::parse(l).expect("unparseable")).collect();
+    let code = lines.first().and_then(|l| l.get("code")).and_then(Json::as_str);
+    assert_eq!(code, Some("malformed_json"), "{out}");
+    let kinds: Vec<&str> = lines.iter().map(kind).collect();
+    assert_eq!(kinds[1], "submit_ok", "{out}");
+    assert_eq!(kinds[2..8], ["outcome"; 6], "{out}");
+    assert_eq!(kinds[8..], ["sweep_done"], "{out}");
 }
 
 /// Semantic errors are typed too, echo the request id, and never kill the

@@ -1,6 +1,7 @@
-//! A run is a pure function of (graph, protocol, master seed) — and the
-//! engine's wake-list fast path is a faithful replay of the dense sweep:
-//! identical observations, statistics and per-node RNG draws.
+//! A run is a pure function of (graph, protocol, master seed) — and a run
+//! paced by wake hints is a faithful replay of `DenseWrap`, which polls
+//! every node every round: identical observations, statistics and per-node
+//! RNG draws.
 
 use broadcast::adaptive::Pacing;
 use broadcast::decay::{DecayBroadcast, DecayMsg, MmvDecayBroadcast};
@@ -40,9 +41,9 @@ fn multi(spec: TopologySpec, messages: &[BitVec]) -> Scenario {
     )
 }
 
-/// Runs `make`'s protocol through both engine paths (wake-list vs dense
-/// sweep) for `rounds`, returning the per-node extracts and channel stats of
-/// each. Any RNG-draw divergence between the paths shows up as a
+/// Runs `make`'s protocol on its wake hints and under `DenseWrap` for
+/// `rounds`, returning the per-node extracts and channel stats of each. Any
+/// RNG-draw divergence between the paths shows up as a
 /// transmission/observation difference, so equal extracts + stats pin the
 /// full trace.
 fn both_paths<P, S>(
@@ -95,9 +96,9 @@ fn decay_wake_list_equals_dense_across_modes_and_seeds() {
 #[test]
 fn idle_million_node_path_polls_only_the_frontier() {
     // Decay from one end of a 1,000,000-node path: for 300 rounds nearly
-    // every node is uninformed and asleep on the wake path, so the engine
-    // must skip all but the frontier's acts (the dense sweep skips none;
-    // the two paths are pinned equal at small sizes above).
+    // every node is uninformed and asleep, so the engine must skip all but
+    // the frontier's acts (`DenseWrap` skips none; the two are pinned equal
+    // at small sizes above).
     let n = 1_000_000;
     let params = Params::scaled(n);
     let mut sim = Simulator::new(generators::path(n), CollisionMode::NoDetection, 1, |id| {

@@ -105,8 +105,6 @@ struct Pulse {
 
 impl Protocol for Pulse {
     type Msg = u32;
-    const SILENCE_IS_NOOP: bool = true;
-    const WAKE_HINTS: bool = true;
     fn next_wake(&self, _round: u64) -> Wake {
         if self.informed {
             Wake::Now
