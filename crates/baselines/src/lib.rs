@@ -28,7 +28,7 @@ pub mod cr {
 
     use broadcast::Params;
     use radio_sim::model::PacketBits;
-    use radio_sim::{Action, Observation, Protocol};
+    use radio_sim::{Action, Observation, Protocol, Wake};
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -106,6 +106,16 @@ pub mod cr {
             }
         }
 
+        /// Uninformed nodes are inert until a packet arrives; informed nodes
+        /// draw every round (as [`broadcast::decay::DecayBroadcast`] does).
+        fn next_wake(&self, _round: u64) -> Wake {
+            if self.message.is_some() {
+                Wake::Now
+            } else {
+                Wake::Idle
+            }
+        }
+
         fn observe(&mut self, round: u64, obs: Observation<CrMsg>, _rng: &mut SmallRng) {
             if let Observation::Message(m) = obs {
                 if self.message.is_none() {
@@ -122,7 +132,7 @@ pub mod routing {
 
     use broadcast::schedule::{SchedLabels, ScheduleConfig};
     use radio_sim::model::PacketBits;
-    use radio_sim::{Action, Observation, Protocol};
+    use radio_sim::{Action, Observation, Protocol, Wake};
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -209,6 +219,18 @@ pub mod routing {
     impl Protocol for RoutingNode {
         type Msg = PlainMsg;
 
+        /// Sleeps between the node's slow-prompt slot and (for fast
+        /// transmitters) its fast slot, the rounds in which `act` can
+        /// transmit or draw — as the coded schedule's node does.
+        fn next_wake(&self, round: u64) -> Wake {
+            let next = self.cfg.next_act_round(round, self.labels.vdist, &self.labels);
+            if next == round {
+                Wake::Now
+            } else {
+                Wake::At(next)
+            }
+        }
+
         fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<PlainMsg> {
             if round % 2 == 0 {
                 if self.labels.fast_transmitter
@@ -290,7 +312,68 @@ mod tests {
     use broadcast::schedule::{SchedLabels, ScheduleConfig};
     use broadcast::Params;
     use radio_sim::graph::{generators, Traversal};
-    use radio_sim::{CollisionMode, NodeId, Simulator};
+    use radio_sim::{CollisionMode, DenseWrap, Graph, NodeId, Protocol, RunStats, Simulator};
+    use std::fmt::Debug;
+
+    /// Runs `make`'s protocol on `g` with its wake hints and under
+    /// `DenseWrap` (every node polled every round) in both collision modes:
+    /// completion, every node's final state and the channel trace must
+    /// agree, and the hints must have skipped acts.
+    fn assert_wake_matches_dense<P: Protocol + Debug>(
+        g: &Graph,
+        make: impl Fn(NodeId) -> P,
+        done: impl Fn(&P) -> bool,
+    ) {
+        let trace = |s: &RunStats| (s.rounds, s.transmissions, s.deliveries, s.collisions);
+        for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
+            let mut wake = Simulator::new(g.clone(), mode, 3, &make);
+            let mut dense = Simulator::new(g.clone(), mode, 3, |id| DenseWrap(make(id)));
+            let w = wake.run_until(1_000_000, |ns| ns.iter().all(&done));
+            let d = dense.run_until(1_000_000, |ns| ns.iter().all(|n| done(&n.0)));
+            assert!(w.is_some(), "no completion under {mode:?}");
+            assert_eq!(w, d, "completion diverged under {mode:?}");
+            let dense_nodes: Vec<&P> = dense.nodes().iter().map(|n| &n.0).collect();
+            assert_eq!(format!("{:?}", wake.nodes()), format!("{dense_nodes:?}"), "{mode:?}");
+            assert_eq!(trace(wake.stats()), trace(dense.stats()), "trace diverged under {mode:?}");
+            assert!(wake.stats().act_skips > 0, "no act was skipped under {mode:?}");
+        }
+    }
+
+    #[test]
+    fn cr_wake_hints_match_dense() {
+        let g = generators::cluster_chain(6, 5);
+        let d = g.bfs(NodeId::new(0)).max_level();
+        let params = Params::scaled(30);
+        assert_wake_matches_dense(
+            &g,
+            |id| cr::CrBroadcast::new(&params, d, (id.index() == 0).then_some(cr::CrMsg(5))),
+            cr::CrBroadcast::is_informed,
+        );
+    }
+
+    #[test]
+    fn routing_wake_hints_match_dense() {
+        let g = generators::grid(5, 5);
+        let params = Params::scaled(25);
+        let mut rng = radio_sim::rng::stream_rng(9, 0);
+        let (tree, _) =
+            gst::build_gst(&g, &[NodeId::new(0)], &mut rng, &gst::BuildConfig::for_nodes(25));
+        let vd = gst::VirtualDistances::compute(&g, &tree);
+        let cfg = ScheduleConfig::from_params(&params);
+        let payloads: Vec<u64> = (0..6).collect();
+        assert_wake_matches_dense(
+            &g,
+            |id| {
+                let node = routing::RoutingNode::new(cfg, SchedLabels::from_gst(&tree, &vd, id), 6);
+                if id.index() == 0 {
+                    node.with_messages(&payloads)
+                } else {
+                    node
+                }
+            },
+            routing::RoutingNode::is_complete,
+        );
+    }
 
     #[test]
     fn cr_broadcast_completes() {

@@ -600,26 +600,43 @@ pub(crate) fn next_wake<N: RingNode>(node: &N, round: u64) -> Wake {
 }
 
 /// `Protocol::act` of a ring node, under the wake-hint contract check (debug
-/// builds only): a node whose [`next_wake`] hint postponed past `round`, yet
-/// is polled anyway (forced wakes, dense or per-step sweeps), must neither
-/// transmit nor draw from its RNG.
-pub(crate) fn hint_checked_act<N: RingNode>(
+/// builds, and this crate's own unit tests in any build): a node whose
+/// [`next_wake`] hint postponed past `round`, yet is polled anyway (forced
+/// wakes, dense or per-step sweeps), must neither transmit nor draw from its
+/// RNG. In the unit tests it must not change state either, in own phases:
+/// its `Debug` rendering stays the same. (Construction's `sync` advances its
+/// cursor offset on inert acts, and the rendering costs too much for the
+/// integration suites.)
+pub(crate) fn hint_checked_act<N: RingNode + Debug>(
     node: &mut N,
     round: u64,
     rng: &mut SmallRng,
 ) -> Action<Msg<N::OwnMsg>> {
-    let hinted_idle = cfg!(debug_assertions)
+    let hinted_idle = (cfg!(debug_assertions) || cfg!(test))
         && match next_wake(node, round) {
             Wake::Now => false,
             Wake::At(r) => r > round,
             Wake::Idle => true,
         };
-    let before = hinted_idle.then(|| rng.clone());
+    let before = hinted_idle.then(|| {
+        let own_phase = match node.core().step.get() {
+            Step::Work(seg) => matches!(seg.at(round), Some((Phase::Own(_), _))),
+            _ => false,
+        };
+        (rng.clone(), (cfg!(test) && own_phase).then(|| format!("{node:?}")))
+    });
     let action = act_unchecked(node, round, rng);
-    if let Some(before) = before {
+    if let Some((rng_before, state)) = before {
         let id = node.core().id;
-        debug_assert!(!action.is_transmit(), "hinted-idle node {id} transmitted at round {round}");
-        debug_assert!(*rng == before, "hinted-idle node {id} drew from its RNG at round {round}");
+        assert!(!action.is_transmit(), "hinted-idle node {id} transmitted at round {round}");
+        assert!(*rng == rng_before, "hinted-idle node {id} drew from its RNG at round {round}");
+        if let Some(state) = state {
+            assert_eq!(
+                state,
+                format!("{node:?}"),
+                "hinted-idle node {id} changed at round {round}"
+            );
+        }
     }
     action
 }

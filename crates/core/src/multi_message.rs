@@ -297,10 +297,6 @@ pub(crate) struct GhkMultiNode {
     /// The live window's schedule, built per window and harvested at the
     /// window boundary — never more than one alive per node.
     sched: Option<Box<ActiveWindow>>,
-    /// Last dissemination window whose setup (`ensure_window`) ran.
-    window_seen: Option<u32>,
-    /// Last handoff window whose entry harvest ran.
-    handoff_seen: Option<u32>,
     /// `(window, batch)` of FEC reception in progress, harvested at the
     /// first act after that handoff window closes.
     fec_pending: Option<(u32, u32)>,
@@ -395,7 +391,6 @@ impl GhkMultiNode {
     /// Starts (or reuses) the schedule node for window `w`.
     fn ensure_window(&mut self, window: u32) {
         let Some((ring, _)) = self.core.ring else { return };
-        self.window_seen = Some(window);
         if self.sched.as_ref().is_some_and(|a| a.window == window) {
             return;
         }
@@ -526,6 +521,16 @@ impl GhkMultiNode {
         }
     }
 
+    /// Whether a recovery phase's `act` would harvest or decode something:
+    /// a live window schedule, or a full-rank receiver not yet decoded.
+    fn decodes_pending(&self) -> bool {
+        self.sched.is_some()
+            || self
+                .batches
+                .iter()
+                .any(|s| s.decoded.is_none() && s.fec.as_ref().is_some_and(Decoder::can_decode))
+    }
+
     /// Whether this node holds anything a recovery flood could relay or a
     /// pending decoder it must finalize.
     fn holds_any(&self) -> bool {
@@ -553,6 +558,11 @@ impl RingNode for GhkMultiNode {
     }
 
     fn wake(&self, phase: GhkMultiPhase, offset: u64, round: u64) -> Wake {
+        // `flush_fec` harvests a pending FEC reception at the first act
+        // outside its own handoff slot.
+        if self.fec_pending.is_some_and(|(window, _)| phase != GhkMultiPhase::Handoff { window }) {
+            return Wake::Now;
+        }
         match phase {
             GhkMultiPhase::Label => {
                 let Some((ring, _)) = self.core.ring else { return self.core.unringed() };
@@ -565,14 +575,19 @@ impl RingNode for GhkMultiNode {
             }
             GhkMultiPhase::Disseminate { window } => {
                 let Some((ring, _)) = self.core.ring else { return self.core.unringed() };
-                if self.window_seen != Some(window) || self.fec_pending.is_some() {
-                    return Wake::Now; // entry round: setup + pending harvests
-                }
                 let (wait, inner) = slot(ring, offset);
                 match &self.sched {
-                    Some(a) => {
+                    Some(a) if a.window == window => {
                         let next = a.node.next_act_round(inner);
                         wake_at(round, round + wait + 2 * (next - inner))
+                    }
+                    // `ensure_window` harvests another window's schedule, or
+                    // builds this one's (also on a rung-1 replay of a window).
+                    Some(_) => Wake::Now,
+                    None if self.plan().batch_in_window(window, ring).is_some()
+                        && self.sched_labels().is_some() =>
+                    {
+                        Wake::Now
                     }
                     None => Wake::Idle,
                 }
@@ -580,11 +595,8 @@ impl RingNode for GhkMultiNode {
             GhkMultiPhase::Handoff { window } => {
                 let Some((ring, _)) = self.core.ring else { return self.core.unringed() };
                 // `act` harvests a live window schedule before it hands off,
-                // and the harvest can make this node a sender: poll on the
-                // entry round, and while a rung-1 repair's replay of the
-                // window has left a schedule behind (the retried handoff
-                // then has `handoff_seen == Some(window)` already).
-                if self.handoff_seen != Some(window) || self.sched.is_some() {
+                // and the harvest can make this node a sender.
+                if self.sched.is_some() {
                     return Wake::Now;
                 }
                 match self.outbound(window) {
@@ -596,10 +608,12 @@ impl RingNode for GhkMultiNode {
             // right behind them) ever transmit, and in the fallback every
             // holder (and every node with a pending decoder to finalize);
             // everyone else — including ring-less strays — sleeps until a
-            // delivery's observation re-wakes them.
+            // delivery's observation re-wakes them, unless `act` has a
+            // schedule to harvest or a receiver to decode.
             GhkMultiPhase::Regional { window }
                 if self.region(window).is_some_and(|r| r.iter().any(Option::is_some))
-                    && self.holds_any() =>
+                    && self.holds_any()
+                    || self.decodes_pending() =>
             {
                 Wake::Now
             }
@@ -647,7 +661,6 @@ impl RingNode for GhkMultiNode {
             GhkMultiPhase::Handoff { window } => {
                 // Finish the window before handing off.
                 self.harvest_window();
-                self.handoff_seen = Some(window);
                 // 2-slotted by ring parity to keep adjacent handoffs apart.
                 let Some((ring, _)) = self.core.ring else { return Action::Listen };
                 let (0, inner) = slot(ring, offset) else { return Action::Listen };
@@ -1046,8 +1059,6 @@ pub(crate) fn driver<T: Topology>(
             vl: None,
             sched_cache: None,
             sched: None,
-            window_seen: None,
-            handoff_seen: None,
             fec_pending: None,
             audit_acc: SchedAudit::default(),
             batches: (0..plan.batch_count)
@@ -1228,6 +1239,60 @@ mod tests {
             SchedAudit::default(),
             "audit counters lost (window harvests must accumulate them)"
         );
+    }
+
+    /// Theorem 1.3 on `path(12)`: four 32-bit messages in generations of two.
+    fn path_scenario() -> Scenario {
+        let workload =
+            Workload::MultiUnknown { messages: msgs(4), batch: BatchMode::Generations(2) };
+        Scenario::new(TopologySpec::Path { n: 12 }, workload)
+    }
+
+    /// Theorem 1.3 on `grid(5, 5)` without collision detection, where the
+    /// wave leaves part of the grid unlayered, so those nodes get no ring.
+    fn ringless_grid(faults: &FaultPlan, seed: u64) -> Driver<GhkMultiNode, Graph> {
+        let (messages, params) = (msgs(4), Params::scaled(25));
+        let mode = CollisionMode::NoDetection;
+        let batch = BatchMode::Generations(2);
+        let g = generators::grid(5, 5);
+        let mut d = driver(
+            g,
+            NodeId::new(0),
+            &messages,
+            &params,
+            seed,
+            batch,
+            mode,
+            Pacing::Segment,
+            0,
+            faults,
+        );
+        d.drive();
+        d
+    }
+
+    // The next three runs poll hinted-idle nodes in own phases (the
+    // driver's forced wakes): a rung-1 replay of a window, ring-less nodes,
+    // and a rung-2 region. `adaptive::hint_checked_act` checks there that
+    // their `act` leaves them as they were.
+
+    #[test]
+    fn rung_one_replays_keep_the_hint_promise() {
+        let out = path_scenario().faults(FaultPlan::none().with_mobility(0.5, 16)).seed(1).run();
+        assert!(out.stats.ring_repairs > 0, "no rung-1 replay ran");
+        assert!(out.completion_round.is_some());
+    }
+
+    #[test]
+    fn ringless_nodes_keep_the_hint_promise() {
+        let d = ringless_grid(&FaultPlan::none(), 1);
+        assert!(d.sim.nodes().iter().any(|n| n.core.ring.is_none()), "every node has a ring");
+    }
+
+    #[test]
+    fn rung_two_repairs_keep_the_hint_promise() {
+        let d = ringless_grid(&FaultPlan::none().with_erasure(0.1), 0);
+        assert!(d.sim.stats().regional_repairs > 0, "no rung-2 repair ran");
     }
 
     #[test]

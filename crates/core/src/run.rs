@@ -446,12 +446,7 @@ impl Outcome {
 /// One run of a [`SeedMatrix`].
 #[derive(Clone, Debug)]
 pub struct SeedRun {
-    /// Position of this run in the sweep's seed sequence (0-based). The
-    /// canonical sort key of a matrix: a parallel executor that shards the
-    /// sweep tags each run with its serial position, and
-    /// [`SeedMatrix::merge`] restores serial order from it — so a merged
-    /// matrix is identical to the serial sweep regardless of shard count or
-    /// of which worker ran which run.
+    /// Position of this run in the sweep's seed sequence (0-based).
     pub order: u64,
     /// The master seed of this run.
     pub seed: u64,
@@ -461,13 +456,6 @@ pub struct SeedRun {
 
 /// Aggregated outcomes of one scenario swept over a seed range
 /// ([`Scenario::seeds`]) — the shape benches and regression suites consume.
-///
-/// Matrices are **mergeable**: a sweep can be sharded across workers, each
-/// shard folding its own matrix, and [`SeedMatrix::merge`] recombines the
-/// shards into the serial result. Merging is associative and commutative
-/// (runs carry their serial [`SeedRun::order`]), which is what makes a
-/// parallel executor's output independent of worker count and of how the
-/// workers' jobs interleave.
 #[derive(Clone, Debug)]
 pub struct SeedMatrix {
     /// The scenario's label (`topology/workload`).
@@ -477,39 +465,6 @@ pub struct SeedMatrix {
 }
 
 impl SeedMatrix {
-    /// An empty matrix for `label` — the identity of [`SeedMatrix::merge`],
-    /// the starting point of a shard fold.
-    pub fn empty(label: String) -> Self {
-        SeedMatrix { label, runs: Vec::new() }
-    }
-
-    /// Folds another shard of the same sweep into this matrix, restoring
-    /// serial sweep order (ascending [`SeedRun::order`]). Associative and
-    /// commutative: any parenthesization of any shard permutation yields
-    /// the same matrix, so shard-merged results are bit-identical to the
-    /// serial sweep no matter how a parallel executor split the work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the labels differ (merging different scenarios is a bug),
-    /// or if the shards overlap (two runs with the same `order`): shards
-    /// must partition the sweep.
-    pub fn merge(&mut self, other: SeedMatrix) {
-        assert_eq!(self.label, other.label, "SeedMatrix::merge: shards of different scenarios");
-        // A shard holds whichever jobs its worker claimed, interleaved with
-        // the other shards' positions, so sort unconditionally rather than
-        // assume anything about either side.
-        self.runs.extend(other.runs);
-        self.runs.sort_by_key(|r| r.order);
-        for pair in self.runs.windows(2) {
-            assert_ne!(
-                pair[0].order, pair[1].order,
-                "SeedMatrix::merge: overlapping shards (order {} twice) — \
-                 shards must partition the sweep",
-                pair[0].order
-            );
-        }
-    }
     /// Number of runs.
     pub fn len(&self) -> usize {
         self.runs.len()
@@ -839,9 +794,8 @@ impl Scenario {
     /// Takes any seed sequence — a range (`0..64`), an explicit list
     /// (`[3, 1, 4]`, what service requests carry), or any other
     /// `IntoIterator<Item = u64>`. Runs land in iteration order; duplicate
-    /// seeds are allowed here (each is an independent run) but a duplicated
-    /// sweep cannot be sharded, since shards must partition distinct
-    /// [`SeedRun::order`] positions — which `seeds()` always assigns.
+    /// seeds are allowed (each is an independent run at its own
+    /// [`SeedRun::order`]).
     pub fn seeds<I: IntoIterator<Item = u64>>(&self, seeds: I) -> SeedMatrix {
         let prepared = self.prepare();
         let runs = seeds

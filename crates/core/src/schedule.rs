@@ -105,6 +105,18 @@ impl ScheduleConfig {
         let from = from.max(start);
         from + (start % 6 + 6 - from % 6) % 6
     }
+
+    /// The first round `>= from` in which a node with `labels` and slow key
+    /// `d` can transmit or draw from its RNG: its slow-prompt slot, and (for
+    /// fast transmitters) its fast slot.
+    pub fn next_act_round(&self, from: u64, d: u32, labels: &SchedLabels) -> u64 {
+        let slow = self.next_slow_prompt(from, d);
+        if labels.fast_transmitter {
+            slow.min(self.next_fast_slot(from, labels.level, labels.rank))
+        } else {
+            slow
+        }
+    }
 }
 
 /// The GST labels a schedule node needs.
@@ -259,12 +271,7 @@ impl MmvScheduleNode {
             SlowKey::VirtualDistance => self.labels.vdist,
             SlowKey::Level => self.labels.level,
         };
-        let slow = self.cfg.next_slow_prompt(round, key);
-        if self.labels.fast_transmitter {
-            slow.min(self.cfg.next_fast_slot(round, self.labels.level, self.labels.rank))
-        } else {
-            slow
-        }
+        self.cfg.next_act_round(round, key, &self.labels)
     }
 }
 

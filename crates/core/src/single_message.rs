@@ -204,7 +204,13 @@ pub(crate) struct Ghk1Node {
 impl Ghk1Node {
     /// Whether this node holds (or has decoded) the message.
     fn has_message(&self) -> bool {
-        self.message.is_some() || self.sched.as_ref().is_some_and(|s| s.is_complete())
+        self.message.is_some() || self.unharvested()
+    }
+
+    /// Whether the schedule has decoded a message the node has not
+    /// harvested yet (the recovery phases' `act` harvests it).
+    fn unharvested(&self) -> bool {
+        self.message.is_none() && self.sched.as_ref().is_some_and(|s| s.is_complete())
     }
 
     /// The message, once held. A payload the schedule decoded but the node
@@ -388,21 +394,24 @@ impl RingNode for Ghk1Node {
                 if self.core.ring.is_none() {
                     return self.core.unringed();
                 }
-                // Outer-boundary holders sample Decay every round (the
-                // pending-harvest case — schedule decodable but `message`
-                // not yet extracted — is covered by `has_message`).
-                if self.outer_of(ring) && self.has_message() {
+                // Outer-boundary holders sample Decay every round, and any
+                // node harvests a payload its schedule decoded.
+                if self.outer_of(ring) && self.has_message() || self.unharvested() {
                     Wake::Now
                 } else {
                     Wake::Idle
                 }
             }
             // Region holders (in the fallback, every holder) sample Decay
-            // every round; everyone else sleeps until a payload delivery
-            // re-wakes them (adoption happens in `observe`, which marks the
-            // node dirty, so an adopting node starts flooding on its next
-            // round).
-            Ghk1Phase::Regional { ring } if self.in_region(ring) && self.has_message() => Wake::Now,
+            // every round, and any node harvests a decoded payload;
+            // everyone else sleeps until a payload delivery re-wakes them
+            // (adoption happens in `observe`, which marks the node dirty, so
+            // an adopting node starts flooding on its next round).
+            Ghk1Phase::Regional { ring }
+                if self.in_region(ring) && self.has_message() || self.unharvested() =>
+            {
+                Wake::Now
+            }
             Ghk1Phase::Fallback if self.has_message() => Wake::Now,
             Ghk1Phase::Regional { .. } | Ghk1Phase::Fallback => Wake::Idle,
         }

@@ -26,7 +26,7 @@ use crate::construction::GstLabels;
 use crate::decay::DecaySchedule;
 use crate::params::Params;
 use radio_sim::model::PacketBits;
-use radio_sim::{Action, Observation, Protocol};
+use radio_sim::{Action, Observation, Protocol, Wake};
 use rand::rngs::SmallRng;
 
 /// Messages of the labeling protocol.
@@ -162,6 +162,16 @@ impl VirtualLabelNode {
 impl Protocol for VirtualLabelNode {
     type Msg = VlMsg;
 
+    /// Sleeps until [`VirtualLabelNode::next_act_round`]; `act` changes no
+    /// state, and a reception re-labels the node and re-queries the hint.
+    fn next_wake(&self, round: u64) -> Wake {
+        match self.next_act_round(round) {
+            Some(next) if next > round => Wake::At(next),
+            Some(_) => Wake::Now,
+            None => Wake::Idle,
+        }
+    }
+
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<VlMsg> {
         let Some(phase) = self.sched.phase(round) else {
             return Action::Listen;
@@ -281,25 +291,56 @@ mod tests {
     use radio_sim::rng::stream_rng;
     use radio_sim::{CollisionMode, Graph, NodeId, Simulator};
 
-    /// Builds a centralized GST and runs the distributed labeling on it.
-    fn run_labeling(g: &Graph, seed: u64) -> (Vec<Option<u32>>, Gst) {
+    /// Builds a centralized GST on `g` and the labeling schedule and nodes
+    /// over it.
+    fn labeling(g: &Graph, seed: u64) -> (Gst, VlSchedule, impl Fn(NodeId) -> VirtualLabelNode) {
         let mut rng = stream_rng(seed, 2);
         let (gst, _) =
             build_gst(g, &[NodeId::new(0)], &mut rng, &BuildConfig::for_nodes(g.node_count()));
         let params = Params::scaled(g.node_count());
         let sched = VlSchedule::new(&params, gst.max_level());
-        let mut sim = Simulator::new(g.clone(), CollisionMode::NoDetection, seed, |id| {
+        let tree = gst.clone();
+        let make = move |id: NodeId| {
             let labels = GstLabels {
-                level: gst.level(id),
-                rank: gst.rank(id),
-                parent: gst.parent(id).map(|p| p.raw()),
-                parent_rank: gst.parent_rank(id),
-                has_stretch_child: gst.is_fast_transmitter(id),
+                level: tree.level(id),
+                rank: tree.rank(id),
+                parent: tree.parent(id).map(|p| p.raw()),
+                parent_rank: tree.parent_rank(id),
+                has_stretch_child: tree.is_fast_transmitter(id),
             };
             VirtualLabelNode::new(sched, id.raw(), labels)
-        });
+        };
+        (gst, sched, make)
+    }
+
+    /// Builds a centralized GST and runs the distributed labeling on it.
+    fn run_labeling(g: &Graph, seed: u64) -> (Vec<Option<u32>>, Gst) {
+        let (gst, sched, make) = labeling(g, seed);
+        let mut sim = Simulator::new(g.clone(), CollisionMode::NoDetection, seed, make);
         sim.run(sched.total_rounds());
         (sim.nodes().iter().map(|n| n.vdist()).collect(), gst)
+    }
+
+    #[test]
+    fn wake_hints_match_dense() {
+        use radio_sim::DenseWrap;
+        let g = generators::cluster_chain(5, 5);
+        let (_, sched, make) = labeling(&g, 4);
+        for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
+            let mut wake = Simulator::new(g.clone(), mode, 4, &make);
+            let mut dense = Simulator::new(g.clone(), mode, 4, |id| DenseWrap(make(id)));
+            wake.run(sched.total_rounds());
+            dense.run(sched.total_rounds());
+            let dense_nodes: Vec<&VirtualLabelNode> = dense.nodes().iter().map(|n| &n.0).collect();
+            assert_eq!(format!("{:?}", wake.nodes()), format!("{dense_nodes:?}"), "{mode:?}");
+            let (w, d) = (wake.stats(), dense.stats());
+            assert_eq!(
+                (w.transmissions, w.deliveries, w.collisions),
+                (d.transmissions, d.deliveries, d.collisions),
+                "channel trace diverged under {mode:?}"
+            );
+            assert!(w.act_skips > 0, "no act was skipped under {mode:?}");
+        }
     }
 
     fn check(g: &Graph, seed: u64, slack: u32) {

@@ -11,14 +11,16 @@
 //! only the other `workers − 1`.
 //!
 //! Determinism: each job's [`Outcome`] depends only on `(scenario, seed)`,
-//! never on which worker ran it or when; workers fold outcomes into
-//! shard-local [`SeedMatrix`]es tagged with serial positions, and
-//! [`SeedMatrix::merge`] is order-invariant — so the merged result is
-//! bit-identical to [`Scenario::seeds`] run serially, at every worker count
-//! and however the workers' claims interleave. `tests/sweep_parallel.rs`
-//! pins this.
+//! never on which worker ran it or when. Each worker returns the jobs it
+//! ran with their outcomes; the run sorts them by job index and files job
+//! `i` at [`SeedRun::order`] `i % seeds` of scenario `i / seeds`'s matrix —
+//! so the result is [`Scenario::seeds`] run serially, at every worker count
+//! and however the workers' claims interleave.
+//! `tests/sweep_parallel.rs` pins this.
 
 use broadcast::{Outcome, Scenario, SeedMatrix, SeedRun, SweepJob};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The executor's input: a list of scenarios (each already binding a
@@ -83,9 +85,17 @@ pub trait SweepObserver: Sync {
         let _ = (job, scenario, outcome);
     }
 
+    /// Called, in place of [`SweepObserver::outcome`], once per job whose
+    /// run panicked, with the panic's message. The job adds no run to the
+    /// matrices; its worker drops its prepared topology of the scenario and
+    /// keeps claiming jobs. The default re-raises the panic, naming the job.
+    fn failed(&self, job: SweepJob, scenario: &Scenario, reason: &str) {
+        panic!("sweep job {job:?} of {} panicked: {reason}", scenario.label());
+    }
+
     /// Polled between jobs. Returning `true` drains the sweep cleanly:
     /// in-flight jobs finish (and are observed), no new job starts, and
-    /// [`SweepPool::run_observed`] returns the merged partial matrices.
+    /// [`SweepPool::run_observed`] returns the partial matrices.
     fn cancelled(&self) -> bool {
         false
     }
@@ -129,17 +139,18 @@ impl SweepPool {
             .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(1))
     }
 
-    /// Runs the whole product and returns one merged [`SeedMatrix`] per
+    /// Runs the whole product and returns one [`SeedMatrix`] per
     /// scenario (in scenario order), bit-identical to calling
     /// [`Scenario::seeds`] on each scenario serially.
     pub fn run(&self, product: &SweepProduct) -> Vec<SeedMatrix> {
         self.run_observed(product, &())
     }
 
-    /// [`SweepPool::run`] with per-outcome streaming and cancellation —
-    /// what the service's submit loop drives. On cancellation the returned
-    /// matrices hold exactly the jobs that completed (a clean drain, never
-    /// a torn run).
+    /// [`SweepPool::run`] with per-outcome streaming, cancellation and
+    /// failed jobs — what the service's submit loop drives. The returned
+    /// matrices hold exactly the jobs that completed: on cancellation a
+    /// clean drain, never a torn run, and no run for a job that panicked
+    /// (see [`SweepObserver::failed`]).
     pub fn run_observed(
         &self,
         product: &SweepProduct,
@@ -148,48 +159,52 @@ impl SweepPool {
         let workers = self.worker_count().min(product.job_count().max(1));
         let next = AtomicUsize::new(0);
         let work = || run_worker(product, &next, observer);
-        let shards: Vec<Vec<SeedMatrix>> = std::thread::scope(|scope| {
+        let mut done = std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-            let mut shards = vec![work()];
-            shards.extend(helpers.into_iter().map(|h| match h.join() {
-                Ok(shard) => shard,
-                // A worker panicking means a scenario run panicked;
-                // re-raise on the caller rather than return a hole.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }));
-            shards
-        });
-        let mut merged: Vec<SeedMatrix> =
-            product.scenarios.iter().map(|s| SeedMatrix::empty(s.label())).collect();
-        for shard in shards {
-            for (acc, part) in merged.iter_mut().zip(shard) {
-                acc.merge(part);
+            let mut done = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(jobs) => done.extend(jobs),
+                    // A worker panics only when its observer re-raised a
+                    // job's panic (the default `failed`): re-raise it here.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
+            done
+        });
+        // `(scenario, order)` is the job index, `scenario × seeds + order`.
+        done.sort_unstable_by_key(|(job, _)| (job.scenario, job.order));
+        let mut matrices: Vec<SeedMatrix> = product
+            .scenarios
+            .iter()
+            .map(|s| SeedMatrix { label: s.label(), runs: Vec::new() })
+            .collect();
+        for (SweepJob { scenario, order, seed }, outcome) in done {
+            matrices[scenario].runs.push(SeedRun { order, seed, outcome });
         }
-        merged
+        matrices
     }
 }
 
 /// One worker: claim the next job index from the shared cursor until the
-/// cursor passes the last job or the observer cancels. Outcomes fold into
-/// shard-local matrices, one per scenario.
+/// cursor passes the last job or the observer cancels, and return the jobs
+/// it ran with their outcomes.
 fn run_worker(
     product: &SweepProduct,
     next: &AtomicUsize,
     observer: &(impl SweepObserver + ?Sized),
-) -> Vec<SeedMatrix> {
+) -> Vec<(SweepJob, Outcome)> {
     let SweepProduct { scenarios, seeds } = product;
-    let mut shard: Vec<SeedMatrix> =
-        scenarios.iter().map(|s| SeedMatrix::empty(s.label())).collect();
     // Worker-local prepared topologies, built lazily on first use: builds
     // are deterministic, so every worker's copy runs identically; streamed
     // topologies' neighborhood caches are single-threaded by design.
     let mut prepared: Vec<Option<broadcast::PreparedTopology>> = Vec::new();
     prepared.resize_with(scenarios.len(), || None);
+    let mut done = Vec::new();
 
     while !observer.cancelled() {
         // The cursor only hands out distinct indices; it publishes no data
-        // (the product is shared read-only, shards return through `join`).
+        // (the product is shared read-only, outcomes return through `join`).
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= product.job_count() {
             break;
@@ -197,12 +212,32 @@ fn run_worker(
         let order = i % seeds.len();
         let job = SweepJob { scenario: i / seeds.len(), order: order as u64, seed: seeds[order] };
         let scenario = &scenarios[job.scenario];
-        let topo = prepared[job.scenario].get_or_insert_with(|| scenario.prepare());
-        let outcome = scenario.run_seed(topo, job.seed);
-        observer.outcome(job, scenario, &outcome);
-        shard[job.scenario].runs.push(SeedRun { order: job.order, seed: job.seed, outcome });
+        let topo = &mut prepared[job.scenario];
+        // A panic can leave only the prepared topology torn (a streamed
+        // cache mid-update), and that is dropped below.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            scenario.run_seed(topo.get_or_insert_with(|| scenario.prepare()), job.seed)
+        }));
+        match run {
+            Ok(outcome) => {
+                observer.outcome(job, scenario, &outcome);
+                done.push((job, outcome));
+            }
+            Err(payload) => {
+                *topo = None;
+                observer.failed(job, scenario, panic_text(&*payload));
+            }
+        }
     }
-    shard
+    done
+}
+
+/// The message of a caught panic (`panic!` payloads are `&str` or `String`).
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => text,
+        None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
+    }
 }
 
 #[cfg(test)]
@@ -302,11 +337,51 @@ mod tests {
         let ran = out[0].len();
         assert!(ran < 64, "cancellation never took effect");
         assert_eq!(ran, obs.seen.load(std::sync::atomic::Ordering::SeqCst));
-        // The partial matrix is still a clean merge: orders strictly
+        // The partial matrix is still in serial order: orders strictly
         // ascending, every run complete.
         for pair in out[0].runs.windows(2) {
             assert!(pair[0].order < pair[1].order);
         }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        use broadcast::{EmptyBehavior, SlowKey};
+        use radio_sim::Graph;
+        use rlnc::gf2::BitVec;
+        use std::sync::Mutex;
+        struct Failures(Mutex<Vec<(SweepJob, String)>>);
+        impl SweepObserver for Failures {
+            fn failed(&self, job: SweepJob, _: &Scenario, reason: &str) {
+                self.0.lock().expect("failure list poisoned").push((job, reason.to_string()));
+            }
+        }
+        // Two components: the spec passes `validate()`, but the GST of the
+        // known-topology run cannot reach nodes 2 and 3.
+        let split = Graph::from_edges(4, [(0, 1), (2, 3)]).expect("valid edges");
+        let workload = Workload::MultiKnown {
+            messages: vec![BitVec::from_u64(5, 8)],
+            slow_key: SlowKey::VirtualDistance,
+            empty: EmptyBehavior::Silent,
+        };
+        let broken = Scenario::new(TopologySpec::custom(split), workload);
+        assert_eq!(broken.validate(), Ok(()));
+        let product = SweepProduct::new().scenario(decay_path(8)).scenario(broken).seeds(0..4);
+        let failures = Failures(Mutex::new(Vec::new()));
+        let out = SweepPool::new().workers(2).run_observed(&product, &failures);
+        assert_identical(&out[..1], &[decay_path(8).seeds(0..4)]);
+        assert!(out[1].is_empty(), "a panicked job left a run behind");
+        let mut failures = failures.0.into_inner().expect("failure list poisoned");
+        failures.sort_by_key(|(job, _)| job.order);
+        let orders: Vec<u64> = failures.iter().map(|(job, _)| job.order).collect();
+        assert_eq!(orders, [0, 1, 2, 3]);
+        for (job, reason) in &failures {
+            assert_eq!((job.scenario, job.seed), (1, job.order));
+            assert!(reason.contains("every node must be reachable from the root set"), "{reason}");
+        }
+        // Without an observer that takes failures, the sweep still panics.
+        let run = catch_unwind(|| SweepPool::new().workers(2).run(&product));
+        assert!(run.is_err(), "the default observer swallowed a panic");
     }
 
     #[test]

@@ -9,16 +9,18 @@
 //!   ([`SweepPool`]) that fans a
 //!   `(TopologySpec × Params × Workload × FaultPlan) × seeds` product
 //!   ([`SweepProduct`]) out as independent `Scenario` runs, one job at a
-//!   time from a shared cursor, with the calling thread as worker 0. Each
-//!   worker folds its outcomes into shard-local [`SeedMatrix`]es;
-//!   [`SeedMatrix::merge`] recombines the shards into a result
-//!   **bit-identical to the serial sweep** regardless of worker count or
-//!   which worker ran which job.
+//!   time from a shared cursor, with the calling thread as worker 0. Job
+//!   `i` is scenario `i / seeds` at serial position `i % seeds`; the pool
+//!   sorts the finished jobs by that index into one [`SeedMatrix`] per
+//!   scenario, **bit-identical to the serial sweep** regardless of worker
+//!   count or which worker ran which job. A job that panics fails alone
+//!   ([`SweepObserver::failed`]).
 //! * **Layer 2 — [`service`]:** a long-running line-oriented JSON
 //!   request/response loop over any reader/writer pair (stdin/stdout in
 //!   production) in the maelstrom style: tagged requests
 //!   (`submit_sweep`, `status`, `cancel`, `results`), streamed per-outcome
-//!   response lines, and a final merged-matrix summary per sweep. The wire
+//!   response lines (an `error` line of code `job_panicked` for a job
+//!   that panicked), and a final matrix summary per sweep. The wire
 //!   format is hand-rolled over the vendored `mini_json` (the build image
 //!   is offline — no serde).
 //!

@@ -16,15 +16,21 @@
 //!   completion_round, cap, rounds, deliveries, collisions}` — one per
 //!   finished job, in completion order, which interleaves the workers'
 //!   jobs (`order` is the serial position).
+//! * `error {code: "job_panicked", sweep, scenario, order, seed, text}` —
+//!   in place of the `outcome` line of a job whose run panicked (`text` is
+//!   the panic message); the sweep goes on without it.
 //! * `sweep_done {sweep, cancelled, completed, total, summary}` — the end
-//!   of a sweep's stream; `summary` holds one merged-matrix digest per
-//!   scenario, computed from the shard-merged [`SeedMatrix`]es (so its
-//!   aggregates are exactly the serial sweep's).
+//!   of a sweep's stream; `completed` counts its `outcome` lines, `total`
+//!   its jobs, and `summary` holds one matrix digest per scenario, computed
+//!   from the pool's [`SeedMatrix`]es (so its aggregates are exactly the
+//!   serial sweep's over the jobs that completed).
 //! * `status_ok {id, sweep, total, completed, done, cancelled}`,
 //!   `cancel_ok {id, sweep}`, `results_ok {id, sweep, summary}` — control
 //!   answers.
 //! * `error {id?, code, text}` — see [`crate::protocol`]; the loop never
-//!   dies on a bad line.
+//!   dies on a bad line. A line longer than 1 MiB (1,048,576 bytes) is
+//!   answered `malformed_json` unread: the server skips to its newline and
+//!   reads on, so no line holds more than that in memory.
 //!
 //! EOF on the reader ends intake; in-flight sweeps drain to their
 //! `sweep_done` lines before [`serve`] returns (the scope join).
@@ -34,7 +40,7 @@ use crate::protocol::{parse_request, Request, RequestError};
 use broadcast::{Outcome, Scenario, SeedMatrix, SweepJob};
 use mini_json::Json;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -86,6 +92,21 @@ impl<W: Write + Send> SweepObserver for StreamObserver<'_, W> {
         send(self.writer, &outcome_json(self.sweep, job, scenario, outcome));
     }
 
+    fn failed(&self, job: SweepJob, _: &Scenario, reason: &str) {
+        send(
+            self.writer,
+            &Json::obj([
+                ("type", Json::from("error")),
+                ("code", Json::from("job_panicked")),
+                ("sweep", Json::from(self.sweep)),
+                ("scenario", Json::from(job.scenario)),
+                ("order", Json::from(job.order)),
+                ("seed", Json::from(job.seed)),
+                ("text", Json::from(reason)),
+            ]),
+        );
+    }
+
     fn cancelled(&self) -> bool {
         self.state.cancel.load(Ordering::SeqCst)
     }
@@ -109,7 +130,7 @@ fn outcome_json(sweep: u64, job: SweepJob, scenario: &Scenario, outcome: &Outcom
     ])
 }
 
-/// One merged-matrix digest of the final summary (one per scenario).
+/// One matrix digest of the final summary (one per scenario).
 fn matrix_json(matrix: &SeedMatrix) -> Json {
     Json::obj([
         ("label", Json::from(matrix.label.clone())),
@@ -166,11 +187,36 @@ fn status_json(id: u64, sweep: u64, state: &SweepState) -> Json {
     ])
 }
 
+/// The longest request line [`serve`] reads, in bytes without its newline:
+/// about 50,000 explicit 20-digit seeds (longer sweeps use `seed_range`).
+const MAX_LINE: usize = 1 << 20;
+
+/// Discards the rest of an over-long line, through its newline.
+fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(()); // EOF
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(newline) => {
+                reader.consume(newline + 1);
+                return Ok(());
+            }
+            None => {
+                let len = buf.len();
+                reader.consume(len);
+            }
+        }
+    }
+}
+
 /// Serves requests from `reader` until EOF (or a failing read), answering
-/// on `writer`, running sweeps on `pool`. A line that is not UTF-8 is
-/// answered as `malformed_json`, like any other unparseable line. Returns
-/// once intake has ended **and** every in-flight sweep has drained to its
-/// `sweep_done` line. See the module docs for the wire protocol.
+/// on `writer`, running sweeps on `pool`. A line that is not UTF-8 or is
+/// longer than 1 MiB is answered as `malformed_json`, like any other
+/// unparseable line. Returns once intake has ended **and** every in-flight
+/// sweep has drained to its `sweep_done` line. See the module docs for the
+/// wire protocol.
 pub fn serve<R: BufRead, W: Write + Send>(mut reader: R, writer: W, pool: SweepPool) {
     let writer = Mutex::new(writer);
     // Only the request loop touches the registry; runner threads hold their
@@ -182,21 +228,31 @@ pub fn serve<R: BufRead, W: Write + Send>(mut reader: R, writer: W, pool: SweepP
         let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_until(b'\n', &mut line) {
+            match reader.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => break, // EOF, or the reader died
                 Ok(_) => {}
             }
-            // Without its line ending, as `BufRead::lines` yields it, so
-            // parse-error offsets count within the line.
-            let text = std::str::from_utf8(&line).map(|t| t.trim_end_matches(['\n', '\r']));
-            let request = match text {
-                Ok(text) if text.trim().is_empty() => continue,
-                Ok(text) => parse_request(text),
-                Err(e) => Err(RequestError {
+            let request = if line.len() > MAX_LINE && line.last() != Some(&b'\n') {
+                if skip_line(&mut reader).is_err() {
+                    break;
+                }
+                Err(RequestError {
                     code: "malformed_json",
-                    text: format!("line is not UTF-8: {e}"),
+                    text: format!("request line longer than {MAX_LINE} bytes"),
                     id: None,
-                }),
+                })
+            } else {
+                // Without its line ending, as `BufRead::lines` yields it, so
+                // parse-error offsets count within the line.
+                match std::str::from_utf8(&line).map(|t| t.trim_end_matches(['\n', '\r'])) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => parse_request(text),
+                    Err(e) => Err(RequestError {
+                        code: "malformed_json",
+                        text: format!("line is not UTF-8: {e}"),
+                        id: None,
+                    }),
+                }
             };
             match request {
                 Err(err) => send(&writer, &err.to_response()),
@@ -277,4 +333,30 @@ fn unknown_sweep(id: u64, sweep: u64) -> Json {
         id: Some(id),
     }
     .to_response()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use broadcast::{Algo, TopologySpec, Workload};
+
+    #[test]
+    fn a_panicked_job_is_answered_job_panicked() {
+        let state = SweepState::new(4);
+        let writer = Mutex::new(Vec::new());
+        let observer = StreamObserver { sweep: 3, state: &state, writer: &writer };
+        let scenario = Scenario::new(
+            TopologySpec::Path { n: 4 },
+            Workload::Baseline(Algo::Decay { payload: 1 }),
+        );
+        observer.failed(SweepJob { scenario: 1, order: 2, seed: 7 }, &scenario, "it \"broke\"");
+        let line = String::from_utf8(writer.into_inner().expect("writer poisoned")).expect("UTF-8");
+        assert_eq!(
+            line,
+            r#"{"type":"error","code":"job_panicked","sweep":3,"scenario":1,"order":2,"seed":7,"text":"it \"broke\""}"#
+                .to_string()
+                + "\n"
+        );
+        assert_eq!(state.completed.load(Ordering::SeqCst), 0, "a failed job is not completed");
+    }
 }

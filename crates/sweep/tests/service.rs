@@ -225,11 +225,12 @@ fn malformed_json_is_survivable() {
     assert_eq!(done.get("completed").and_then(Json::as_u64), Some(6));
 }
 
-/// A line that is not UTF-8 is answered as `malformed_json`, and intake goes
-/// on: the submit after it runs to its `sweep_done`.
-#[test]
-fn non_utf8_line_is_answered_and_intake_continues() {
-    let mut input = b"{\"type\":\"status\",\"id\":1,\"sweep\":\xff}\n".to_vec();
+/// Serves `bad_line` and then [`TINY_SUBMIT`], and checks that the first is
+/// answered `malformed_json` and intake goes on: the submit runs to its
+/// `sweep_done`. Returns the error's text.
+fn malformed_then_submit(bad_line: &[u8]) -> String {
+    let mut input = bad_line.to_vec();
+    input.push(b'\n');
     input.extend_from_slice(TINY_SUBMIT.as_bytes());
     input.push(b'\n');
     let mut out = Vec::new();
@@ -242,6 +243,27 @@ fn non_utf8_line_is_answered_and_intake_continues() {
     assert_eq!(kinds[1], "submit_ok", "{out}");
     assert_eq!(kinds[2..8], ["outcome"; 6], "{out}");
     assert_eq!(kinds[8..], ["sweep_done"], "{out}");
+    lines[0].get("text").and_then(Json::as_str).expect("error without text").to_string()
+}
+
+/// A line that is not UTF-8 is answered as `malformed_json`, and intake goes
+/// on.
+#[test]
+fn non_utf8_line_is_answered_and_intake_continues() {
+    let text = malformed_then_submit(b"{\"type\":\"status\",\"id\":1,\"sweep\":\xff}");
+    assert!(text.contains("not UTF-8"), "{text}");
+}
+
+/// A line longer than 1 MiB is answered as `malformed_json` without being
+/// read whole, and intake goes on after its newline. The line is a
+/// well-formed `status` request padded with spaces, which a server that
+/// read it whole would answer with `unknown sweep handle`.
+#[test]
+fn over_long_line_is_answered_and_intake_continues() {
+    let mut line = br#"{"type":"status","id":1,"sweep":1}"#.to_vec();
+    line.resize(line.len() + (1 << 20), b' ');
+    let text = malformed_then_submit(&line);
+    assert_eq!(text, "request line longer than 1048576 bytes");
 }
 
 /// Semantic errors are typed too, echo the request id, and never kill the

@@ -1,8 +1,9 @@
 //! Seed sweep: declarative scenarios, aggregated over a seed range — now
 //! fanned out on the [`sweep::SweepPool`]. One `SweepProduct`
-//! carries every scenario; the pool shards the jobs across workers and
-//! merges the shard matrices back into exactly the serial `SeedMatrix`es
-//! (the example asserts that, recomputing one sweep serially).
+//! carries every scenario; the pool's workers claim its jobs one at a time,
+//! and the pool files each finished job by its index into exactly the
+//! serial `SeedMatrix`es (the example asserts that, recomputing one sweep
+//! serially).
 //!
 //! ```sh
 //! cargo run --release --example seed_sweep             # machine-sized pool
@@ -78,7 +79,7 @@ fn main() {
     assert!(lossy.label.ends_with("+erase(0.05)"), "fault label drifted: {}", lossy.label);
     assert!(lossy.all_completed(), "lossy Decay failed on seeds {:?}", lossy.failures());
 
-    // The executor's contract, checked live: the shard-merged GHK matrix is
+    // The executor's contract, checked live: the pool's GHK matrix is
     // bit-identical to the serial sweep (full Debug equality).
     let serial = scenarios[0].seeds(0..5);
     assert_eq!(format!("{ghk:?}"), format!("{serial:?}"), "parallel sweep diverged from serial");

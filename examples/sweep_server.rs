@@ -75,7 +75,7 @@ fn main() {
     assert_eq!(done.len(), 1, "the sweep must drain to exactly one sweep_done");
     assert_eq!(done[0].get("cancelled").and_then(Json::as_bool), Some(false));
     let summary = done[0].get("summary").and_then(Json::as_arr).expect("no summary");
-    assert_eq!(summary.len(), 2, "one merged-matrix digest per scenario");
+    assert_eq!(summary.len(), 2, "one matrix digest per scenario");
     for digest in summary {
         assert_eq!(digest.get("runs").and_then(Json::as_u64), Some(4));
         assert_eq!(digest.get("failures").and_then(Json::as_arr), Some(&[][..]));

@@ -1,7 +1,7 @@
 //! Acceptance pin for the sharded sweep executor: a parallel corridor seed
 //! sweep is **bit-identical** to the serial sweep at every worker count.
 //!
-//! "Bit-identical" is checked as full `Debug` equality of the merged
+//! "Bit-identical" is checked as full `Debug` equality of the pool's
 //! [`SeedMatrix`]es — the debug string covers every field of every
 //! [`broadcast::Outcome`] transitively (completion round, cap, per-phase
 //! rounds, channel stats, audit counters, peak state, detail), so a single
@@ -40,7 +40,7 @@ fn corridor_sweep_is_bit_identical_across_worker_counts() {
 }
 
 /// Multi-scenario products (including a faulted scenario, whose fault RNG
-/// streams are part of the outcome) shard and merge identically too.
+/// streams are part of the outcome) come out identical too.
 #[test]
 fn mixed_product_with_faults_is_bit_identical() {
     let faulted = corridor().faults(FaultPlan::none().with_erasure(0.1));
