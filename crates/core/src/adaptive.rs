@@ -691,9 +691,9 @@ pub enum WindowEnd {
     /// The status probe quiesced (or the run completed): the phase's work is
     /// done and the cursor may advance.
     Quiesced,
-    /// The budget ran out with the probe still busy. Under faults this is a
-    /// *failed handoff* — the confirmation the driver was waiting for never
-    /// came — and triggers the retry-with-backoff path.
+    /// The budget ran out with the probe still busy. On a handoff window
+    /// this is a *failed handoff* — the confirmation the driver was waiting
+    /// for never came — and triggers the retry-with-backoff path.
     Exhausted,
 }
 
@@ -729,8 +729,8 @@ pub const HANDOFF_RETRIES: u32 = 1;
 /// previous one having been attempted at least once in the run, so the
 /// recovery counters (`ring_repairs`, `regional_repairs`, `fallback_rounds`
 /// in `RunStats`) are monotone — a nonzero rung-3 count implies nonzero
-/// rung-2 and rung-1 counts. Like every recovery path it is armed only under
-/// a declared fault plan; `FaultPlan::none()` runs never touch it.
+/// rung-2 and rung-1 counts. It is armed on every run, faulted or not; a run
+/// that completes without a handoff running out never touches it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Ladder {
     ring_attempted: bool,
@@ -1052,9 +1052,9 @@ pub(crate) trait Pipeline: RingNode + Protocol {
 /// cursor, advances phases on status-round quiescence, and hard-caps the run
 /// at the plan's worst-case round count.
 ///
-/// The recovery paths — status voting, the handoff retry and the staged
-/// ladder — are armed exactly when the simulator carries a fault plan, so
-/// `FaultPlan::none()` runs stay bit-identical by construction.
+/// One failure rule holds for every run, faulted or not: a handoff window
+/// that runs out is retried and then repaired on the staged ladder, and a
+/// run that ends incomplete climbs the ladder to its last rung.
 pub(crate) struct Driver<N: Pipeline, T: Topology> {
     /// The simulator the pipeline runs on.
     pub(crate) sim: Simulator<N, T>,
@@ -1323,9 +1323,9 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
     }
 
     /// A handoff window with retry-and-backoff. A window that exhausts its
-    /// budget while the probe still beeps is a *failed* handoff: on a
-    /// faulted run it is re-published with a doubled budget (drawn from the
-    /// worst-case pool) instead of advancing the cursor into a dead phase.
+    /// budget while the probe still beeps is a *failed* handoff: it is
+    /// re-published with a doubled budget (drawn from the worst-case pool)
+    /// instead of advancing the cursor into a dead phase.
     /// Once retries run out the driver climbs rungs 1–2 of the recovery
     /// [`Ladder`] for sequence index `at`. Once the ladder has fired, the
     /// channel has proven persistently degraded, so later failed handoffs
@@ -1346,7 +1346,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
         let mut attempt = 0u32;
         loop {
             let end = self.window(budget, probe, probe_first, phase, |p| &mut p.handoff);
-            if end == WindowEnd::Quiesced || !self.sim.has_faults() {
+            if end == WindowEnd::Quiesced {
                 return true;
             }
             if attempt < max_retries {
@@ -1382,7 +1382,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
         N::regional_repair(self, at)
     }
 
-    /// Staged-ladder epilogue: a faulted run that ends incomplete climbs any
+    /// Staged-ladder epilogue: a run that ends incomplete climbs any
     /// rung it has not yet attempted — anchored at `frontier` — before the
     /// last resort. Rung 3, the no-knowledge Decay fallback (the
     /// Czumaj–Davies regime), is reached only after rungs 1–2 both fired and
@@ -1393,7 +1393,7 @@ impl<N: Pipeline, T: Topology> Driver<N, T> {
     /// phase, so only the reception-gated completion scan (or the cap) ends
     /// it.
     fn recover(&mut self, frontier: u32) {
-        if !self.sim.has_faults() || self.done() {
+        if self.done() {
             return;
         }
         if !self.ladder.ring_attempted() {

@@ -153,18 +153,18 @@ pub(crate) enum GhkMultiPhase {
         /// Window index.
         window: u32,
     },
-    /// Rung-2 regional re-dissemination (faulted runs only): holders in the
-    /// rings feeding window `w` (and the ring just behind them) flood coded
-    /// packets for the window's batches on the Decay schedule, covering
-    /// churn/mobility that moved the frontier across ring boundaries.
+    /// Rung-2 regional re-dissemination: holders in the rings feeding window
+    /// `w` (and the ring just behind them) flood coded packets for the
+    /// window's batches on the Decay schedule, covering churn/mobility that
+    /// moved the frontier across ring boundaries.
     Regional {
         /// The failed window index.
         window: u32,
     },
-    /// No-knowledge Decay fallback (faulted runs only): every holder floods
-    /// coded packets for one held batch on the Decay schedule, ignoring ring
-    /// and window bookkeeping, so nodes the faults stranded outside the
-    /// pipeline still decode.
+    /// No-knowledge Decay fallback (rung 3): every holder floods coded
+    /// packets for one held batch on the Decay schedule, ignoring ring and
+    /// window bookkeeping, so nodes the pipeline stranded (by faults or a
+    /// rank stall) still decode.
     Fallback,
 }
 

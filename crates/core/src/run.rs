@@ -351,10 +351,11 @@ pub struct Phases {
     pub disseminate: u64,
     /// Inter-ring handoff work rounds.
     pub handoff: u64,
-    /// Recovery-ladder work rounds (rung-1 ring-local repair and rung-2
-    /// regional re-dissemination; faulted adaptive runs only).
+    /// Recovery-ladder work rounds of the adaptive pipelines (rung-1
+    /// ring-local repair and rung-2 regional re-dissemination).
     pub repair: u64,
-    /// No-knowledge Decay fallback rounds (faulted adaptive runs only).
+    /// No-knowledge Decay fallback rounds (rung 3 of the adaptive
+    /// pipelines' ladder).
     pub fallback: u64,
     /// Status-beep rounds of the adaptive drivers.
     pub status: u64,
@@ -384,8 +385,7 @@ pub enum Detail {
         /// Nodes that used the construction fallback.
         fallbacks: usize,
         /// Round the rung-3 recovery fallback armed, if the ladder got
-        /// that far (`None` on clean runs and runs the earlier rungs
-        /// repaired).
+        /// that far (`None` on runs that completed before it).
         fallback_entry: Option<u64>,
     },
     /// Theorem 1.2 extras.

@@ -649,11 +649,6 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         &mut self.stats
     }
 
-    /// Whether a non-empty [`FaultPlan`] is installed on this simulator.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// All node states, indexed by node id.
     pub fn nodes(&self) -> &[P] {
         &self.nodes
