@@ -1,8 +1,11 @@
-//! Micro-benchmarks: GF(2) kernels and simulator round throughput.
+//! Micro-benchmarks: GF(2) kernels, simulator round throughput and streamed
+//! unit-disk neighborhood queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use radio_sim::graph::generators;
-use radio_sim::{Action, CollisionMode, Observation, Protocol, Simulator};
+use radio_sim::{
+    Action, CollisionMode, ImplicitGraph, NodeId, Observation, Protocol, Simulator, Topology,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rlnc::gf2::BitVec;
@@ -59,12 +62,33 @@ fn engine_benches(c: &mut Criterion) {
     });
 }
 
+/// One streamed unit-disk query that misses the neighborhood cache, at the
+/// benchmark disk's mean degree (~57) and at the million-node run's (~452).
+/// Each iteration queries the next node id, cycling over all of them: the
+/// cache is direct-mapped by id and has fewer slots than nodes, so the node
+/// in a slot is always a different one by the time its id comes round.
+fn neighborhood_benches(c: &mut Criterion) {
+    for (id, n, radius) in [
+        ("stream_disk_miss_20k_deg57", 20_000, 0.03),
+        ("stream_disk_miss_5k_deg452", 5_000, 0.1696),
+    ] {
+        let disk = ImplicitGraph::unit_disk(n, radius, 2026);
+        let mut v = 0;
+        c.bench_function(id, |bench| {
+            bench.iter(|| {
+                v = (v + 1) % n;
+                disk.with_neighbors(NodeId::new(v), <[NodeId]>::len)
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = gf2_benches, engine_benches
+    targets = gf2_benches, engine_benches, neighborhood_benches
 }
 criterion_main!(benches);

@@ -7,7 +7,10 @@
 //! * **erasure** — every transmitted packet copy is erased independently per
 //!   receiving edge with probability `p` (a per-edge Bernoulli channel; an
 //!   erased copy contributes neither a delivery nor a collision at that
-//!   receiver);
+//!   receiver). One stream draws the coins in transmit-list order, and within
+//!   a transmission in ascending receiver id: the engine sorts a copy of any
+//!   neighborhood its topology lists in another order, so a coin falls on the
+//!   same edge over a streamed topology and over its materialization;
 //! * **jamming** — designated [`Jammer`] nodes host a co-located interferer
 //!   that injects energy on a fixed schedule: every neighbor of an active
 //!   jammer sees two extra virtual transmitters that round, so its channel

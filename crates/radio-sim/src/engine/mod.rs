@@ -111,8 +111,9 @@ impl<P: Protocol> Protocol for DenseWrap<P> {
 /// materialized CSR graph exactly as before, while `T = ImplicitGraph`
 /// streams neighborhoods on demand so million-node runs never hold `O(m)`
 /// adjacency in memory. The executed round sequence, statistics and RNG
-/// streams depend only on the neighborhoods a topology reports, so a
-/// streamed run is bit-identical to the same run over its materialization.
+/// streams depend only on the neighborhoods a topology reports, as sets (not
+/// on the order it lists them in), so a streamed run is bit-identical to the
+/// same run over its materialization.
 ///
 /// See the [crate docs](crate) for the model and a complete example.
 pub struct Simulator<P: Protocol, T: Topology = Graph> {
@@ -131,6 +132,10 @@ pub struct Simulator<P: Protocol, T: Topology = Graph> {
     txs: Vec<(NodeId, Packet<P::Msg>)>,
     /// Nodes whose channel counter was touched this round.
     touched: Vec<u32>,
+    /// An unsorted neighborhood copied and sorted by id (scratch), so that
+    /// erasure draws its coins in ascending receiver order on every
+    /// topology.
+    by_id: Vec<NodeId>,
     /// Per-node scheduled wake round; `WAKE_IDLE` while unscheduled.
     wake_at: Vec<u64>,
     /// Near wake-queue: a timer wheel of [`WHEEL`] slots whose buckets are
@@ -226,6 +231,7 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             transmitted: vec![false; n],
             txs: Vec::new(),
             touched: Vec::new(),
+            by_id: Vec::new(),
             wake_at: vec![WAKE_IDLE; n],
             wheel: (0..WHEEL).map(|_| Vec::new()).collect(),
             far_wakes: BTreeMap::new(),
@@ -444,7 +450,8 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         // touching its RNG or state.
         self.drain_wakeable(round);
         // Index order keeps the transmit list, and with it the erasure draw
-        // order, independent of how the wake queue was filled.
+        // order (transmit list x ascending receiver id), independent of how
+        // the wake queue was filled.
         self.awake.sort_unstable();
         for idx in 0..self.awake.len() {
             let i = self.awake[idx] as usize;
@@ -462,7 +469,10 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         // With erasure enabled, each packet copy is dropped independently per
         // receiving edge before it can contribute a delivery or a collision;
         // the Bernoulli draws come from the dedicated erasure stream in a
-        // fixed order (transmit list x adjacency).
+        // fixed order (transmit list x ascending receiver id). Counting is
+        // order-free, so only erasure reads a neighborhood in id order: one
+        // that is already ascending (CSR graphs, streamed grids and Gnp) is
+        // used in place, any other is sorted into `by_id` first.
         self.touched.clear();
         let mut erased = 0usize;
         let mut jammed = 0usize;
@@ -475,12 +485,21 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
             let tx_count = &mut self.tx_count;
             let tx_from = &mut self.tx_from;
             let touched = &mut self.touched;
+            let by_id = &mut self.by_id;
             let mut erasure: Option<(f64, &mut SmallRng)> = match self.faults.as_mut() {
                 Some(f) => f.plan.erasure.map(|p| (p, &mut f.erasure_rng)),
                 None => None,
             };
             for (t_idx, (sender, _)) in txs.iter().enumerate() {
                 graph.with_neighbors(*sender, |nbrs| {
+                    let nbrs = if erasure.is_some() && !nbrs.is_sorted() {
+                        by_id.clear();
+                        by_id.extend_from_slice(nbrs);
+                        by_id.sort_unstable();
+                        by_id.as_slice()
+                    } else {
+                        nbrs
+                    };
                     for &v in nbrs {
                         if let Some((p, rng)) = erasure.as_mut() {
                             if rng.gen_bool(*p) {

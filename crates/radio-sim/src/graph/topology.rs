@@ -20,16 +20,19 @@ use std::sync::Arc;
 
 /// A network topology the round engine can simulate.
 ///
-/// The contract mirrors [`Graph`]: nodes are `0..node_count()`, the
-/// neighborhood of `v` is sorted by id, free of duplicates and self-loops,
-/// and symmetric (`u ∈ N(v)` iff `v ∈ N(u)`). Implementations must be
-/// deterministic: the same topology value always reports the same
-/// neighborhoods, so simulation runs stay reproducible bit-for-bit.
+/// Nodes are `0..node_count()`, and the neighborhood of `v` is a set: free
+/// of duplicates and self-loops, and symmetric (`u ∈ N(v)` iff
+/// `v ∈ N(u)`). Its order is unspecified ([`Graph`]'s CSR lists are
+/// ascending; a streamed unit disk lists cells in scan order), but
+/// implementations must be deterministic: the same topology value always
+/// reports the same neighborhoods in the same order, so simulation runs stay
+/// reproducible bit-for-bit.
 pub trait Topology {
     /// Number of nodes.
     fn node_count(&self) -> usize;
 
-    /// Calls `f` with the sorted neighborhood of `v` and returns its result.
+    /// Calls `f` with the neighborhood of `v`, in this topology's
+    /// deterministic order, and returns its result.
     ///
     /// # Panics
     ///

@@ -4,20 +4,24 @@
 //!
 //! * streamed neighborhoods are **bit-identical** to a materialized build of
 //!   the same family: `ImplicitGraph::grid` matches `generators::grid`
-//!   edge-for-edge, and the hashed families match their own
+//!   edge-for-edge and in order, Gnp matches its own
 //!   [`ImplicitGraph::materialize`] (an independent brute-force pair scan,
-//!   not the streaming recomputation path);
-//! * repeat queries (direct-mapped **cache hits**) return the same slices as
-//!   cold queries;
+//!   not the streaming recomputation path) the same way, and the unit disk,
+//!   which lists neighbors in cell-scan order, matches its materialization
+//!   as a set per node;
+//! * repeat queries (direct-mapped **cache hits**) return the same slices,
+//!   in the same order, as cold queries;
 //! * an engine run over a streamed topology produces the **same trace and
-//!   statistics** as the identical run over its materialization;
+//!   statistics** as the identical run over its materialization, with and
+//!   without packet erasure (whose coins follow ascending receiver ids, not
+//!   the topology's order);
 //! * streamed runs are **deterministic**: same (family, graph seed, run
 //!   seed) gives the same full trace on every rerun.
 
 use proptest::prelude::*;
 use radio_sim::graph::generators;
 use radio_sim::model::{Action, CollisionMode, Observation};
-use radio_sim::{ImplicitGraph, NodeId, Protocol, RunStats, Simulator, Topology};
+use radio_sim::{FaultPlan, ImplicitGraph, NodeId, Protocol, RunStats, Simulator, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -29,6 +33,15 @@ fn neighborhoods<T: Topology>(t: &T) -> Vec<Vec<NodeId>> {
     let warm: Vec<Vec<NodeId>> = (0..t.node_count()).map(query).collect();
     assert_eq!(cold, warm, "a cache hit returned a different neighborhood than the cold query");
     cold
+}
+
+/// [`neighborhoods`] with each list sorted: the topology as per-node sets.
+fn neighbor_sets<T: Topology>(t: &T) -> Vec<Vec<NodeId>> {
+    let mut sets = neighborhoods(t);
+    for set in &mut sets {
+        set.sort_unstable();
+    }
+    sets
 }
 
 /// A protocol that exercises both the channel and its RNG stream: transmits
@@ -56,15 +69,18 @@ impl Protocol for Chatter {
     }
 }
 
-/// Runs `Chatter` over any topology; returns the full reception trace and
-/// run statistics.
+/// Runs `Chatter` over any topology under `faults`; returns the full
+/// reception trace and run statistics.
 fn run_chatter_on<T: Topology>(
     topology: T,
     seed: u64,
     rounds: u64,
+    faults: FaultPlan,
 ) -> (Vec<Vec<(u64, bool)>>, RunStats) {
     let mut sim =
-        Simulator::new(topology, CollisionMode::Detection, seed, |_| Chatter { heard: Vec::new() });
+        Simulator::new_with_faults(topology, CollisionMode::Detection, seed, faults, |_| Chatter {
+            heard: Vec::new(),
+        });
     sim.run(rounds);
     let stats = sim.stats().clone();
     (sim.into_nodes().into_iter().map(|n| n.heard).collect(), stats)
@@ -88,7 +104,7 @@ proptest! {
     ) {
         let streamed = ImplicitGraph::unit_disk(n, radius, seed);
         let dense = streamed.materialize();
-        prop_assert_eq!(neighborhoods(&streamed), neighborhoods(&dense));
+        prop_assert_eq!(neighbor_sets(&streamed), neighbor_sets(&dense));
     }
 
     #[test]
@@ -108,12 +124,15 @@ proptest! {
         radius in 0.1f64..0.6,
         graph_seed in 0u64..1_000_000,
         run_seed in 0u64..1_000_000,
+        erasure in 0.0f64..0.3,
     ) {
         let streamed = ImplicitGraph::unit_disk(n, radius, graph_seed);
         let dense = streamed.materialize();
-        let a = run_chatter_on(streamed, run_seed, 40);
-        let b = run_chatter_on(dense, run_seed, 40);
-        prop_assert_eq!(a, b, "streamed and materialized runs diverged");
+        for plan in [FaultPlan::none(), FaultPlan::none().with_erasure(erasure)] {
+            let a = run_chatter_on(streamed.clone(), run_seed, 40, plan.clone());
+            let b = run_chatter_on(dense.clone(), run_seed, 40, plan.clone());
+            prop_assert_eq!(a, b, "streamed and materialized runs diverged under {:?}", plan);
+        }
     }
 
     #[test]
@@ -122,8 +141,8 @@ proptest! {
         graph_seed in 0u64..1_000_000,
         run_seed in 0u64..1_000_000,
     ) {
-        let a = run_chatter_on(ImplicitGraph::gnp(24, p, graph_seed), run_seed, 40);
-        let b = run_chatter_on(ImplicitGraph::gnp(24, p, graph_seed), run_seed, 40);
+        let a = run_chatter_on(ImplicitGraph::gnp(24, p, graph_seed), run_seed, 40, FaultPlan::none());
+        let b = run_chatter_on(ImplicitGraph::gnp(24, p, graph_seed), run_seed, 40, FaultPlan::none());
         prop_assert_eq!(a, b, "a streamed rerun diverged from itself");
     }
 }

@@ -1,12 +1,16 @@
 //! Streamed topologies through the `Scenario` facade: a run over a streamed
-//! spec is bit-identical to the same run over its materialization, streamed
-//! million-node headers replay deterministically on the wake fast path with
-//! a tiny resident topology, and the clamps (MultiKnown, churn/mobility)
-//! panic with actionable messages instead of silently materializing.
+//! spec is bit-identical to the same run over its materialization (also
+//! under erasure and jammer faults on unit disks, whose streamed
+//! neighborhoods are not listed by id), streamed million-node headers replay
+//! deterministically on the wake fast path with a tiny resident topology,
+//! and the clamps (MultiKnown, churn/mobility) panic with actionable
+//! messages instead of silently materializing.
 
 use broadcast::{Algo, BatchMode, Scenario, TopologySpec, Workload};
 use radio_sim::model::{Action, Observation};
-use radio_sim::{CollisionMode, FaultPlan, ImplicitGraph, Protocol, Simulator, Topology, Wake};
+use radio_sim::{
+    CollisionMode, FaultPlan, ImplicitGraph, NodeId, Protocol, Simulator, Topology, Wake,
+};
 use rand::rngs::SmallRng;
 use rlnc::gf2::BitVec;
 
@@ -22,14 +26,16 @@ fn streamed_specs() -> Vec<TopologySpec> {
     ]
 }
 
-/// Asserts the workload over a streamed spec and over that spec's explicit
-/// materialization produce the same semantic outcome. `peak_state_bytes` is
-/// deliberately excluded: the topology term differs by design.
-fn assert_same_outcome(spec: TopologySpec, workload: &Workload, seed: u64) {
-    let label = spec.label();
-    let materialized =
-        Scenario::new(TopologySpec::custom(spec.build()), workload.clone()).seed(seed);
-    let streamed = Scenario::new(spec, workload.clone()).seed(seed);
+/// Asserts the workload under `faults` over a streamed spec and over that
+/// spec's explicit materialization produce the same semantic outcome.
+/// `peak_state_bytes` is deliberately excluded: the topology term differs by
+/// design.
+fn assert_same_outcome(spec: TopologySpec, workload: &Workload, faults: FaultPlan, seed: u64) {
+    let label = format!("{}+{}/seed {seed}", spec.label(), faults.label());
+    let materialized = Scenario::new(TopologySpec::custom(spec.build()), workload.clone())
+        .faults(faults.clone())
+        .seed(seed);
+    let streamed = Scenario::new(spec, workload.clone()).faults(faults).seed(seed);
     let a = streamed.run();
     let b = materialized.run();
     assert_eq!(a.completion_round, b.completion_round, "{label}: completion diverged");
@@ -41,19 +47,50 @@ fn assert_same_outcome(spec: TopologySpec, workload: &Workload, seed: u64) {
     assert!(a.peak_state_bytes > 0 && b.peak_state_bytes > 0, "{label}: peak accounting missing");
 }
 
+/// Runs `workload` over streamed unit disks against their materializations
+/// under no faults, erasure and a jammer, seeds 0..3. A streamed disk lists
+/// its neighbors in cell-scan order and its materialization by id, so these
+/// runs agree only if erasure (one coin per receiver, drawn in ascending id
+/// order) and jamming do not read the topology's order. Each disk must have
+/// an out-of-order list, or the runs would prove nothing.
+fn assert_faulted_disks_match(workload: &Workload) {
+    for spec in [
+        TopologySpec::StreamedUnitDisk { n: 24, radius: 0.45, graph_seed: 7 },
+        TopologySpec::StreamedUnitDisk { n: 48, radius: 0.3, graph_seed: 11 },
+    ] {
+        let disk = spec.streamed().expect("a streamed spec");
+        let out_of_order = (0..disk.node_count())
+            .filter(|&v| !disk.with_neighbors(NodeId::new(v), <[NodeId]>::is_sorted))
+            .count();
+        assert!(out_of_order > 0, "{}: every neighborhood is ascending", spec.label());
+        for plan in [
+            FaultPlan::none(),
+            FaultPlan::none().with_erasure(0.05),
+            FaultPlan::none().with_jammer(1, 8, 0),
+        ] {
+            for seed in 0..3 {
+                assert_same_outcome(spec.clone(), workload, plan.clone(), seed);
+            }
+        }
+    }
+}
+
 #[test]
 fn streamed_single_matches_materialized() {
+    let workload = Workload::Single { payload: 0xFACE };
     for spec in streamed_specs() {
-        assert_same_outcome(spec, &Workload::Single { payload: 0xFACE }, 3);
+        assert_same_outcome(spec, &workload, FaultPlan::none(), 3);
     }
+    assert_faulted_disks_match(&workload);
 }
 
 #[test]
 fn streamed_multi_unknown_matches_materialized() {
     let workload = Workload::MultiUnknown { messages: payloads(3), batch: BatchMode::FullK };
     for spec in streamed_specs() {
-        assert_same_outcome(spec, &workload, 1);
+        assert_same_outcome(spec, &workload, FaultPlan::none(), 1);
     }
+    assert_faulted_disks_match(&workload);
 }
 
 #[test]
@@ -61,6 +98,7 @@ fn streamed_baseline_matches_materialized() {
     assert_same_outcome(
         TopologySpec::StreamedGrid { w: 5, h: 5 },
         &Workload::Baseline(Algo::Decay { payload: 0xD3 }),
+        FaultPlan::none(),
         2,
     );
 }
