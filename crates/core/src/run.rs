@@ -142,8 +142,11 @@ pub enum TopologySpec {
         graph_seed: u64,
     },
     /// Streamed hashed `G(n, p)` ([`ImplicitGraph::gnp`]): one SplitMix64
-    /// coin per node pair, no connectivity stitching. Neighborhood queries
-    /// cost `O(n)` hashes — for million-node streaming use
+    /// coin per node pair, no connectivity stitching. Nothing is cached, so
+    /// every neighborhood query, repeats included, hashes all `n − 1`
+    /// pairs: a run pays `O(n)` per transmission. Where the CSR fits,
+    /// `TopologySpec::custom(spec.build())` runs the same graph, with the
+    /// same trace, on `O(degree)` queries. For million-node streaming use
     /// [`TopologySpec::StreamedGrid`]/[`TopologySpec::StreamedUnitDisk`].
     StreamedGnp {
         /// Node count.
@@ -787,9 +790,9 @@ impl Scenario {
 
     /// Builds the topology once and runs the workload for every seed in
     /// `seeds`, aggregating into a [`SeedMatrix`]. The built topology is
-    /// cached across the sweep: materialized graphs are shared by `Arc` (no
-    /// per-seed CSR clone), streamed topologies re-use their spatial index
-    /// and neighborhood cache.
+    /// kept across the sweep: materialized graphs are shared by `Arc` (no
+    /// per-seed CSR clone); a streamed topology's spatial index is built
+    /// once and each run gets its own clone of it.
     ///
     /// Takes any seed sequence — a range (`0..64`), an explicit list
     /// (`[3, 1, 4]`, what service requests carry), or any other
@@ -813,14 +816,15 @@ impl Scenario {
     /// Builds this scenario's topology once, in its natural representation,
     /// for repeated [`Scenario::run_seed`] calls — the per-worker cache of a
     /// parallel sweep executor. Streamed specs stay implicit (the spatial
-    /// index and neighborhood cache are reused across runs); everything else
+    /// index is built once, and each run clones it); everything else
     /// materializes once into a shared [`Arc<Graph>`], cloned per run in
     /// `O(1)`.
     ///
-    /// The prepared topology is **not** `Sync` (streamed topologies carry a
-    /// single-threaded neighborhood cache); each worker thread prepares its
-    /// own. Builds are deterministic, so every worker's copy is identical
-    /// and runs stay bit-identical to the serial sweep.
+    /// The prepared topology is **not** `Sync`: a streamed topology's only
+    /// mutable state is the single-threaded buffer it computes
+    /// neighborhoods into. Each worker thread prepares its own. Builds are
+    /// deterministic, so every worker's copy is identical and runs stay
+    /// bit-identical to the serial sweep.
     ///
     /// # Panics
     ///

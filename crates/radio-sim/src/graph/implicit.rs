@@ -5,8 +5,8 @@
 //! adjacency up front, it derives the neighborhood of a node when (and only
 //! when) the engine asks for it. GHK's algorithm needs no global topology
 //! knowledge, so neither does the simulator: a million-node pipeline run
-//! keeps only the spatial index (UnitDisk) and a small ring cache of hot
-//! neighborhoods resident.
+//! keeps only the spatial index (UnitDisk) and one reusable neighborhood
+//! buffer resident.
 //!
 //! Determinism: every family is a pure function of its parameters. UnitDisk
 //! hashes node ids to positions in the unit square with SplitMix64
@@ -26,20 +26,6 @@ use super::{generators, Graph};
 use crate::ids::NodeId;
 use crate::rng;
 use std::cell::RefCell;
-
-/// Fewest direct-mapped neighborhood cache slots (power of two). Hot
-/// frontier nodes hit their slot and skip recomputation; on conflict the
-/// slot is recycled in place (a ring of reusable buffers, no allocation in
-/// steady state).
-const CACHE_SLOTS: usize = 1024;
-
-/// Most cache slots. The slot count scales as `n / 16` between the two
-/// bounds so million-node runs keep a working set comparable to one
-/// active construction ring's population, while the cache stays `O(n)`
-/// with a small constant (it is counted by
-/// [`Topology::resident_bytes`], so the bench's peak-state gate would
-/// catch runaway growth).
-const MAX_CACHE_SLOTS: usize = 65_536;
 
 /// The graph family an [`ImplicitGraph`] streams.
 #[derive(Clone, Debug)]
@@ -81,16 +67,8 @@ impl CellIndex {
 /// Candidates one branch-free accept pass compacts on the stack.
 const SCAN_CHUNK: usize = 64;
 
-/// One direct-mapped cache slot: the node whose neighborhood the buffer
-/// currently holds (`u32::MAX` = empty).
-#[derive(Clone, Debug)]
-struct Slot {
-    key: u32,
-    nbrs: Vec<NodeId>,
-}
-
 /// A streamed topology: Grid, UnitDisk or Gnp neighborhoods computed on
-/// demand, with a small direct-mapped cache for hot (frontier) nodes.
+/// demand, on every query, into one reusable buffer.
 ///
 /// Implements [`Topology`]; [`Topology::as_graph`] returns `None`, so fault
 /// plans that rewrite the topology (churn, mobility) are rejected up front
@@ -99,7 +77,7 @@ struct Slot {
 pub struct ImplicitGraph {
     n: usize,
     family: Family,
-    cache: RefCell<Vec<Slot>>,
+    scratch: RefCell<Vec<NodeId>>,
 }
 
 /// Maps a SplitMix64 word to `[0, 1)` with 53 bits of precision.
@@ -176,10 +154,12 @@ impl ImplicitGraph {
 
     /// Streamed hashed `G(n, p)`: one SplitMix64 coin per canonical pair.
     ///
-    /// A neighborhood query costs `O(n)` hash evaluations, so this family
-    /// suits moderate `n`; Grid and UnitDisk stream at million-node scale.
-    /// Unlike [`generators::gnp_connected`] no connectivity stitching is
-    /// applied.
+    /// Every neighborhood query, repeats included, costs `O(n)` hash
+    /// evaluations (nothing is cached), so a run pays `O(n)` per
+    /// transmission. Where the CSR fits, [`ImplicitGraph::materialize`]
+    /// builds the same graph once and answers in `O(degree)`; Grid and
+    /// UnitDisk stream at million-node scale. Unlike
+    /// [`generators::gnp_connected`] no connectivity stitching is applied.
     ///
     /// # Panics
     ///
@@ -191,21 +171,10 @@ impl ImplicitGraph {
     }
 
     fn with_family(n: usize, family: Family) -> Self {
-        // Grid neighborhoods cost four comparisons to recompute, so a
-        // minimal cache suffices; the scan-heavy hashed families scale
-        // their slot count with n to track ring-sized working sets.
-        let scaled = match family {
-            Family::Grid { .. } => CACHE_SLOTS,
-            Family::UnitDisk { .. } | Family::Gnp { .. } => {
-                (n / 16).next_power_of_two().clamp(CACHE_SLOTS, MAX_CACHE_SLOTS)
-            }
-        };
-        let slots = scaled.min(n.next_power_of_two());
-        let cache = (0..slots).map(|_| Slot { key: u32::MAX, nbrs: Vec::new() }).collect();
-        ImplicitGraph { n, family, cache: RefCell::new(cache) }
+        ImplicitGraph { n, family, scratch: RefCell::default() }
     }
 
-    /// Computes the neighborhood of `v` into `out` (no cache).
+    /// Computes the neighborhood of `v` into `out`.
     ///
     /// Grid and Gnp neighborhoods come out ascending. UnitDisk ones come in
     /// cell-scan order (the 3×3 block row by row, each cell's nodes by id)
@@ -239,7 +208,7 @@ impl ImplicitGraph {
                 let (x_lo, x_hi) = (cx.saturating_sub(1), (cx + 1).min(cpa - 1));
                 let r2 = radius * radius;
                 let (xs, ys) = index.coords();
-                let mut hits = [0u32; SCAN_CHUNK];
+                let mut hits = [NodeId(0); SCAN_CHUNK];
                 // The three cells of one row are adjacent in cell order, so
                 // each row of the 3×3 block is one contiguous range.
                 for row in cy.saturating_sub(1)..=(cy + 1).min(cpa - 1) {
@@ -253,14 +222,10 @@ impl ImplicitGraph {
                         let mut kept = 0;
                         for ((&j, &px), &py) in ids.iter().zip(xs).zip(ys) {
                             let (ex, ey) = (px - x, py - y);
-                            hits[kept] = j;
+                            hits[kept] = NodeId(j);
                             kept += usize::from((ex * ex + ey * ey <= r2) & (j != v));
                         }
-                        // Pushed one by one, so the slot buffer grows exactly
-                        // as if each hit had been pushed during the scan.
-                        for &j in &hits[..kept] {
-                            out.push(NodeId(j));
-                        }
+                        out.extend_from_slice(&hits[..kept]);
                     }
                 }
             }
@@ -326,19 +291,14 @@ impl Topology for ImplicitGraph {
         self.n
     }
 
-    /// Serves `v`'s neighborhood from the direct-mapped cache, recomputing
-    /// into the slot's buffer on a miss. `f` must not query this topology
-    /// re-entrantly (the engine never does).
+    /// Computes `v`'s neighborhood into the scratch buffer and lends it.
+    /// `f` must not query this topology re-entrantly (the engine never
+    /// does).
     fn with_neighbors<R>(&self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
         assert!(v.index() < self.n, "node {v:?} out of bounds for {} nodes", self.n);
-        let mut cache = self.cache.borrow_mut();
-        let slots = cache.len();
-        let slot = &mut cache[v.index() & (slots - 1)];
-        if slot.key != v.raw() {
-            self.compute_into(v.raw(), &mut slot.nbrs);
-            slot.key = v.raw();
-        }
-        f(&slot.nbrs)
+        let mut scratch = self.scratch.borrow_mut();
+        self.compute_into(v.raw(), &mut scratch);
+        f(&scratch)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -350,14 +310,8 @@ impl Topology for ImplicitGraph {
             }
             Family::Grid { .. } | Family::Gnp { .. } => 0,
         };
-        let cache = self.cache.borrow();
-        let cached: usize = cache
-            .iter()
-            .map(|s| {
-                std::mem::size_of::<Slot>() + s.nbrs.capacity() * std::mem::size_of::<NodeId>()
-            })
-            .sum();
-        std::mem::size_of::<Self>() + index + cached
+        let scratch = self.scratch.borrow().capacity() * std::mem::size_of::<NodeId>();
+        std::mem::size_of::<Self>() + index + scratch
     }
 }
 
@@ -436,15 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_return_identical_neighborhoods() {
-        let t = ImplicitGraph::grid(64, 64);
-        let first = nbrs(&t, 100);
-        // Conflict-map another node into the same slot, then re-query.
-        let _ = nbrs(&t, 100 + CACHE_SLOTS as u32);
-        assert_eq!(nbrs(&t, 100), first);
-    }
-
-    #[test]
     fn streamed_topology_has_no_materialized_graph() {
         assert!(ImplicitGraph::grid(3, 3).as_graph().is_none());
     }
@@ -452,22 +397,15 @@ mod tests {
     #[test]
     fn resident_bytes_stay_small() {
         let t = ImplicitGraph::unit_disk(10_000, 0.02, 5);
-        // Spatial index (ids + 16 B/node positions) + cache only: O(n), far
-        // below the ~16 B/edge CSR cost of a materialized build.
-        assert!(t.resident_bytes() < 10_000 * 24 + CACHE_SLOTS * 64);
-    }
-
-    #[test]
-    fn cache_scales_with_n_but_stays_bounded() {
-        // Grids stay at the floor regardless of n; hashed families scale.
-        assert_eq!(ImplicitGraph::grid(2, 2).cache.borrow().len(), 4);
-        assert_eq!(ImplicitGraph::grid(2000, 2000).cache.borrow().len(), CACHE_SLOTS);
-        assert_eq!(ImplicitGraph::unit_disk(10_000, 0.04, 1).cache.borrow().len(), CACHE_SLOTS);
-        assert_eq!(ImplicitGraph::unit_disk(200_000, 0.01, 1).cache.borrow().len(), 16_384);
-        assert_eq!(
-            ImplicitGraph::unit_disk(2_000_000, 0.01, 1).cache.borrow().len(),
-            MAX_CACHE_SLOTS
-        );
+        let Family::UnitDisk { index, .. } = &t.family else { unreachable!() };
+        let index_bytes = 4 * (index.offsets.len() + index.nodes.len()) + 8 * index.coords.len();
+        // Query every node, so the buffer has held the largest neighborhood.
+        let max_degree = (0..10_000).map(|v| nbrs(&t, v).len()).max().unwrap();
+        // Spatial index (ids + 16 B/node positions) plus one neighborhood's
+        // buffer, which grows by doubling, so to under twice the largest:
+        // O(n), far below the ~16 B/edge CSR cost of a materialized build.
+        let bound = std::mem::size_of::<ImplicitGraph>() + index_bytes + 2 * max_degree * 4;
+        assert!(t.resident_bytes() <= bound, "{} > {bound}", t.resident_bytes());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! Neighborhoods are exposed through a small-buffer callback
 //! ([`Topology::with_neighbors`]) rather than an iterator: the implicit
-//! implementation materializes each queried neighborhood into a reusable
-//! cache slot and lends it out as a plain `&[NodeId]`, which keeps the
-//! engine's hot resolution loop identical on both paths.
+//! implementation computes each queried neighborhood into one reusable
+//! buffer and lends it out as a plain `&[NodeId]`, which keeps the engine's
+//! hot resolution loop identical on both paths.
 
 use super::Graph;
 use crate::ids::NodeId;
@@ -67,14 +67,9 @@ pub trait Topology {
     }
 
     /// Estimated resident bytes of the topology representation itself (CSR
-    /// arrays, spatial index, neighborhood cache) — the topology term of the
-    /// `peak_state_bytes` accounting.
+    /// arrays, or a streamed topology's spatial index and neighborhood
+    /// buffer) — the topology term of the `peak_state_bytes` accounting.
     fn resident_bytes(&self) -> usize;
-
-    /// Degree of `v`.
-    fn degree_of(&self, v: NodeId) -> usize {
-        self.with_neighbors(v, <[NodeId]>::len)
-    }
 }
 
 impl Topology for Graph {
@@ -148,7 +143,7 @@ mod tests {
         let g = generators::grid(4, 3);
         for v in g.node_ids() {
             assert_eq!(collect(&g, v), g.neighbors(v).to_vec());
-            assert_eq!(Topology::degree_of(&g, v), g.degree(v));
+            assert_eq!(g.with_neighbors(v, <[NodeId]>::len), g.degree(v));
         }
         assert_eq!(Topology::node_count(&g), 12);
         assert!(g.as_graph().is_some());
@@ -169,7 +164,7 @@ mod tests {
         let mut mine = Arc::clone(&original);
         mine.replace(generators::star(4));
         assert_eq!(original.degree(NodeId::new(0)), 1, "shared copy untouched");
-        assert_eq!(Topology::degree_of(&mine, NodeId::new(0)), 3);
+        assert_eq!(mine.with_neighbors(NodeId::new(0), <[NodeId]>::len), 3);
     }
 
     #[test]

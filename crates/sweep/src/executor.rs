@@ -196,8 +196,8 @@ fn run_worker(
 ) -> Vec<(SweepJob, Outcome)> {
     let SweepProduct { scenarios, seeds } = product;
     // Worker-local prepared topologies, built lazily on first use: builds
-    // are deterministic, so every worker's copy runs identically; streamed
-    // topologies' neighborhood caches are single-threaded by design.
+    // are deterministic, so every worker's copy runs identically; a
+    // streamed topology's neighborhood buffer is single-threaded by design.
     let mut prepared: Vec<Option<broadcast::PreparedTopology>> = Vec::new();
     prepared.resize_with(scenarios.len(), || None);
     let mut done = Vec::new();
@@ -213,8 +213,8 @@ fn run_worker(
         let job = SweepJob { scenario: i / seeds.len(), order: order as u64, seed: seeds[order] };
         let scenario = &scenarios[job.scenario];
         let topo = &mut prepared[job.scenario];
-        // A panic can leave only the prepared topology torn (a streamed
-        // cache mid-update), and that is dropped below.
+        // Each run clones the prepared topology, so a panic cannot tear it;
+        // it is dropped below all the same and rebuilt on the next job.
         let run = catch_unwind(AssertUnwindSafe(|| {
             scenario.run_seed(topo.get_or_insert_with(|| scenario.prepare()), job.seed)
         }));

@@ -1,8 +1,8 @@
 //! Million-node streamed broadcast: Theorem 1.1 over a hashed unit-disk
 //! deployment of 1,000,000 nodes whose CSR (~1.8 GB) is never built — the
-//! engine pulls neighborhoods on demand from the `StreamedUnitDisk` spec
-//! (spatial bucket index + scaled hot-neighborhood cache, `O(n)` resident)
-//! while `peak_state_bytes` stays a quarter of the materialized cost.
+//! engine computes each neighborhood on demand from the `StreamedUnitDisk`
+//! spec (only the spatial bucket index, `O(n)`, stays resident) while
+//! `peak_state_bytes` stays a quarter of the materialized cost.
 //!
 //! Recruiting runs the leaned `2·log n` iterations instead of the default
 //! `4·log n`: at this scale the default doubles the round count without

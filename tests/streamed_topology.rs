@@ -6,7 +6,7 @@
 //! and the clamps (MultiKnown, churn/mobility) panic with actionable
 //! messages instead of silently materializing.
 
-use broadcast::{Algo, BatchMode, Scenario, TopologySpec, Workload};
+use broadcast::{Algo, BatchMode, Params, Scenario, TopologySpec, Workload};
 use radio_sim::model::{Action, Observation};
 use radio_sim::{
     CollisionMode, FaultPlan, ImplicitGraph, NodeId, Protocol, Simulator, Topology, Wake,
@@ -131,6 +131,25 @@ fn streamed_erasure_faults_work_and_label_pins() {
     assert!(matrix.label.starts_with("stream:grid(4x4)/"), "label drifted: {}", matrix.label);
     assert!(matrix.label.ends_with("+erase(0.02)"), "fault label drifted: {}", matrix.label);
     assert!(matrix.all_completed(), "lossy streamed runs failed on seeds {:?}", matrix.failures());
+}
+
+#[test]
+fn dense_streamed_disk_pins_its_rounds_and_transmissions() {
+    // Theorem 1.1 on a 5,000-node streamed disk at the million-node run's
+    // mean degree (~452) and params: the density where each transmission's
+    // neighborhood work, not polling, sets the cost.
+    let n = 5_000;
+    let mut params = Params::scaled(n);
+    params.recruit_iterations = 2 * params.log_n;
+    let out = Scenario::new(
+        TopologySpec::StreamedUnitDisk { n, radius: 0.1696, graph_seed: 2026 },
+        Workload::Single { payload: 0xFEED },
+    )
+    .params(params)
+    .seed(1)
+    .run();
+    assert_eq!(out.completion_round, Some(9_017), "the dense streamed round pin moved");
+    assert_eq!(out.stats.transmissions, 327_149, "the dense streamed transmissions moved");
 }
 
 /// A wake-hinted flood: informed nodes transmit every round, everyone else
